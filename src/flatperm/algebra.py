@@ -107,6 +107,21 @@ class IntPoly:
 
     __rmul__ = __mul__
 
+    def mul_trunc(self, other: IntPoly, top: int) -> IntPoly:
+        """The product self * other cut to degree top: only the
+        coefficients of x^0 .. x^top are formed."""
+        if top < 0:
+            raise ValueError("top must be >= 0")
+        a, b = self.coeffs[: top + 1], other.coeffs[: top + 1]
+        if not a or not b:
+            return IntPoly()
+        out = [0] * min(len(a) + len(b) - 1, top + 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b[: top + 1 - i]):
+                    out[i + j] += c * d
+        return IntPoly(out)
+
     def __pow__(self, exponent: int) -> IntPoly:
         if exponent < 0:
             raise ValueError("negative exponent")

@@ -37,6 +37,9 @@ from .recurrence import (
 )
 
 RECURRENCE_NMAX = 30
+#: Largest n for ``avoiders``: the q = 0 recurrence is quadratic in n over
+#: growing rationals, and n = 500 takes about 1.5-2 s.
+AVOIDERS_NMAX = 500
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -197,6 +200,8 @@ def _cmd_witness(args) -> int:
 def _cmd_average(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
+    if args.n > RECURRENCE_NMAX:
+        raise UsageError(f"n={args.n} exceeds the recurrence cap {RECURRENCE_NMAX}")
     value = average_occurrences(args.n, shared_table(args.n))
     payload = {
         "command": "average",
@@ -211,8 +216,11 @@ def _cmd_average(args) -> int:
 def _cmd_avoiders(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    payload = {"command": "avoiders", "n": args.n, "count": str(avoider_count(args.n))}
-    _emit(payload, args, csv_rows=[("n", "count"), (args.n, avoider_count(args.n))])
+    if args.n > AVOIDERS_NMAX:
+        raise UsageError(f"n={args.n} exceeds the avoiders cap {AVOIDERS_NMAX}")
+    count = avoider_count(args.n)
+    payload = {"command": "avoiders", "n": args.n, "count": str(count)}
+    _emit(payload, args, csv_rows=[("n", "count"), (args.n, count)])
     return EXIT_OK
 
 
@@ -267,13 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ctable", help="the polynomials c_{r,0..r}")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--order", type=int, help="truncation order override")
+    p.add_argument("--order", type=int, help="truncation order override, at least 4r + 3")
     common(p)
     p.set_defaults(fn=_cmd_ctable)
 
     p = sub.add_parser("rational", help="rational closed form of G_r")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--order", type=int, help="truncation order override")
+    p.add_argument("--order", type=int,
+                   help="truncation order override, at least 4r + 3 (7 for r = 0)")
     common(p)
     p.set_defaults(fn=_cmd_rational)
 
@@ -285,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("average", help="exact mean occurrence count for S_n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"permutation length, at most {RECURRENCE_NMAX}")
     common(p)
     p.set_defaults(fn=_cmd_average)
 
     p = sub.add_parser("avoiders", help="count of 13-2-avoiding flattened permutations")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"permutation length, at most {AVOIDERS_NMAX}")
     common(p)
     p.set_defaults(fn=_cmd_avoiders)
 

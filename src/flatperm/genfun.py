@@ -57,6 +57,14 @@ def default_order(r: int) -> int:
     return 4 * r + 10
 
 
+def min_order(r: int) -> int:
+    """Smallest truncation order 4r + 3 at which the vanishing-tail check
+    on P_r sees a coefficient: P_r is read off x^(r+3) .. x^order of
+    s^(2r-1) t^(r+1) G_r and has x-degree at most 3r - 1, so its tail
+    starts at x^(4r+3)."""
+    return 4 * r + 3
+
+
 def t_poly(h: int) -> XVPoly:
     """The kernel-quotient polynomial
 
@@ -171,13 +179,19 @@ class StructureReport:
 class Pipeline:
     """Memoized exact computation of G_r, P_r, the c tables and the
     rational closed forms for all r up to r_max, at one unified
-    truncation order (default 4 * r_max + 10).
+    truncation order (default 4 * r_max + 10, at least 4 * r_max + 3).
 
     Every stage re-verifies itself: the two independent routes to
     H~_r/(1 - sv) must agree, kernel divisions must leave no remainder,
     extracted polynomials must have even/vanishing parts exactly where
     claimed, and all series coefficients are compared against the
     q-polynomial recurrence tables.
+
+    The tables are read only at q^r with r <= r_max.  Given no ``table``
+    (as for the ``ctable`` and ``rational`` commands), the pipeline builds
+    its own ``GTable(2, q_top=r_max)``, kept only through q^r_max.  A
+    caller that passes a table (the ``verify`` suites pass the full shared
+    table) has the pipeline checked against full q-polynomials.
     """
 
     def __init__(
@@ -192,9 +206,12 @@ class Pipeline:
             raise ValueError("r_max must be >= 0")
         self.r_max = r_max
         self.order = default_order(r_max) if order is None else order
-        if self.order < r_max + 4:
-            raise ValueError(f"order {self.order} too small for r_max {r_max}")
-        self.table = table if table is not None else shared_table(2)
+        if self.order < min_order(r_max):
+            raise ValueError(
+                f"order {self.order} too small for r_max {r_max}: "
+                f"need at least {min_order(r_max)} so that the vanishing-tail checks see a coefficient"
+            )
+        self.table = table if table is not None else GTable(2, q_top=r_max)
         self.oracle_check = oracle_check
         self.oracle_limit = oracle_limit
         n = self.order
@@ -286,7 +303,11 @@ class Pipeline:
         Route one assembles the expanded form directly from boundary data:
 
             (x^r/t) sum_{i=2}^{r+2} g_{r+2,r}(1i) s^{1-i} (1 + t sum_{k<=i-2} (sv)^k)
-            - (1/t) sum_{n,j,k} g_{n+3,j}(1k) x^{n+1} s^{j-k+2-r} T_{r-j+k-2}(x, v).
+            - (1/t) sum_h s^{-h} T_h(x, v) sum_{n,j,k: r-j+k-2 = h} g_{n+3,j}(1k) x^{n+1}.
+
+        The inner cells depend on (j, k) only through h = r-j+k-2, which
+        takes at most r - 1 values, so their x^{n+1} terms are summed into
+        one polynomial per h and T_h is multiplied in once per h.
 
         Route two forms H~_r = H_r(x,v) - (2-v)(s/t) H_r(x, 1/s) and divides
         out the kernel factor by exact long division.  The two must agree
@@ -306,11 +327,13 @@ class Pipeline:
             for k in range(1, i - 1):
                 vpart.append(base * (T_POLY * S_POLY**k))
             expanded = expanded + VPoly(vpart, n)
+        by_h: dict[int, IntPoly] = {}
         for (m, j, k), val in bd.inner.items():
-            if val == 0:
-                continue
-            h = r - j + k - 2
-            factor = (self.t_inv * val * self._sinv_pow(h)).mul_xpow(m + 1)
+            if val:
+                h = r - j + k - 2
+                by_h[h] = by_h.get(h, IntPoly()) + IntPoly.term(val, m + 1)
+        for h, xpoly in by_h.items():
+            factor = self.t_inv * self._sinv_pow(h) * xpoly
             expanded = expanded - t_poly(h).to_vpoly(n) * factor
 
         hv = self.h_series(r)

@@ -39,25 +39,29 @@ def _binom(m: int, k: int) -> int:
     return math.comb(m, k) if k <= m else 0
 
 
-def b_poly(n: int, j: int) -> IntPoly:
+def b_poly(n: int, j: int, top: int | None = None) -> IntPoly:
     """The coefficient polynomial b_{n,j}:
 
         b_{n,j} = sum_{k=0}^{n-1-j} ((n-1+j-k)/j) C(j+k-2, j-2) C(n-2-k, j-1) q^k,
 
     with b_{n,1} = n (the j = 1 column collapses to a constant).  The
     division by j is carried out exactly per coefficient and must leave an
-    integer; a fractional result raises.
+    integer; a fractional result raises.  With ``top`` given, only the
+    coefficients of q^0 .. q^top are formed.
     """
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, {n - 1}]")
     if j == 1:
         return IntPoly([n])
     coeffs = []
-    for k in range(n - j):
-        c = Fraction(n - 1 + j - k, j) * _binom(j + k - 2, j - 2) * _binom(n - 2 - k, j - 1)
-        if c.denominator != 1:
-            raise ConsistencyError(f"b({n},{j}) coefficient of q^{k} is not an integer: {c}")
-        coeffs.append(int(c))
+    for k in range(n - j if top is None else min(n - j, top + 1)):
+        num = (n - 1 + j - k) * _binom(j + k - 2, j - 2) * _binom(n - 2 - k, j - 1)
+        c, rem = divmod(num, j)
+        if rem:
+            raise ConsistencyError(
+                f"b({n},{j}) coefficient of q^{k} is not an integer: {Fraction(num, j)}"
+            )
+        coeffs.append(c)
     return IntPoly(coeffs)
 
 
@@ -80,12 +84,28 @@ def b_poly_alt(n: int, j: int) -> IntPoly:
 class GTable:
     """Bottom-up tables of g_n and g_n(1k), growable on demand.
 
-    The g column is filled eagerly through n_max at construction (each
-    entry is checked for nonnegative coefficients summing to n!); the
+    The g column is filled eagerly through n_max at construction; the
     g_n(1k) entries and the a_{k,j} rows are computed lazily and cached.
+
+    With ``q_top`` unset (the default) every polynomial is kept in full
+    and each g_n is checked for nonnegative coefficients summing to n!.
+    This full table backs ``gpoly``, ``distribution``, ``average``, the
+    ``verify`` suites and any ``Pipeline`` given a table explicitly.
+
+    With ``q_top`` set, every g_n, g_n(1k), (q-1)^e power and b_{m,j} row
+    is kept only through q^q_top (products are cut with
+    ``IntPoly.mul_trunc``), which is all a kernel pipeline through
+    r_max = q_top reads; ``Pipeline`` builds such a table for itself when
+    it is given none.  Nonnegativity is checked on the kept coefficients;
+    the n! mass needs the whole polynomial and is checked in full mode
+    only.  ``coeff`` raises IndexError for a power above q_top.  The
+    a_{k,j} rows are always kept in full.
     """
 
-    def __init__(self, n_max: int = 2):
+    def __init__(self, n_max: int = 2, q_top: int | None = None):
+        if q_top is not None and q_top < 0:
+            raise ValueError("q_top must be >= 0")
+        self.q_top = q_top
         self._g: list[IntPoly] = [IntPoly(), IntPoly([1])]  # index 0 unused
         self._g1k: dict[tuple[int, int], IntPoly] = {}
         # a rows: index k -> {j: IntPoly}; rows 0, 1 unused.
@@ -102,9 +122,12 @@ class GTable:
     def n_max(self) -> int:
         return len(self._g) - 1
 
+    def _mul(self, a: IntPoly, b: IntPoly) -> IntPoly:
+        return a * b if self.q_top is None else a.mul_trunc(b, self.q_top)
+
     def _qm1(self, e: int) -> IntPoly:
         while len(self._qm1_pows) <= e:
-            self._qm1_pows.append(self._qm1_pows[-1] * Q_MINUS_1)
+            self._qm1_pows.append(self._mul(self._qm1_pows[-1], Q_MINUS_1))
         return self._qm1_pows[e]
 
     def ensure(self, n: int) -> None:
@@ -112,10 +135,11 @@ class GTable:
             m = self.n_max + 1
             total = IntPoly()
             for j in range(1, m):
-                total = total + b_poly(m, j) * self._qm1(j - 1) * self._g[m - j]
+                b = b_poly(m, j, self.q_top)
+                total = total + self._mul(self._mul(b, self._qm1(j - 1)), self._g[m - j])
             if any(c < 0 for c in total.coeffs):
                 raise ConsistencyError(f"g_{m} has a negative coefficient")
-            if sum(total.coeffs) != math.factorial(m):
+            if self.q_top is None and sum(total.coeffs) != math.factorial(m):
                 raise ConsistencyError(f"g_{m}(1) != {m}!")
             self._g.append(total)
 
@@ -162,15 +186,18 @@ class GTable:
             for j in range(1, k):
                 a = self.a_poly(k, j)
                 if a:
-                    val = val + a * self._qm1(j - 1) * self.g(n - j)
+                    val = val + self._mul(self._mul(a, self._qm1(j - 1)), self.g(n - j))
         self._g1k[key] = val
         return val
 
     def coeff(self, n: int, r: int, k: int | None = None) -> int:
         """[q^r] g_n, or [q^r] g_n(1k) when k is given.  Returns 0 for any
-        k beyond n (no flattening of length n starts 1, k then)."""
+        k beyond n (no flattening of length n starts 1, k then); raises
+        IndexError when r lies above the table's q_top."""
         if r < 0:
             raise ValueError("r must be >= 0")
+        if self.q_top is not None and r > self.q_top:
+            raise IndexError(f"q^{r} lies above this table's truncation q^{self.q_top}")
         if k is None:
             return self.g(n)[r]
         if k > n:

@@ -63,6 +63,14 @@ class TestIntPoly:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
+    @given(polys, polys, st.integers(0, 12))
+    def test_mul_trunc_is_cut_product(self, a, b, top):
+        assert a.mul_trunc(b, top) == IntPoly((a * b).coeffs[: top + 1])
+
+    def test_mul_trunc_rejects_negative_top(self):
+        with pytest.raises(ValueError):
+            IntPoly([1]).mul_trunc(IntPoly([1]), -1)
+
     @given(polys, polys)
     def test_divexact_round_trip(self, a, b):
         if not b:

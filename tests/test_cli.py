@@ -2,7 +2,16 @@ from __future__ import annotations
 
 import json
 
-from flatperm.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+import pytest
+
+from flatperm.cli import (
+    AVOIDERS_NMAX,
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    RECURRENCE_NMAX,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -105,6 +114,18 @@ class TestCTable:
         got = [[int(c) for c in p["coeffs"]] for p in json.loads(out)["polys"]]
         assert got == REFERENCE_CTABLES[2]
 
+    @pytest.mark.parametrize("order, code", [(12, EXIT_USAGE), (14, EXIT_USAGE), (15, EXIT_OK)])
+    def test_order_guard(self, capsys, order, code):
+        # 4r + 3 = 15 is the smallest order whose P_3 tail check sees a coefficient.
+        got, out, err = run(capsys, "ctable", "--r", "3", "--order", str(order))
+        assert got == code
+        assert ("error" in err) == (code == EXIT_USAGE)
+        if code == EXIT_OK:
+            from flatperm._reference import REFERENCE_CTABLES
+
+            polys = [[int(c) for c in p["coeffs"]] for p in json.loads(out)["polys"]]
+            assert polys == REFERENCE_CTABLES[3]
+
 
 class TestRational:
     def test_r1(self, capsys):
@@ -156,6 +177,21 @@ class TestScalars:
         code, out, _ = run(capsys, "avoiders", "--n", "5")
         assert code == EXIT_OK
         assert json.loads(out)["count"] == "16"
+
+    def test_avoiders_csv(self, capsys):
+        code, out, _ = run(capsys, "avoiders", "--n", "5", "--format", "csv")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["n,count", "5,16"]
+
+    def test_avoiders_cap(self, capsys):
+        code, out, err = run(capsys, "avoiders", "--n", str(AVOIDERS_NMAX + 1))
+        assert code == EXIT_USAGE and out == ""
+        assert str(AVOIDERS_NMAX) in err
+
+    def test_average_cap(self, capsys):
+        code, out, err = run(capsys, "average", "--n", str(RECURRENCE_NMAX + 1))
+        assert code == EXIT_USAGE and out == ""
+        assert str(RECURRENCE_NMAX) in err
 
 
 class TestVerify:

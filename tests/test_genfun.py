@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from flatperm._reference import REFERENCE_CTABLES
-from flatperm.algebra import IntPoly, XVPoly
-from flatperm.genfun import S_POLY, T_POLY, Pipeline, t_poly
+from flatperm.algebra import IntPoly, VPoly, XSeries, XVPoly
+from flatperm.genfun import S_POLY, T_POLY, Pipeline, default_order, t_poly
 
 
 class TestTPoly:
@@ -76,6 +76,40 @@ class TestHLayer:
     @pytest.mark.parametrize("r", range(0, 5))
     def test_dual_routes_never_disagree(self, pipeline6, r):
         pipeline6.htilde_over_kernel(r)  # raises on mismatch
+
+    @pytest.mark.parametrize("r", range(0, 7))
+    def test_route_one_grouped_by_h_matches_per_cell(self, pipeline6, r):
+        assert pipeline6.order == default_order(6)
+        got = pipeline6.htilde_over_kernel(r)
+        want = _route_one_per_cell(pipeline6, r)
+        assert got.order == want.order and got.matches(want)
+
+
+def _route_one_per_cell(pl: Pipeline, r: int) -> VPoly:
+    """Route one to H~_r/(1 - sv) with one T_h multiply per inner boundary
+    cell: the reference for the grouped form in Pipeline.htilde_over_kernel."""
+    bd = pl.boundary(r)
+    n = pl.order
+    sinv_pows = [XSeries.one(n)]
+    for _ in range(r + 1):
+        sinv_pows.append(sinv_pows[-1] * pl.s_inv)
+    expanded = VPoly.zero(n)
+    for i in range(2, r + 3):
+        gi = bd.top(i)
+        if gi == 0:
+            continue
+        base = (pl.t_inv * gi * sinv_pows[i - 1]).mul_xpow(r)
+        vpart = [base * IntPoly([2, -2])]
+        for k in range(1, i - 1):
+            vpart.append(base * (T_POLY * S_POLY**k))
+        expanded = expanded + VPoly(vpart, n)
+    for (m, j, k), val in bd.inner.items():
+        if val == 0:
+            continue
+        h = r - j + k - 2
+        factor = (pl.t_inv * val * sinv_pows[h]).mul_xpow(m + 1)
+        expanded = expanded - t_poly(h).to_vpoly(n) * factor
+    return expanded
 
 
 class TestGSeries:
@@ -200,3 +234,16 @@ class TestPipelineGuards:
     def test_order_too_small(self):
         with pytest.raises(ValueError):
             Pipeline(r_max=4, order=5)
+
+    def test_order_guard_is_4r_plus_3(self):
+        with pytest.raises(ValueError):
+            Pipeline(r_max=4, order=18)
+        assert Pipeline(r_max=4, order=19).c_table(4).polys == tuple(
+            IntPoly(cs) for cs in REFERENCE_CTABLES[4]
+        )
+
+    def test_table_choice(self, table):
+        own = Pipeline(r_max=3)
+        assert own.table.q_top == 3
+        assert Pipeline(r_max=3, table=table).table is table
+        assert table.q_top is None

@@ -8,6 +8,7 @@ import pytest
 from flatperm import perms
 from flatperm.algebra import ConsistencyError, IntPoly
 from flatperm.recurrence import (
+    GTable,
     avoider_count,
     average_occurrences,
     b_poly,
@@ -147,6 +148,37 @@ class TestCoefficients:
 
     def test_k_beyond_n_is_zero(self, table):
         assert table.coeff(4, 1, 9) == 0
+
+
+class TestTruncatedTable:
+    @pytest.mark.parametrize("top", [0, 1, 5, 12])
+    def test_agrees_with_full_table(self, table, top):
+        cut = GTable(30, q_top=top)
+        cases = [((n,), cut.g(n), table.g(n)) for n in range(1, 31)] + [
+            ((n, k), cut.g1k(n, k), table.g1k(n, k)) for n in range(2, 31) for k in range(2, n + 1)
+        ]
+        for where, got, want in cases:
+            assert got.degree <= top, where
+            assert [got[r] for r in range(top + 1)] == [want[r] for r in range(top + 1)], where
+
+    def test_coeff_above_q_top_raises(self):
+        cut = GTable(8, q_top=3)
+        assert cut.coeff(8, 3, 5) == GTable(8).coeff(8, 3, 5)
+        with pytest.raises(IndexError):
+            cut.coeff(8, 4)
+        with pytest.raises(IndexError):
+            cut.coeff(8, 4, 5)
+        with pytest.raises(IndexError):
+            cut.coeff(4, 4, 9)
+
+    def test_rejects_negative_q_top(self):
+        with pytest.raises(ValueError):
+            GTable(2, q_top=-1)
+
+    def test_truncated_b_rows(self):
+        for n in range(2, 15):
+            for j in range(1, n):
+                assert b_poly(n, j, 2) == IntPoly(b_poly(n, j).coeffs[:3]), (n, j)
 
 
 class TestAvoiders:
