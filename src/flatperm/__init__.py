@@ -22,8 +22,6 @@ from .algebra import (
     VPoly,
     XSeries,
     XVPoly,
-    series_div_exact,
-    substitute_v_with_series,
     vpoly_div_kernel,
     xvpoly_extract_from_series,
 )
@@ -32,16 +30,7 @@ from .genfun import (
     CTable,
     Pipeline,
     RationalGF,
-    StructureReport,
-    boundary_data,
-    c_table,
-    g_series,
-    h_series,
-    htilde_over_kernel,
-    p_poly,
-    rational_gf,
     t_poly,
-    verify_structure,
 )
 from .perms import (
     DEFAULT_ENUM_LIMIT,
@@ -65,10 +54,7 @@ from .recurrence import (
     average_occurrences,
     b_poly,
     b_poly_alt,
-    coeff_g,
-    g1k_poly,
     g_poly,
-    g_table,
     harmonic,
     verify_a_closed_form,
 )
@@ -87,7 +73,6 @@ __all__ = [
     "OccurrenceTable",
     "Pipeline",
     "RationalGF",
-    "StructureReport",
     "VPoly",
     "XSeries",
     "XVPoly",
@@ -95,33 +80,20 @@ __all__ = [
     "average_occurrences",
     "b_poly",
     "b_poly_alt",
-    "boundary_data",
-    "c_table",
-    "coeff_g",
     "count_13_2",
     "cycles_to_permutation",
     "distribution",
     "distribution_parallel",
     "doubling_pair",
     "flatten",
-    "g1k_poly",
     "g_poly",
-    "g_series",
-    "g_table",
-    "h_series",
     "harmonic",
-    "htilde_over_kernel",
     "max_occurrences",
     "max_pattern_perm",
     "min_length_for",
-    "p_poly",
-    "rational_gf",
-    "series_div_exact",
     "standard_cycle_form",
-    "substitute_v_with_series",
     "t_poly",
     "verify_a_closed_form",
-    "verify_structure",
     "vpoly_div_kernel",
     "witness_perm",
     "xvpoly_extract_from_series",

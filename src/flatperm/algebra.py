@@ -186,10 +186,6 @@ class IntPoly:
             out.append(a // c)
         return IntPoly(out)
 
-    def coeffs_through(self, degree: int) -> list[int]:
-        """Coefficient list padded/truncated to exactly degree + 1 entries."""
-        return [self[i] for i in range(degree + 1)]
-
     def format(self, var: str = "x") -> str:
         if not self.coeffs:
             return "0"
@@ -370,11 +366,6 @@ class XSeries:
         return IntPoly(self.coeffs[: max_degree + 1])
 
 
-def series_div_exact(a: XSeries, b: XSeries) -> XSeries:
-    """Exact series division a / b for a unit divisor b."""
-    return a.divexact(b)
-
-
 # ---------------------------------------------------------------------------
 # Polynomials in v over truncated series
 # ---------------------------------------------------------------------------
@@ -484,10 +475,6 @@ class VPoly:
         for s in reversed(self.vcoeffs):
             acc = acc * w + s.truncate(m)
         return acc
-
-
-def substitute_v_with_series(p: VPoly, w: XSeries) -> XSeries:
-    return p.subst_v(w)
 
 
 def vpoly_div_kernel(b: VPoly, s: XSeries, vdeg: int) -> VPoly:

@@ -221,9 +221,17 @@ def genfun_suite(
     _check(out, f"c tables match the reference coefficients for r <= {min(r_max, 5)}", reference_tables)
 
     def structure():
-        rep = pl.verify_structure(r_max)
-        bad = [f"r={e.r}:{e.degree_detail}" for e in rep.entries if not e.passed]
-        return rep.passed, "; ".join(bad)
+        for r in range(1, r_max + 1):
+            # Raises on a non-integral division, the v-degree of P_r, the
+            # value c_{r,0}(1/2), the degree pattern and, through the
+            # boundary data, a non-positive top row for r >= 4.
+            pl.c_table(r)
+            if r >= 4:
+                for i in range(r + 1):
+                    w = perms.witness_perm(r, i)
+                    if perms.count_13_2(w) != r or w[1] != i + 2:
+                        return False, f"r={r}: witness word for i={i}"
+        return True, ""
     _check(out, f"P_r structure (integrality, value at 1/2, degrees) for r <= {r_max}", structure)
 
     def rationality():
@@ -350,7 +358,13 @@ def constructions_suite(
     _check(out, f"both routes to H~_r/(1-sv) agree for r <= {dual_route_rmax}", dual_route)
 
     def boundary_oracle():
-        Pipeline(r_max=3, table=table, oracle_check=True).boundary(3)
+        bd = Pipeline(r_max=3, table=table).boundary(3)
+        for i in range(2, 6):
+            if perms.distribution(5, (1, i)).count(3) != bd.top(i):
+                return False, f"top row at i={i}"
+        for (n, j, k), v in bd.inner.items():
+            if perms.distribution(n + 3, (1, k)).count(j) != v:
+                return False, f"inner cell (n, j, k) = ({n}, {j}, {k})"
         return True, ""
     _check(out, "boundary data matches enumeration (r = 3)", boundary_oracle)
 

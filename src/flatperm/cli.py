@@ -37,9 +37,17 @@ from .recurrence import (
 )
 
 RECURRENCE_NMAX = 30
-#: Largest n for ``avoiders``: the q = 0 recurrence is quadratic in n over
-#: growing rationals, and n = 500 takes about 1.5-2 s.
+#: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
+#: many terms in n, and n = 500 takes about 1.2 s.
 AVOIDERS_NMAX = 500
+#: Largest r for ``ctable`` and ``rational``: r = 20 takes about 5 s.
+PIPELINE_RMAX = 20
+#: Largest n (extremal word) or r (witness word) for ``witness``: counting
+#: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
+WITNESS_MAX = 2000
+#: Largest --rmax for ``verify``: --rmax 12 takes about 6 s.  Its --n is
+#: capped by the enumeration limit ``perms.DEFAULT_ENUM_LIMIT``.
+VERIFY_RMAX = 12
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -138,6 +146,8 @@ def _cmd_ctable(args) -> int:
     r = args.r
     if r < 1:
         raise UsageError("--r must be >= 1")
+    if r > PIPELINE_RMAX:
+        raise UsageError(f"r={r} exceeds the pipeline cap {PIPELINE_RMAX}")
     pipeline = Pipeline(r_max=r, order=args.order)
     ct = pipeline.c_table(r)
     payload = {
@@ -153,6 +163,8 @@ def _cmd_rational(args) -> int:
     r = args.r
     if r < 0:
         raise UsageError("--r must be >= 0")
+    if r > PIPELINE_RMAX:
+        raise UsageError(f"r={r} exceeds the pipeline cap {PIPELINE_RMAX}")
     pipeline = Pipeline(r_max=max(r, 1), order=args.order)
     gf = pipeline.rational_gf(r)
     payload = {
@@ -172,6 +184,9 @@ def _cmd_rational(args) -> int:
 def _cmd_witness(args) -> int:
     if (args.n is None) == (args.r is None):
         raise UsageError("give exactly one of --n (extremal word) or --r [--i] (witness word)")
+    flag, size = ("--n", args.n) if args.n is not None else ("--r", args.r)
+    if size > WITNESS_MAX:
+        raise UsageError(f"{flag} {size} exceeds the witness cap {WITNESS_MAX}")
     if args.n is not None:
         word = perms.max_pattern_perm(args.n)
         payload = {
@@ -225,6 +240,10 @@ def _cmd_avoiders(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n > perms.DEFAULT_ENUM_LIMIT:
+        raise UsageError(f"--n {args.n} exceeds the enumeration limit {perms.DEFAULT_ENUM_LIMIT}")
+    if args.rmax > VERIFY_RMAX:
+        raise UsageError(f"--rmax {args.rmax} exceeds the verify cap {VERIFY_RMAX}")
     results = run_suite(args.suite, oracle_nmax=args.n, r_max=args.rmax)
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'}  {res.name}"
@@ -274,21 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gpoly)
 
     p = sub.add_parser("ctable", help="the polynomials c_{r,0..r}")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help=f"at most {PIPELINE_RMAX}")
     p.add_argument("--order", type=int, help="truncation order override, at least 4r + 3")
     common(p)
     p.set_defaults(fn=_cmd_ctable)
 
     p = sub.add_parser("rational", help="rational closed form of G_r")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help=f"at most {PIPELINE_RMAX}")
     p.add_argument("--order", type=int,
                    help="truncation order override, at least 4r + 3 (7 for r = 0)")
     common(p)
     p.set_defaults(fn=_cmd_rational)
 
     p = sub.add_parser("witness", help="extremal word (--n) or prefix witness (--r, --i)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
+    p.add_argument("--n", type=int, help=f"length of the extremal word, at most {WITNESS_MAX}")
+    p.add_argument("--r", type=int, help=f"occurrences of the witness word, at most {WITNESS_MAX}")
     p.add_argument("--i", type=int)
     common(p)
     p.set_defaults(fn=_cmd_witness)
@@ -305,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    p.add_argument("--n", type=int, default=7, help="bound for enumeration-backed checks")
-    p.add_argument("--rmax", type=int, default=4, help="bound for pipeline checks")
+    p.add_argument("--n", type=int, default=7,
+                   help=f"bound for enumeration-backed checks, at most {perms.DEFAULT_ENUM_LIMIT}")
+    p.add_argument("--rmax", type=int, default=4, help=f"bound for pipeline checks, at most {VERIFY_RMAX}")
     common(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -29,10 +29,9 @@ each re-verified against the independent recurrence tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from . import perms
 from .algebra import (
     ConsistencyError,
     IntPoly,
@@ -42,13 +41,12 @@ from .algebra import (
     vpoly_div_kernel,
     xvpoly_extract_from_series,
 )
-from .recurrence import GTable, shared_table
+from .recurrence import GTable
 
 S_POLY = IntPoly([1, -1])   # s = 1 - x
 T_POLY = IntPoly([1, -2])   # t = 1 - 2x
 
 DEFAULT_R_MAX = 6
-ORACLE_CHECK_NMAX = 9
 
 
 def default_order(r: int) -> int:
@@ -137,45 +135,6 @@ class RationalGF:
         return self.numerator.to_vpoly(order) * factor
 
 
-@dataclass
-class StructureChecks:
-    """Per-r outcome of the structural verification of P_r and its
-    c-decomposition."""
-
-    r: int
-    integer_coefficients: bool
-    vdegree_equals_r: bool
-    c0_at_half_ok: bool
-    degrees_ok: bool
-    degree_detail: str
-    top_row_positive: bool | None  # None where positivity is not asserted (r < 4)
-    witness_counts_ok: bool | None
-
-    @property
-    def passed(self) -> bool:
-        checks = [
-            self.integer_coefficients,
-            self.vdegree_equals_r,
-            self.c0_at_half_ok,
-            self.degrees_ok,
-        ]
-        if self.top_row_positive is not None:
-            checks.append(self.top_row_positive)
-        if self.witness_counts_ok is not None:
-            checks.append(self.witness_counts_ok)
-        return all(checks)
-
-
-@dataclass
-class StructureReport:
-    r_max: int
-    entries: list[StructureChecks] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
 class Pipeline:
     """Memoized exact computation of G_r, P_r, the c tables and the
     rational closed forms for all r up to r_max, at one unified
@@ -192,6 +151,9 @@ class Pipeline:
     its own ``GTable(2, q_top=r_max)``, kept only through q^r_max.  A
     caller that passes a table (the ``verify`` suites pass the full shared
     table) has the pipeline checked against full q-polynomials.
+
+    The pipeline never calls the enumeration oracle: comparisons of its
+    values with ``perms.distribution`` live in ``flatperm.checks``.
     """
 
     def __init__(
@@ -199,8 +161,6 @@ class Pipeline:
         r_max: int = DEFAULT_R_MAX,
         order: int | None = None,
         table: GTable | None = None,
-        oracle_check: bool = False,
-        oracle_limit: int = perms.DEFAULT_ENUM_LIMIT,
     ):
         if r_max < 0:
             raise ValueError("r_max must be >= 0")
@@ -212,8 +172,6 @@ class Pipeline:
                 f"need at least {min_order(r_max)} so that the vanishing-tail checks see a coefficient"
             )
         self.table = table if table is not None else GTable(2, q_top=r_max)
-        self.oracle_check = oracle_check
-        self.oracle_limit = oracle_limit
         n = self.order
         self.s = XSeries.from_poly(S_POLY, n)
         self.t = XSeries.from_poly(T_POLY, n)
@@ -256,19 +214,6 @@ class Pipeline:
             raise ConsistencyError(f"odd inner boundary entry for r={r}")
         if r >= 4 and any(c < 1 for c in top):
             raise ConsistencyError(f"non-positive top boundary entry for r={r}")
-        if self.oracle_check and r + 2 <= min(ORACLE_CHECK_NMAX, self.oracle_limit):
-            for i in range(2, r + 3):
-                got = perms.distribution(r + 2, (1, i), self.oracle_limit).count(r)
-                if got != top[i - 2]:
-                    raise ConsistencyError(
-                        f"boundary oracle mismatch at r={r}, i={i}: {got} != {top[i - 2]}"
-                    )
-            for (n, j, k), v in inner.items():
-                got = perms.distribution(n + 3, (1, k), self.oracle_limit).count(j)
-                if got != v:
-                    raise ConsistencyError(
-                        f"boundary oracle mismatch at inner ({n},{j},{k})"
-                    )
         data = BoundaryData(r, top, inner)
         self._boundary[r] = data
         return data
@@ -514,98 +459,3 @@ class Pipeline:
         h_at = self.h_series(r).subst_v(self.s_inv)
         rhs = rhs - (h_at * self.s * self.t_inv).mul_xpow(2)
         return lhs.matches(rhs)
-
-    def verify_structure(self, r_max: int | None = None) -> StructureReport:
-        """Structural report over 1 <= r <= r_max: integrality, the value
-        at x = 1/2, degree equalities (r >= 4) or bounds (r < 4), and for
-        r >= 4 positivity of the top boundary row confirmed both from the
-        tables and by counting on explicit witness words."""
-        r_max = self.r_max if r_max is None else r_max
-        report = StructureReport(r_max)
-        for r in range(1, r_max + 1):
-            detail = ""
-            try:
-                ct = self.c_table(r)
-                integer_ok = True
-                vdeg_ok = self.p_poly(r).vdegree == r
-                c0_ok = ct[0].eval_at(Fraction(1, 2)) == Fraction(2) ** (1 - r)
-                degrees_ok = True
-                for ell in range(r + 1):
-                    bound = 3 * r - 1 if ell == 0 else 3 * r - 2 * ell
-                    deg = ct[ell].degree
-                    ok = deg == bound if r >= 4 else deg <= bound
-                    if not ok:
-                        degrees_ok = False
-                        detail += f" deg c({r},{ell})={deg} vs {bound};"
-            except ConsistencyError as exc:
-                integer_ok = vdeg_ok = c0_ok = degrees_ok = False
-                detail = str(exc)
-            if r >= 4:
-                top_pos = all(c >= 1 for c in self.boundary(r).top_row)
-                witness_ok = all(
-                    perms.count_13_2(perms.witness_perm(r, i)) == r
-                    and perms.witness_perm(r, i)[1] == i + 2
-                    for i in range(r + 1)
-                )
-            else:
-                top_pos = None
-                witness_ok = None
-            report.entries.append(
-                StructureChecks(
-                    r, integer_ok, vdeg_ok, c0_ok, degrees_ok, detail.strip(),
-                    top_pos, witness_ok,
-                )
-            )
-        return report
-
-
-# A module-level pipeline shared by the CLI and the convenience wrappers;
-# regrown when a larger r is requested.
-_shared_pipeline: Pipeline | None = None
-
-
-def shared_pipeline(r_max: int = DEFAULT_R_MAX) -> Pipeline:
-    global _shared_pipeline
-    if _shared_pipeline is None or _shared_pipeline.r_max < r_max:
-        _shared_pipeline = Pipeline(max(r_max, DEFAULT_R_MAX), table=shared_table(2))
-    return _shared_pipeline
-
-
-def boundary_data(r: int, table: GTable | None = None, oracle_check: bool = False) -> BoundaryData:
-    if table is None and not oracle_check:
-        return shared_pipeline(r).boundary(r)
-    return Pipeline(r, table=table, oracle_check=oracle_check).boundary(r)
-
-
-def g_series(r: int, order: int | None = None) -> VPoly:
-    if order is None:
-        return shared_pipeline(r).g_series(r)
-    return Pipeline(r, order=order).g_series(r)
-
-
-def h_series(r: int, order: int | None = None) -> VPoly:
-    if order is None:
-        return shared_pipeline(r).h_series(r)
-    return Pipeline(r, order=order).h_series(r)
-
-
-def htilde_over_kernel(r: int, order: int | None = None) -> VPoly:
-    if order is None:
-        return shared_pipeline(r).htilde_over_kernel(r)
-    return Pipeline(r, order=order).htilde_over_kernel(r)
-
-
-def p_poly(r: int) -> XVPoly:
-    return shared_pipeline(r).p_poly(r)
-
-
-def c_table(r: int) -> CTable:
-    return shared_pipeline(r).c_table(r)
-
-
-def rational_gf(r: int) -> RationalGF:
-    return shared_pipeline(r).rational_gf(r)
-
-
-def verify_structure(r_max: int) -> StructureReport:
-    return shared_pipeline(r_max).verify_structure(r_max)

@@ -218,21 +218,8 @@ def shared_table(n_min: int = 2) -> GTable:
     return _shared
 
 
-def g_table(n_max: int) -> GTable:
-    """A fresh table filled through n_max."""
-    return GTable(n_max)
-
-
 def g_poly(n: int, table: GTable | None = None) -> IntPoly:
     return (table or shared_table(n)).g(n)
-
-
-def g1k_poly(n: int, k: int, table: GTable | None = None) -> IntPoly:
-    return (table or shared_table(n)).g1k(n, k)
-
-
-def coeff_g(n: int, r: int, k: int | None = None, table: GTable | None = None) -> int:
-    return (table or shared_table(n)).coeff(n, r, k)
 
 
 def avoider_count(n: int) -> int:
@@ -240,27 +227,23 @@ def avoider_count(n: int) -> int:
 
     Computed through the q = 0 specialization of the g recurrence,
 
-        f_m = sum_{j=1}^{m-1} ((m-1+j)/j) C(m-2, j-1) (-1)^{j-1} f_{m-j},
+        f_m = sum_{j=1}^{m-1} b_{m,j}(0) (-1)^{j-1} f_{m-j},
 
-    and asserted against the closed value 2^{n-1}.
+    with b_{m,j}(0) = ((m-1+j)/j) C(m-2, j-1) taken from ``b_poly``, whose
+    exact integer division raises on a remainder, and asserted against the
+    closed value 2^{n-1}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = [Fraction(1)]
+    f = [1]
     for m in range(2, n + 1):
-        val = Fraction(0)
-        for j in range(1, m):
-            val += (
-                Fraction(m - 1 + j, j)
-                * _binom(m - 2, j - 1)
-                * (-1) ** (j - 1)
-                * f[m - 1 - j]
-            )
-        f.append(val)
+        f.append(sum(
+            b_poly(m, j, 0)[0] * (-1) ** (j - 1) * f[m - 1 - j] for j in range(1, m)
+        ))
     result = f[n - 1]
     if result != 2 ** (n - 1):
         raise ConsistencyError(f"avoider recurrence gave {result}, expected 2^{n - 1}")
-    return int(result)
+    return result
 
 
 def harmonic(n: int) -> Fraction:

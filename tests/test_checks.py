@@ -1,0 +1,70 @@
+"""The verify suites report a broken comparison as a FAIL line instead of
+raising out of the suite."""
+
+from __future__ import annotations
+
+import pytest
+
+from flatperm import perms
+from flatperm.checks import constructions_suite, genfun_suite
+from flatperm.recurrence import GTable
+
+BOUNDARY = "boundary data matches enumeration (r = 3)"
+
+
+def _result(results, prefix):
+    (res,) = [r for r in results if r.name.startswith(prefix)]
+    return res
+
+
+class _OffByTwo(GTable):
+    """A full table whose coefficient at one (n, r, k) is 2 too large:
+    parity is kept, so only a comparison with another route can see it."""
+
+    def __init__(self, cell):
+        self.cell = cell
+        super().__init__(9)
+
+    def coeff(self, n, r, k=None):
+        return super().coeff(n, r, k) + (2 if (n, r, k) == self.cell else 0)
+
+
+def _constructions(table):
+    return constructions_suite(doubling_nmax=3, witness_rmax=4, dual_route_rmax=3, table=table)
+
+
+def test_boundary_check_passes(table):
+    assert _result(_constructions(table), BOUNDARY).passed
+
+
+def test_boundary_check_fails_on_inner_cell():
+    res = _result(_constructions(_OffByTwo((4, 1, 3))), BOUNDARY)
+    assert not res.passed
+    assert "(1, 1, 3)" in res.detail
+
+
+def test_boundary_check_fails_on_top_row():
+    res = _result(_constructions(_OffByTwo((5, 3, 4))), BOUNDARY)
+    assert not res.passed
+    assert "i=4" in res.detail
+
+
+def test_structure_check_fails_when_c_table_raises():
+    # [x^8 v^1] G_2 is compared with this cell, so c_table(2) raises.
+    results = genfun_suite(r_max=2, maximal_nmax=3, table=_OffByTwo((8, 2, 3)))
+    res = _result(results, "P_r structure")
+    assert not res.passed
+    assert "G_2" in res.detail
+
+
+@pytest.mark.parametrize("bad_word", [
+    (1, 5, 6, 2, 4, 3),  # 4 occurrences, but its second letter is 5, not 4
+    (1, 4, 6, 2, 3, 5),  # second letter 4, but 3 occurrences
+])
+def test_structure_check_fails_on_witness(table, pipeline6, monkeypatch, bad_word):
+    real = perms.witness_perm
+    assert _result(genfun_suite(r_max=4, table=table, pipeline=pipeline6), "P_r structure").passed
+    monkeypatch.setattr(perms, "witness_perm", lambda r, i: bad_word if (r, i) == (4, 2) else real(r, i))
+    res = _result(genfun_suite(r_max=4, table=table, pipeline=pipeline6), "P_r structure")
+    assert not res.passed
+    assert "i=2" in res.detail

@@ -4,14 +4,19 @@ import json
 
 import pytest
 
+from flatperm import cli
 from flatperm.cli import (
     AVOIDERS_NMAX,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    PIPELINE_RMAX,
     RECURRENCE_NMAX,
+    VERIFY_RMAX,
+    WITNESS_MAX,
     main,
 )
+from flatperm.perms import DEFAULT_ENUM_LIMIT
 
 
 def run(capsys, *argv):
@@ -211,3 +216,24 @@ class TestVerify:
 
     def test_exit_codes_documented(self):
         assert (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["ctable", "--r", str(PIPELINE_RMAX + 1)], PIPELINE_RMAX),
+    (["rational", "--r", str(PIPELINE_RMAX + 1)], PIPELINE_RMAX),
+    (["witness", "--n", str(WITNESS_MAX + 1)], WITNESS_MAX),
+    (["witness", "--r", str(WITNESS_MAX + 1)], WITNESS_MAX),
+    (["verify", "--n", str(DEFAULT_ENUM_LIMIT + 1)], DEFAULT_ENUM_LIMIT),
+    (["verify", "--rmax", str(VERIFY_RMAX + 1)], VERIFY_RMAX),
+])
+def test_cap_checked_before_work(capsys, monkeypatch, argv, cap):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    for name in ("Pipeline", "run_suite"):
+        monkeypatch.setattr(cli, name, no_work)
+    for name in ("max_pattern_perm", "witness_perm"):
+        monkeypatch.setattr(cli.perms, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert str(cap) in err

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatperm import perms
 from flatperm._reference import REFERENCE_CTABLES
 from flatperm.algebra import IntPoly, VPoly, XSeries, XVPoly
 from flatperm.genfun import S_POLY, T_POLY, Pipeline, default_order, t_poly
@@ -42,8 +43,10 @@ class TestBoundary:
         assert all(v % 2 == 0 for (n, j, k), v in bd.inner.items() if j >= 1)
 
     def test_oracle_cross_check(self, table):
-        pl = Pipeline(r_max=2, table=table, oracle_check=True)
-        bd = pl.boundary(2)
+        bd = Pipeline(r_max=2, table=table).boundary(2)
+        assert bd.top_row == tuple(perms.distribution(4, (1, i)).count(2) for i in range(2, 5))
+        for (n, j, k), v in bd.inner.items():
+            assert v == perms.distribution(n + 3, (1, k)).count(j), (n, j, k)
         assert bd.top_row[0] == table.coeff(4, 2, 2)
 
 
@@ -142,8 +145,6 @@ class TestGSeries:
             assert all(c % 2 == 0 for c in g.coeff(k).coeffs)
 
     def test_matches_oracle(self, pipeline6, table):
-        import flatperm.perms as perms
-
         for r in range(0, 4):
             g = pipeline6.g_series(r)
             for n in range(r + 3, 8):
@@ -213,17 +214,14 @@ class TestIdentities:
         assert pipeline6.check_kernel_root(r)
 
 
-class TestStructureReport:
+class TestStructure:
     def test_r_le_4(self, pipeline6):
-        report = pipeline6.verify_structure(4)
-        assert report.passed
-        entry = report.entries[-1]
-        assert entry.r == 4
-        assert entry.top_row_positive and entry.witness_counts_ok
-
-    def test_below_threshold_not_asserted(self, pipeline6):
-        report = pipeline6.verify_structure(2)
-        assert all(e.top_row_positive is None for e in report.entries)
+        for r in range(1, 5):
+            pipeline6.c_table(r)  # raises on integrality, v-degree, c_{r,0}(1/2), degrees
+        assert all(c >= 1 for c in pipeline6.boundary(4).top_row)
+        for i in range(5):
+            w = perms.witness_perm(4, i)
+            assert perms.count_13_2(w) == 4 and w[1] == i + 2
 
 
 class TestPipelineGuards:

@@ -194,6 +194,22 @@ class TestAvoiders:
         for n in range(1, 8):
             assert avoider_count(n) == perms.distribution(n).count(0)
 
+    def test_matches_rational_reference(self):
+        for n in range(1, 61):
+            assert avoider_count(n) == _avoider_count_fraction(n), n
+
+
+def _avoider_count_fraction(n: int) -> Fraction:
+    """The q = 0 recurrence with b_{m,j}(0) = ((m-1+j)/j) C(m-2, j-1) formed
+    over Fractions: the reference for the integer form in avoider_count."""
+    f = [Fraction(1)]
+    for m in range(2, n + 1):
+        f.append(sum(
+            Fraction(m - 1 + j, j) * math.comb(m - 2, j - 1) * (-1) ** (j - 1) * f[m - 1 - j]
+            for j in range(1, m)
+        ))
+    return f[n - 1]
+
 
 class TestAverage:
     def test_small_values(self, table):
