@@ -39,7 +39,6 @@ from .perms import (
     count_13_2,
     cycles_to_permutation,
     distribution,
-    distribution_parallel,
     doubling_pair,
     flatten,
     max_occurrences,
@@ -83,7 +82,6 @@ __all__ = [
     "count_13_2",
     "cycles_to_permutation",
     "distribution",
-    "distribution_parallel",
     "doubling_pair",
     "flatten",
     "g_poly",

@@ -10,17 +10,20 @@ indices (i, j), 2 <= i < j <= n, with w[i-1] < w[j] < w[i] (1-based):
 an adjacent ascent whose gap is filled by some later letter.
 
 Everything here is exact and brute force by design: this module is the
-oracle the algebraic routes are validated against.
+oracle the algebraic routes are validated against.  Its distributions
+come from a depth-first walk over the (n-1)! flattened words rather than
+the n! permutations: a word starting with 1 is the flattening of exactly
+2^(rho-1) permutations, rho being its number of right-to-left minima,
+because the cycle starts may be any subset of those minima that contains
+position 1.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUM_LIMIT = 10
 
@@ -89,10 +92,6 @@ def flatten(p: Sequence[int]) -> Perm:
     (1, 7, 2, 3, 5, 4, 6, 8)
     """
     p = as_permutation(p)
-    return _flatten_valid(p)
-
-
-def _flatten_valid(p: Perm) -> Perm:
     # Scanning starts in increasing order visits each cycle at its minimum,
     # so the concatenation below is the standard cycle form read flat.
     n = len(p)
@@ -120,10 +119,6 @@ def count_13_2(word: Sequence[int]) -> int:
     6
     """
     w = as_permutation(word)
-    return _count_valid(w)
-
-
-def _count_valid(w: Perm) -> int:
     total = 0
     n = len(w)
     for i in range(1, n):
@@ -168,19 +163,6 @@ class OccurrenceTable:
         return [self.count(r) for r in range(top + 1)] if self.counts else []
 
 
-@lru_cache(maxsize=12)
-def _word_stats(n: int) -> dict[Perm, tuple[int, int]]:
-    """For each flattened word of S_n: (pattern count, multiplicity).
-
-    Multiplicity is the number of permutations flattening to that word;
-    multiplicities sum to n! and there are (n-1)! distinct words.
-    """
-    mult: Counter[Perm] = Counter()
-    for p in itertools.permutations(range(1, n + 1)):
-        mult[_flatten_valid(p)] += 1
-    return {w: (_count_valid(w), m) for w, m in mult.items()}
-
-
 def _check_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
     pre = tuple(prefix)
     if len(set(pre)) != len(pre):
@@ -189,6 +171,43 @@ def _check_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
         if not 1 <= a <= n:
             raise ValueError(f"prefix letter {a} outside 1..{n}")
     return pre
+
+
+def _flattened_words(n: int, pre: tuple[int, ...]) -> Iterator[tuple[Perm, int, int]]:
+    """Depth-first walk over the flattened words of length n that start
+    with the checked prefix ``pre``.  Yields (word, 13-2 occurrences,
+    number of permutations flattening to word = 2^(rho-1)).
+
+    A letter is a right-to-left minimum exactly when it is the smallest
+    letter not yet placed; ``rho`` counts those placed so far.  ``gaps[i]``
+    counts the adjacent ascents placed so far whose gap contains
+    ``unused[i]``: the occurrences that letter adds when it is placed.
+    """
+
+    def extend(word, unused, gaps, occ, rho):
+        if len(unused) == 1:
+            # The last letter is one more right-to-left minimum, so the
+            # word has rho + 1 of them; it is also the letter a full-length
+            # prefix that agreed so far still asks for.
+            yield word + unused, occ + gaps[0], 1 << rho
+            return
+        d = len(word)
+        prev = word[-1]
+        for i, c in enumerate(unused):
+            if d < len(pre) and c != pre[d]:
+                continue
+            rest = unused[:i] + unused[i + 1:]
+            g = gaps[:i] + gaps[i + 1:]
+            if prev < c:
+                g = tuple(x + (prev < u < c) for u, x in zip(rest, g))
+            yield from extend(word + (c,), rest, g, occ + gaps[i], rho + (i == 0))
+
+    if pre[:1] not in ((), (1,)):
+        return
+    if n == 1:
+        yield (1,), 0, 1
+    else:
+        yield from extend((1,), tuple(range(2, n + 1)), (0,) * (n - 1), 0, 1)
 
 
 def distribution(
@@ -212,47 +231,9 @@ def distribution(
         )
     pre = _check_prefix(n, prefix)
     counts: Counter[int] = Counter()
-    for word, (occ, m) in _word_stats(n).items():
-        if word[: len(pre)] == pre:
-            counts[occ] += m
+    for _, occ, weight in _flattened_words(n, pre):
+        counts[occ] += weight
     return OccurrenceTable(n, dict(sorted(counts.items())), pre)
-
-
-def _distribution_chunk(args: tuple[int, int, tuple[int, ...]]) -> dict[int, int]:
-    n, first, pre = args
-    rest = [x for x in range(1, n + 1) if x != first]
-    k = len(pre)
-    counts: Counter[int] = Counter()
-    for tail in itertools.permutations(rest):
-        word = _flatten_valid((first,) + tail)
-        if word[:k] == pre:
-            counts[_count_valid(word)] += 1
-    return dict(counts)
-
-
-def distribution_parallel(
-    n: int,
-    prefix: Sequence[int] = (),
-    limit: int = DEFAULT_ENUM_LIMIT,
-    max_workers: int | None = None,
-) -> OccurrenceTable:
-    """Same result as :func:`distribution`, enumerated in parallel across
-    processes (one chunk per first letter of the unflattened permutation)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > limit:
-        raise EnumerationLimitError(
-            f"exhaustive enumeration of S_{n} exceeds the limit {limit}"
-        )
-    pre = _check_prefix(n, prefix)
-    if n == 1:
-        return distribution(n, pre, limit)
-    totals: Counter[int] = Counter()
-    jobs = [(n, first, pre) for first in range(1, n + 1)]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        for part in pool.map(_distribution_chunk, jobs):
-            totals.update(part)
-    return OccurrenceTable(n, dict(sorted(totals.items())), pre)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from flatperm import cli
 from flatperm.cli import (
     AVOIDERS_NMAX,
+    ENUM_LIMIT_MAX,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
@@ -225,6 +228,7 @@ class TestVerify:
     (["witness", "--r", str(WITNESS_MAX + 1)], WITNESS_MAX),
     (["verify", "--n", str(DEFAULT_ENUM_LIMIT + 1)], DEFAULT_ENUM_LIMIT),
     (["verify", "--rmax", str(VERIFY_RMAX + 1)], VERIFY_RMAX),
+    (["distribution", "--n", "3", "--limit", str(ENUM_LIMIT_MAX + 1)], ENUM_LIMIT_MAX),
 ])
 def test_cap_checked_before_work(capsys, monkeypatch, argv, cap):
     def no_work(*args, **kwargs):
@@ -232,8 +236,37 @@ def test_cap_checked_before_work(capsys, monkeypatch, argv, cap):
 
     for name in ("Pipeline", "run_suite"):
         monkeypatch.setattr(cli, name, no_work)
-    for name in ("max_pattern_perm", "witness_perm"):
+    for name in ("distribution", "max_pattern_perm", "witness_perm"):
         monkeypatch.setattr(cli.perms, name, no_work)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert str(cap) in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "recurrence", "--n", "0"], "--n must be >= 1"),
+    (["verify", "--suite", "genfun", "--rmax", "0"], "--rmax must be >= 1"),
+])
+def test_verify_lower_bounds(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the bound was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert message in err
+
+
+def readme_cli_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("flatperm ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = readme_cli_examples()
+    assert examples
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)

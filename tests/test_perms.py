@@ -3,6 +3,7 @@ from __future__ import annotations
 import doctest
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -149,12 +150,44 @@ class TestDistribution:
                 if n < min_length_for(r):
                     assert d.count(r) == 0
 
-    def test_parallel_route_agrees(self):
-        assert perms.distribution_parallel(5).counts == distribution(5).counts
-        assert (
-            perms.distribution_parallel(5, (1, 3)).counts
-            == distribution(5, (1, 3)).counts
-        )
+
+def brute_force_words(n):
+    """Reference for the word walk: the flattening of every permutation
+    of S_n, with its 13-2 count."""
+    words = [flatten(p) for p in itertools.permutations(range(1, n + 1))]
+    return [(word, count_13_2(word)) for word in words]
+
+
+def right_to_left_minima(word):
+    return sum(1 for i, a in enumerate(word) if all(a < b for b in word[i + 1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_distribution_matches_brute_force(n):
+    words = brute_force_words(n)
+    prefixes = [(), (1,)] + [(1, k) for k in range(2, n + 1)]
+    prefixes += [(1, k, j) for k in range(2, n + 1) for j in {2, n} - {k}]
+    for prefix in prefixes:
+        want = Counter(occ for word, occ in words if word[: len(prefix)] == prefix)
+        assert distribution(n, prefix).counts == dict(want), prefix
+    if n >= 2:
+        assert distribution(n, (2,)).counts == {}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_word_multiplicity_is_two_to_the_minima(n):
+    multiplicity = Counter(flatten(p) for p in itertools.permutations(range(1, n + 1)))
+    arrangements = {(1,) + t for t in itertools.permutations(range(2, n + 1))}
+    assert set(multiplicity) == arrangements
+    assert len(arrangements) == math.factorial(n - 1)
+    walked = {}
+    for word, occ, weight in perms._flattened_words(n, ()):
+        assert occ == count_13_2(word)
+        walked[word] = weight
+    assert walked == multiplicity
+    for word, m in multiplicity.items():
+        assert m == 2 ** (right_to_left_minima(word) - 1)
+        assert distribution(n, word).counts == {count_13_2(word): m}
 
 
 class TestDoublingPair:
