@@ -4,13 +4,24 @@ integer polynomials.
 
 Everything is arbitrary precision (Python ints) and every division is
 checked: dividing by a unit series, by a power of x, by a constant, or by
-a polynomial either succeeds exactly or raises.  Rational values use
-``fractions.Fraction``.
+a polynomial either succeeds exactly or raises.  ``IntPoly.eval_at`` is
+also exact at ``fractions.Fraction`` points.
+
+``IntPoly`` and ``XSeries`` share one core for their dense coefficient
+vectors: one schoolbook product with a top cut, one exact division by a
+constant, and ``[]`` coefficient access.  Mixing the two gives an
+``XSeries`` at the series' order, whichever side each operand is on: an
+``XSeries`` accepts an ``IntPoly`` in ``+``, ``-`` and ``*``, and
+``IntPoly``'s binary operators return ``NotImplemented`` for an
+``XSeries``, so Python hands the operation to the series.
+
+>>> IntPoly([1, 2]) * XSeries([1, 1, 1], 2)
+XSeries([1, 3, 3], order=2)
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Iterator, Union
 
 
@@ -23,11 +34,66 @@ class InexactDivisionError(ConsistencyError):
     """A division that was required to be exact left a remainder."""
 
 
+def _convolve(a, b, top: int | None = None, zero=0) -> list:
+    """The schoolbook product of the coefficient sequences a and b, formed
+    only through index top (the whole product when top is None).  Zero
+    entries of a are skipped.  ``zero`` is the coefficient ring's zero:
+    0 for integers, or a zero series or polynomial for polynomials in v."""
+    if not a or not b:
+        return []
+    if top is None:
+        top = len(a) + len(b) - 2
+    out = [zero] * min(len(a) + len(b) - 1, top + 1)
+    for i, c in enumerate(a[: top + 1]):
+        if c:
+            for j, d in enumerate(b[: top + 1 - i], i):
+                out[j] += c * d
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Univariate integer polynomials
+# Dense integer coefficient vectors: polynomials and truncated series in x
 # ---------------------------------------------------------------------------
 
-class IntPoly:
+class _Dense:
+    """The core shared by IntPoly and XSeries: a tuple ``coeffs`` of
+    integer coefficients in ascending powers.  Each subclass defines
+    ``_with(coeffs)``, a value of its own kind (and order) holding other
+    coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    def __getitem__(self, power: int) -> int:
+        """The stored coefficient of x**power; 0 past the stored ones (for
+        a series, ``XSeries.coeff`` is the read that checks the order)."""
+        if 0 <= power < len(self.coeffs):
+            return self.coeffs[power]
+        return 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.coeffs)
+
+    def __neg__(self):
+        return self._with(-c for c in self.coeffs)
+
+    def divexact_const(self, c: int):
+        """Divide every coefficient by the integer c; raises
+        InexactDivisionError if one is not divisible."""
+        if c == 0:
+            raise ZeroDivisionError
+        out = []
+        for a in self.coeffs:
+            quo, rem = divmod(a, c)
+            if rem:
+                raise InexactDivisionError(f"coefficient {a} not divisible by {c}")
+            out.append(quo)
+        return self._with(out)
+
+
+class IntPoly(_Dense):
     """Dense univariate polynomial with integer coefficients.
 
     Coefficients are stored in ascending power order and normalized so the
@@ -39,13 +105,16 @@ class IntPoly:
     IntPoly([-4, 2, 2])
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    def _with(self, coeffs: Iterable[int]) -> IntPoly:
+        return IntPoly(coeffs)
 
     @classmethod
     def term(cls, coeff: int, power: int = 0) -> IntPoly:
@@ -58,9 +127,6 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
@@ -70,18 +136,9 @@ class IntPoly:
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
 
-    def __getitem__(self, power: int) -> int:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
-
     def __add__(self, other: IntPoly) -> IntPoly:
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -91,36 +148,18 @@ class IntPoly:
         return IntPoly(out)
 
     def __sub__(self, other: IntPoly) -> IntPoly:
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: Union[IntPoly, int]) -> IntPoly:
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        return IntPoly(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def mul_trunc(self, other: IntPoly, top: int) -> IntPoly:
-        """The product self * other cut to degree top: only the
-        coefficients of x^0 .. x^top are formed."""
-        if top < 0:
-            raise ValueError("top must be >= 0")
-        a, b = self.coeffs[: top + 1], other.coeffs[: top + 1]
-        if not a or not b:
-            return IntPoly()
-        out = [0] * min(len(a) + len(b) - 1, top + 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b[: top + 1 - i]):
-                    out[i + j] += c * d
-        return IntPoly(out)
 
     def __pow__(self, exponent: int) -> IntPoly:
         if exponent < 0:
@@ -152,8 +191,9 @@ class IntPoly:
         return acc
 
     def divexact(self, divisor: IntPoly) -> IntPoly:
-        """Exact polynomial quotient; raises InexactDivisionError if the
-        division leaves a remainder or a non-integer coefficient."""
+        """Exact quotient by integer long division; raises InexactDivisionError
+        at the first step the leading coefficient does not divide, or on a
+        nonzero remainder."""
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
@@ -161,30 +201,20 @@ class IntPoly:
         dd = divisor.degree
         if self.degree < dd:
             raise InexactDivisionError(f"degree {self.degree} < divisor degree {dd}")
-        rem = [Fraction(c) for c in self.coeffs]
-        lead = Fraction(divisor.coeffs[-1])
-        q = [Fraction(0)] * (self.degree - dd + 1)
+        rem = list(self.coeffs)
+        lead = divisor.coeffs[-1]
+        q = [0] * (self.degree - dd + 1)
         for k in range(len(q) - 1, -1, -1):
-            c = rem[k + dd] / lead
+            c, r = divmod(rem[k + dd], lead)
+            if r:
+                raise InexactDivisionError(f"quotient coefficient of x^{k} is not an integer")
             q[k] = c
             if c:
-                for i, dc in enumerate(divisor.coeffs):
-                    rem[k + i] -= c * dc
+                for i, dc in enumerate(divisor.coeffs, k):
+                    rem[i] -= c * dc
         if any(rem):
             raise InexactDivisionError("nonzero polynomial remainder")
-        if any(f.denominator != 1 for f in q):
-            raise InexactDivisionError("quotient has non-integer coefficients")
-        return IntPoly(int(f) for f in q)
-
-    def divexact_const(self, c: int) -> IntPoly:
-        if c == 0:
-            raise ZeroDivisionError
-        out = []
-        for a in self.coeffs:
-            if a % c:
-                raise InexactDivisionError(f"coefficient {a} not divisible by {c}")
-            out.append(a // c)
-        return IntPoly(out)
+        return IntPoly(q)
 
     def format(self, var: str = "x") -> str:
         if not self.coeffs:
@@ -210,24 +240,24 @@ class IntPoly:
 
 
 P_ZERO = IntPoly()
-P_ONE = IntPoly([1])
-P_X = IntPoly([0, 1])
 
 
 # ---------------------------------------------------------------------------
 # Truncated integer power series in x
 # ---------------------------------------------------------------------------
 
-class XSeries:
-    """Integer power series in x known exactly through x**order.
+class XSeries(_Dense):
+    """Integer power series in x known exactly through x**order, built from
+    any coefficient iterable (an IntPoly included).
 
-    Arithmetic results carry the minimum order of the operands.  A series
-    is invertible iff its constant term is +1 or -1 (the units of the
-    integer series ring); every other division must be requested as a
-    checked exact division and raises if it fails.
+    Arithmetic results carry the minimum order of the operands; an
+    ``IntPoly`` operand counts as a series at the other operand's order.
+    A series is invertible iff its constant term is +1 or -1 (the units
+    of the integer series ring); every other division must be requested
+    as a checked exact division and raises if it fails.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("order",)
 
     def __init__(self, coeffs: Iterable[int], order: int):
         if order < 0:
@@ -237,9 +267,12 @@ class XSeries:
         self.coeffs = tuple(cs)
         self.order = order
 
-    @classmethod
-    def from_poly(cls, p: IntPoly, order: int) -> XSeries:
-        return cls(p.coeffs, order)
+    def _with(self, coeffs: Iterable[int]) -> XSeries:
+        return XSeries(coeffs, self.order)
+
+    def _series(self, other: Union[XSeries, IntPoly]) -> XSeries:
+        """other as a series: an IntPoly is taken at this series' order."""
+        return XSeries(other.coeffs, self.order) if isinstance(other, IntPoly) else other
 
     @classmethod
     def zero(cls, order: int) -> XSeries:
@@ -248,9 +281,6 @@ class XSeries:
     @classmethod
     def one(cls, order: int) -> XSeries:
         return cls((1,), order)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def coeff(self, k: int) -> int:
         if k > self.order:
@@ -281,31 +311,24 @@ class XSeries:
             return self
         return XSeries(self.coeffs, order)
 
-    def __neg__(self) -> XSeries:
-        return XSeries((-c for c in self.coeffs), self.order)
+    def __add__(self, other: Union[XSeries, IntPoly]) -> XSeries:
+        other = self._series(other)
+        return XSeries(map(add, self.coeffs, other.coeffs), min(self.order, other.order))
 
-    def __add__(self, other: XSeries) -> XSeries:
-        m = min(self.order, other.order)
-        return XSeries((a + b for a, b in zip(self.coeffs, other.coeffs)), m)
+    __radd__ = __add__
 
-    def __sub__(self, other: XSeries) -> XSeries:
-        m = min(self.order, other.order)
-        return XSeries((a - b for a, b in zip(self.coeffs, other.coeffs)), m)
+    def __sub__(self, other: Union[XSeries, IntPoly]) -> XSeries:
+        other = self._series(other)
+        return XSeries(map(sub, self.coeffs, other.coeffs), min(self.order, other.order))
+
+    def __rsub__(self, other: IntPoly) -> XSeries:
+        return self._series(other) - self
 
     def __mul__(self, other: Union[XSeries, IntPoly, int]) -> XSeries:
         if isinstance(other, int):
             return XSeries((c * other for c in self.coeffs), self.order)
-        if isinstance(other, IntPoly):
-            other = XSeries.from_poly(other, self.order)
-        m = min(self.order, other.order)
-        out = [0] * (m + 1)
-        for i, a in enumerate(self.coeffs[: m + 1]):
-            if a:
-                for j in range(m + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return XSeries(out, m)
+        m = self.order if isinstance(other, IntPoly) else min(self.order, other.order)
+        return XSeries(_convolve(self.coeffs, other.coeffs, m), m)
 
     __rmul__ = __mul__
 
@@ -325,16 +348,6 @@ class XSeries:
         if any(self.coeffs[:k]):
             raise InexactDivisionError(f"series not divisible by x^{k}")
         return XSeries(self.coeffs[k:], self.order - k)
-
-    def divexact_const(self, c: int) -> XSeries:
-        if c == 0:
-            raise ZeroDivisionError
-        out = []
-        for a in self.coeffs:
-            if a % c:
-                raise InexactDivisionError(f"coefficient {a} not divisible by {c}")
-            out.append(a // c)
-        return XSeries(out, self.order)
 
     def divexact(self, divisor: XSeries) -> XSeries:
         """Exact quotient q with q * divisor == self up to truncation.
@@ -359,12 +372,6 @@ class XSeries:
     def inverse(self) -> XSeries:
         return XSeries.one(self.order).divexact(self)
 
-    def poly_part(self, max_degree: int | None = None) -> IntPoly:
-        """The stored coefficients as a polynomial (optionally capped)."""
-        if max_degree is None:
-            return IntPoly(self.coeffs)
-        return IntPoly(self.coeffs[: max_degree + 1])
-
 
 # ---------------------------------------------------------------------------
 # Polynomials in v over truncated series
@@ -385,7 +392,7 @@ class VPoly:
         if any(s.order < order for s in vs):
             raise ValueError("coefficient order below the requested VPoly order")
         vs = [s.truncate(order) for s in vs]
-        while vs and vs[-1].is_zero():
+        while vs and not vs[-1]:
             vs.pop()
         self.vcoeffs = tuple(vs)
         self.order = order
@@ -393,10 +400,6 @@ class VPoly:
     @classmethod
     def zero(cls, order: int) -> VPoly:
         return cls((), order)
-
-    @classmethod
-    def from_series(cls, s: XSeries) -> VPoly:
-        return cls([s], s.order)
 
     @property
     def vdegree(self) -> int:
@@ -434,22 +437,10 @@ class VPoly:
         return self + (-other)
 
     def __mul__(self, other: Union[VPoly, XSeries, IntPoly, int]) -> VPoly:
-        if isinstance(other, (IntPoly, int)):
-            return VPoly((s * other for s in self.vcoeffs), self.order)
-        if isinstance(other, XSeries):
-            m = min(self.order, other.order)
-            return VPoly(((s * other) for s in self.vcoeffs), m)
-        m = min(self.order, other.order)
-        if self.is_zero() or other.is_zero():
-            return VPoly.zero(m)
-        out = [XSeries.zero(m) for _ in range(self.vdegree + other.vdegree + 1)]
-        for i, a in enumerate(self.vcoeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.vcoeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return VPoly(out, m)
+        m = self.order if isinstance(other, (IntPoly, int)) else min(self.order, other.order)
+        if not isinstance(other, VPoly):
+            return VPoly((s * other for s in self.vcoeffs), m)
+        return VPoly(_convolve(self.vcoeffs, other.vcoeffs, zero=XSeries.zero(m)), m)
 
     __rmul__ = __mul__
 
@@ -498,7 +489,7 @@ def vpoly_div_kernel(b: VPoly, s: XSeries, vdeg: int) -> VPoly:
         quot[k] = qk
         cols[k] = cols[k] - qk
         cols[k + 1] = XSeries.zero(order)
-    if not cols[0].is_zero():
+    if cols[0]:
         raise ConsistencyError("kernel division left a nonzero remainder")
     q = VPoly(quot, order)
     kernel = VPoly([XSeries.one(order), neg_s], order)
@@ -524,14 +515,6 @@ class XVPoly:
         while vs and not vs[-1]:
             vs.pop()
         self.vcoeffs = tuple(vs)
-
-    @classmethod
-    def from_xpoly(cls, p: IntPoly) -> XVPoly:
-        return cls([p])
-
-    @classmethod
-    def term(cls, coeff: int, xpow: int = 0, vpow: int = 0) -> XVPoly:
-        return cls([IntPoly()] * vpow + [IntPoly.term(coeff, xpow)])
 
     @property
     def vdegree(self) -> int:
@@ -571,15 +554,7 @@ class XVPoly:
     def __mul__(self, other: Union[XVPoly, IntPoly, int]) -> XVPoly:
         if isinstance(other, (IntPoly, int)):
             return XVPoly(p * other for p in self.vcoeffs)
-        if self.is_zero() or other.is_zero():
-            return XVPoly()
-        out = [P_ZERO] * (self.vdegree + other.vdegree + 1)
-        for i, a in enumerate(self.vcoeffs):
-            if a:
-                for j, b in enumerate(other.vcoeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return XVPoly(out)
+        return XVPoly(_convolve(self.vcoeffs, other.vcoeffs, zero=P_ZERO))
 
     __rmul__ = __mul__
 
@@ -592,7 +567,7 @@ class XVPoly:
         return XVPoly([P_ZERO] * k + list(self.vcoeffs))
 
     def to_vpoly(self, order: int) -> VPoly:
-        return VPoly((XSeries.from_poly(p, order) for p in self.vcoeffs), order)
+        return VPoly((XSeries(p, order) for p in self.vcoeffs), order)
 
     def matrix(self) -> list[list[int]]:
         """Dense coefficient matrix, row-major: matrix[i][j] = [x^i v^j]."""
@@ -629,7 +604,7 @@ def xvpoly_extract_from_series(
                 f"v^{k} coefficient has a nonzero term at x^{bad}, "
                 f"beyond the degree bound {degree_bound_x}"
             )
-        out.append(series.poly_part(degree_bound_x))
+        out.append(IntPoly(series.coeffs[: degree_bound_x + 1]))
     return XVPoly(out)
 
 

@@ -27,6 +27,14 @@ from .recurrence import (
 
 SUITE_NAMES = ("all", "recurrence", "genfun", "constructions")
 
+#: Fixed bounds of the suites' identity checks; they appear in the check
+#: names.  IDENTITY_RMAX caps the genfun suite's r_max for its identities.
+IDENTITY_NMAX = 12
+AVOIDER_NMAX = 30
+AVERAGE_NMAX = 25
+A_FORM_KMAX = 15
+IDENTITY_RMAX = 4
+
 
 @dataclass
 class CheckResult:
@@ -49,14 +57,7 @@ def _poly_matches_distribution(table: GTable, n: int, k: int | None) -> bool:
     return dist.coeff_list() == list(poly.coeffs)
 
 
-def recurrence_suite(
-    oracle_nmax: int = 7,
-    identity_nmax: int = 12,
-    avoider_nmax: int = 30,
-    average_nmax: int = 25,
-    a_form_kmax: int = 15,
-    table: GTable | None = None,
-) -> list[CheckResult]:
+def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[CheckResult]:
     """Checks of the q-polynomial layer: base values, oracle agreement,
     the g_n(1k) identities, parity, avoiders, averages, and the rational
     closed form of the a/b coefficient tables."""
@@ -84,7 +85,7 @@ def recurrence_suite(
     _check(out, f"enumeration agrees with recurrence for n <= {oracle_nmax}", oracle_agreement)
 
     def mass_and_sign():
-        for n in range(1, identity_nmax + 1):
+        for n in range(1, IDENTITY_NMAX + 1):
             g = table.g(n)
             if sum(g.coeffs) != math.factorial(n) or any(c < 0 for c in g.coeffs):
                 return False, f"n={n}"
@@ -95,17 +96,17 @@ def recurrence_suite(
                 if total != g:
                     return False, f"prefix sum at n={n}"
         return True, ""
-    _check(out, f"q=1 mass is n!, coefficients nonnegative, prefixes sum to g_n (n <= {identity_nmax})", mass_and_sign)
+    _check(out, f"q=1 mass is n!, coefficients nonnegative, prefixes sum to g_n (n <= {IDENTITY_NMAX})", mass_and_sign)
 
     def doubling_identity():
-        for n in range(2, identity_nmax + 1):
+        for n in range(2, IDENTITY_NMAX + 1):
             if table.g1k(n, 2) != table.g(n - 1) * 2:
                 return False, f"n={n}"
         return True, ""
-    _check(out, f"g_n(12) = 2 g_(n-1) for n <= {identity_nmax}", doubling_identity)
+    _check(out, f"g_n(12) = 2 g_(n-1) for n <= {IDENTITY_NMAX}", doubling_identity)
 
     def three_term():
-        for n in range(5, identity_nmax + 1):
+        for n in range(5, IDENTITY_NMAX + 1):
             for k in range(5, n + 1):
                 lhs = table.g1k(n, k)
                 rhs = (
@@ -116,11 +117,11 @@ def recurrence_suite(
                 if lhs != rhs:
                     return False, f"(n,k)=({n},{k})"
         return True, ""
-    _check(out, f"three-term recurrence for g_n(1k), 5 <= k <= n <= {identity_nmax}", three_term)
+    _check(out, f"three-term recurrence for g_n(1k), 5 <= k <= n <= {IDENTITY_NMAX}", three_term)
 
     def initial_forms():
         one_minus_q = IntPoly([1, -1])
-        for n in range(3, identity_nmax + 1):
+        for n in range(3, IDENTITY_NMAX + 1):
             if table.g1k(n, 3) != table.g(n - 1) - 2 * one_minus_q * table.g(n - 2):
                 return False, f"g_{n}(13)"
             if n >= 4:
@@ -132,10 +133,10 @@ def recurrence_suite(
                 if table.g1k(n, 4) != want:
                     return False, f"g_{n}(14)"
         return True, ""
-    _check(out, f"closed initial forms for g_n(13), g_n(14), n <= {identity_nmax}", initial_forms)
+    _check(out, f"closed initial forms for g_n(13), g_n(14), n <= {IDENTITY_NMAX}", initial_forms)
 
     def prefix_recurrence():
-        for n in range(3, identity_nmax + 1):
+        for n in range(3, IDENTITY_NMAX + 1):
             for i in range(3, n + 1):
                 rhs = table.g(n - 1)
                 for j in range(2, i):
@@ -143,53 +144,52 @@ def recurrence_suite(
                 if table.g1k(n, i) != rhs:
                     return False, f"(n,i)=({n},{i})"
         return True, ""
-    _check(out, f"prefix recurrence g_n(1i) = g_(n-1) + sum (q^(i-j)-1) g_(n-1)(1j), n <= {identity_nmax}", prefix_recurrence)
+    _check(out, f"prefix recurrence g_n(1i) = g_(n-1) + sum (q^(i-j)-1) g_(n-1)(1j), n <= {IDENTITY_NMAX}", prefix_recurrence)
 
     def parity():
-        for n in range(2, identity_nmax + 1):
+        for n in range(2, IDENTITY_NMAX + 1):
             for k in range(2, n + 1):
                 poly = table.g1k(n, k)
                 if any(poly[r] % 2 for r in range(1, poly.degree + 1)):
                     return False, f"(n,k)=({n},{k})"
         return True, ""
-    _check(out, f"g_(n,r)(1k) is even for r >= 1, n <= {identity_nmax}", parity)
+    _check(out, f"g_(n,r)(1k) is even for r >= 1, n <= {IDENTITY_NMAX}", parity)
 
     def avoiders():
-        for n in range(1, avoider_nmax + 1):
+        for n in range(1, AVOIDER_NMAX + 1):
             if avoider_count(n) != 2 ** (n - 1):
                 return False, f"n={n}"
         for n in range(1, oracle_nmax + 1):
             if perms.distribution(n).count(0) != 2 ** (n - 1):
                 return False, f"oracle n={n}"
         return True, ""
-    _check(out, f"avoider count is 2^(n-1) (recurrence n <= {avoider_nmax}, oracle n <= {oracle_nmax})", avoiders)
+    _check(out, f"avoider count is 2^(n-1) (recurrence n <= {AVOIDER_NMAX}, oracle n <= {oracle_nmax})", avoiders)
 
     def averages():
-        for n in range(1, average_nmax + 1):
+        for n in range(1, AVERAGE_NMAX + 1):
             average_occurrences(n, table)  # raises on mismatch
         return True, ""
-    _check(out, f"average occurrences equal (n^2+3n+8)/12 - H_n for n <= {average_nmax}", averages)
+    _check(out, f"average occurrences equal (n^2+3n+8)/12 - H_n for n <= {AVERAGE_NMAX}", averages)
 
     def closed_form():
-        rep = verify_a_closed_form(a_form_kmax, a_form_kmax, table)
+        rep = verify_a_closed_form(A_FORM_KMAX, A_FORM_KMAX, table)
         return rep.passed, "; ".join(rep.mismatches[:3])
-    _check(out, f"closed form of A(x,y) matches a- and b-tables through {a_form_kmax}", closed_form)
+    _check(out, f"closed form of A(x,y) matches a- and b-tables through {A_FORM_KMAX}", closed_form)
 
     def b_constants():
-        for n in range(2, identity_nmax + 1):
+        for n in range(2, IDENTITY_NMAX + 1):
             if b_poly(n, 1) != IntPoly([n]):
                 return False, f"b({n},1)"
             if n >= 3 and b_poly(n, n - 1) != IntPoly([2]):
                 return False, f"b({n},{n - 1})"
         return True, ""
-    _check(out, f"b(n,1) = n and b(n,n-1) = 2 for n <= {identity_nmax}", b_constants)
+    _check(out, f"b(n,1) = n and b(n,n-1) = 2 for n <= {IDENTITY_NMAX}", b_constants)
 
     return out
 
 
 def genfun_suite(
     r_max: int = 4,
-    identity_rmax: int | None = None,
     maximal_nmax: int = 7,
     table: GTable | None = None,
     pipeline: Pipeline | None = None,
@@ -199,7 +199,7 @@ def genfun_suite(
     the extremal-length facts."""
     table = table or shared_table(2)
     pl = pipeline or Pipeline(r_max=max(r_max, 1), table=table)
-    identity_rmax = min(r_max, 4) if identity_rmax is None else identity_rmax
+    identity_rmax = min(r_max, IDENTITY_RMAX)
     out: list[CheckResult] = []
 
     def base_series():

@@ -13,7 +13,8 @@ verify         run a named verification suite
 
 All big integers are emitted as decimal strings.  JSON output is
 deterministic (sorted keys).  Exit status: 0 success, 1 a verification
-failure, 2 usage or limit errors.
+failure, 2 usage or limit errors (checked before any work); any other
+exception is a bug and ends with a traceback.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ EXIT_USAGE = 2
 
 
 class UsageError(ValueError):
-    pass
+    """Bad input on the command line: exit 2, checked before any work."""
 
 
 def _parse_prefix(text: str) -> tuple[int, ...]:
@@ -68,6 +69,15 @@ def _parse_prefix(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad prefix {text!r}: expected comma-separated integers") from exc
+
+
+def _pipeline(r_max: int, order: int | None) -> Pipeline:
+    """A Pipeline through r_max.  Its constructor checks the order before
+    any work, so a ValueError from it is a usage error."""
+    try:
+        return Pipeline(r_max=r_max, order=order)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _emit(payload, args, csv_rows=None) -> None:
@@ -95,6 +105,10 @@ def _cmd_distribution(args) -> int:
         raise UsageError("--n must be >= 1")
     if args.limit > ENUM_LIMIT_MAX:
         raise UsageError(f"--limit {args.limit} exceeds the enumeration cap {ENUM_LIMIT_MAX}")
+    try:
+        perms.check_prefix(n, prefix)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if n <= args.limit:
         source = "oracle"
         counts = perms.distribution(n, prefix, args.limit).counts
@@ -149,7 +163,7 @@ def _cmd_ctable(args) -> int:
         raise UsageError("--r must be >= 1")
     if r > PIPELINE_RMAX:
         raise UsageError(f"r={r} exceeds the pipeline cap {PIPELINE_RMAX}")
-    pipeline = Pipeline(r_max=r, order=args.order)
+    pipeline = _pipeline(r, args.order)
     ct = pipeline.c_table(r)
     payload = {
         "command": "ctable",
@@ -166,7 +180,7 @@ def _cmd_rational(args) -> int:
         raise UsageError("--r must be >= 0")
     if r > PIPELINE_RMAX:
         raise UsageError(f"r={r} exceeds the pipeline cap {PIPELINE_RMAX}")
-    pipeline = Pipeline(r_max=max(r, 1), order=args.order)
+    pipeline = _pipeline(max(r, 1), args.order)
     gf = pipeline.rational_gf(r)
     payload = {
         "command": "rational",
@@ -189,6 +203,8 @@ def _cmd_witness(args) -> int:
     if size > WITNESS_MAX:
         raise UsageError(f"{flag} {size} exceeds the witness cap {WITNESS_MAX}")
     if args.n is not None:
+        if args.n < 1:
+            raise UsageError("n must be >= 1")
         word = perms.max_pattern_perm(args.n)
         payload = {
             "command": "witness",
@@ -200,6 +216,10 @@ def _cmd_witness(args) -> int:
         }
     else:
         i = args.r if args.i is None else args.i
+        if args.r < 4:
+            raise UsageError("the construction requires r >= 4")
+        if not 0 <= i <= args.r:
+            raise UsageError(f"i must lie in [0, {args.r}]")
         word = perms.witness_perm(args.r, i)
         payload = {
             "command": "witness",
@@ -342,7 +362,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, perms.EnumerationLimitError, ValueError) as exc:
+    except (UsageError, perms.EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:

@@ -125,8 +125,8 @@ class RationalGF:
 
     def expand(self, order: int) -> VPoly:
         """Re-expand the rational form as a truncated series in x."""
-        s_inv = XSeries.from_poly(S_POLY, order).inverse()
-        t_inv = XSeries.from_poly(T_POLY, order).inverse()
+        s_inv = XSeries(S_POLY, order).inverse()
+        t_inv = XSeries(T_POLY, order).inverse()
         factor = XSeries.one(order)
         for _ in range(self.s_power):
             factor = factor * s_inv
@@ -173,8 +173,8 @@ class Pipeline:
             )
         self.table = table if table is not None else GTable(2, q_top=r_max)
         n = self.order
-        self.s = XSeries.from_poly(S_POLY, n)
-        self.t = XSeries.from_poly(T_POLY, n)
+        self.s = XSeries(S_POLY, n)
+        self.t = XSeries(T_POLY, n)
         self.s_inv = self.s.inverse()
         self.t_inv = self.t.inverse()
         self._s_inv_pows: list[XSeries] = [XSeries.one(n)]
@@ -314,7 +314,7 @@ class Pipeline:
             return self._g[r]
         n = self.order
         if r == 0:
-            g = VPoly([XSeries.from_poly(IntPoly.term(4, 3), n).divexact(self.t)], n)
+            g = VPoly([XSeries(IntPoly.term(4, 3), n).divexact(self.t)], n)
         else:
             w = self.t_inv.mul_xpow(4) * 4
             bracket = VPoly([w], n).shift_v(r) - VPoly([w], n).shift_v(r + 1)

@@ -163,7 +163,9 @@ class OccurrenceTable:
         return [self.count(r) for r in range(top + 1)] if self.counts else []
 
 
-def _check_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
+def check_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
+    """The prefix as a tuple; raises ValueError unless its letters are
+    distinct and lie in 1..n."""
     pre = tuple(prefix)
     if len(set(pre)) != len(pre):
         raise ValueError("prefix letters must be distinct")
@@ -229,7 +231,7 @@ def distribution(
         raise EnumerationLimitError(
             f"exhaustive enumeration of S_{n} exceeds the limit {limit}"
         )
-    pre = _check_prefix(n, prefix)
+    pre = check_prefix(n, prefix)
     counts: Counter[int] = Counter()
     for _, occ, weight in _flattened_words(n, pre):
         counts[occ] += weight

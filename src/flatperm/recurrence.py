@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import ConsistencyError, IntPoly
+from .algebra import ConsistencyError, IntPoly, XSeries
 
 #: q and (q - 1) as polynomials.
 Q = IntPoly([0, 1])
@@ -92,22 +92,28 @@ class GTable:
     This full table backs ``gpoly``, ``distribution``, ``average``, the
     ``verify`` suites and any ``Pipeline`` given a table explicitly.
 
-    With ``q_top`` set, every g_n, g_n(1k), (q-1)^e power and b_{m,j} row
-    is kept only through q^q_top (products are cut with
-    ``IntPoly.mul_trunc``), which is all a kernel pipeline through
-    r_max = q_top reads; ``Pipeline`` builds such a table for itself when
-    it is given none.  Nonnegativity is checked on the kept coefficients;
-    the n! mass needs the whole polynomial and is checked in full mode
-    only.  ``coeff`` raises IndexError for a power above q_top.  The
-    a_{k,j} rows are always kept in full.
+    With ``q_top`` set, the table holds ``XSeries`` in q of order q_top:
+    every g_n, g_n(1k) and (q-1)^e power is such a series, and each b_{m,j}
+    row is formed only through q^q_top.  The products are the same ``*``
+    as in full mode, with the series on the left, so they are cut at
+    q^q_top; that is all a kernel pipeline through r_max = q_top reads, and
+    ``Pipeline`` builds such a table for itself when it is given none.
+    Nonnegativity is checked on the kept coefficients; the n! mass needs
+    the whole polynomial and is checked in full mode only.  ``coeff``
+    raises IndexError for a power above q_top.  The a_{k,j} rows are
+    always kept in full.
     """
 
     def __init__(self, n_max: int = 2, q_top: int | None = None):
         if q_top is not None and q_top < 0:
             raise ValueError("q_top must be >= 0")
         self.q_top = q_top
-        self._g: list[IntPoly] = [IntPoly(), IntPoly([1])]  # index 0 unused
-        self._g1k: dict[tuple[int, int], IntPoly] = {}
+        if q_top is None:
+            self._zero, one = IntPoly(), IntPoly([1])
+        else:
+            self._zero, one = XSeries.zero(q_top), XSeries.one(q_top)
+        self._g = [self._zero, one]  # index 0 unused
+        self._g1k: dict[tuple[int, int], IntPoly | XSeries] = {}
         # a rows: index k -> {j: IntPoly}; rows 0, 1 unused.
         self._a: list[dict[int, IntPoly]] = [
             {},
@@ -115,35 +121,31 @@ class GTable:
             {1: IntPoly([1])},
             {1: IntPoly([1]), 2: IntPoly([2])},
         ]
-        self._qm1_pows: list[IntPoly] = [IntPoly([1])]
+        self._qm1_pows = [one]
         self.ensure(n_max)
 
     @property
     def n_max(self) -> int:
         return len(self._g) - 1
 
-    def _mul(self, a: IntPoly, b: IntPoly) -> IntPoly:
-        return a * b if self.q_top is None else a.mul_trunc(b, self.q_top)
-
-    def _qm1(self, e: int) -> IntPoly:
+    def _qm1(self, e: int) -> IntPoly | XSeries:
         while len(self._qm1_pows) <= e:
-            self._qm1_pows.append(self._mul(self._qm1_pows[-1], Q_MINUS_1))
+            self._qm1_pows.append(self._qm1_pows[-1] * Q_MINUS_1)
         return self._qm1_pows[e]
 
     def ensure(self, n: int) -> None:
         while self.n_max < n:
             m = self.n_max + 1
-            total = IntPoly()
+            total = self._zero
             for j in range(1, m):
-                b = b_poly(m, j, self.q_top)
-                total = total + self._mul(self._mul(b, self._qm1(j - 1)), self._g[m - j])
+                total = total + self._qm1(j - 1) * b_poly(m, j, self.q_top) * self._g[m - j]
             if any(c < 0 for c in total.coeffs):
                 raise ConsistencyError(f"g_{m} has a negative coefficient")
             if self.q_top is None and sum(total.coeffs) != math.factorial(m):
                 raise ConsistencyError(f"g_{m}(1) != {m}!")
             self._g.append(total)
 
-    def g(self, n: int) -> IntPoly:
+    def g(self, n: int) -> IntPoly | XSeries:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.ensure(n)
@@ -171,7 +173,7 @@ class GTable:
             self._a.append(row)
         return self._a[k].get(j, IntPoly())
 
-    def g1k(self, n: int, k: int) -> IntPoly:
+    def g1k(self, n: int, k: int) -> IntPoly | XSeries:
         """g_n(1k) for 2 <= k <= n."""
         if not 2 <= k <= n:
             raise ValueError(f"k must lie in [2, {n}]")
@@ -180,13 +182,13 @@ class GTable:
         if cached is not None:
             return cached
         if k == 2:
-            val = self.g(n - 1) * 2 if n >= 2 else IntPoly()
+            val = self.g(n - 1) * 2
         else:
-            val = IntPoly()
+            val = self._zero
             for j in range(1, k):
                 a = self.a_poly(k, j)
                 if a:
-                    val = val + self._mul(self._mul(a, self._qm1(j - 1)), self.g(n - j))
+                    val = val + self._qm1(j - 1) * a * self.g(n - j)
         self._g1k[key] = val
         return val
 

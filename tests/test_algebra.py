@@ -36,8 +36,8 @@ unit_series = st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(-9, 9), m
     lambda t: XSeries([t[0]] + t[1], ORDER)
 )
 
-S = XSeries.from_poly(IntPoly([1, -1]), ORDER)   # 1 - x
-T = XSeries.from_poly(IntPoly([1, -2]), ORDER)   # 1 - 2x
+S = XSeries(IntPoly([1, -1]), ORDER)   # 1 - x
+T = XSeries(IntPoly([1, -2]), ORDER)   # 1 - 2x
 
 
 def test_docstring_examples():
@@ -61,14 +61,6 @@ class TestIntPoly:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
-    @given(polys, polys, st.integers(0, 12))
-    def test_mul_trunc_is_cut_product(self, a, b, top):
-        assert a.mul_trunc(b, top) == IntPoly((a * b).coeffs[: top + 1])
-
-    def test_mul_trunc_rejects_negative_top(self):
-        with pytest.raises(ValueError):
-            IntPoly([1]).mul_trunc(IntPoly([1]), -1)
-
     @given(polys, polys)
     def test_divexact_round_trip(self, a, b):
         if not b:
@@ -80,6 +72,18 @@ class TestIntPoly:
             IntPoly([1, 1]).divexact(IntPoly([0, 2]))
         with pytest.raises(InexactDivisionError):
             IntPoly([1]).divexact(IntPoly([0, 1]))
+
+    @given(polys, polys, st.sampled_from([1, -1, 2, -3, 4]), st.booleans())
+    def test_divexact_matches_fraction_reference(self, a, b, lead, exact):
+        divisor = b + IntPoly.term(lead, b.degree + 1)
+        dividend = a * divisor if exact else a
+        try:
+            want = _divexact_fraction(dividend, divisor)
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError):
+                dividend.divexact(divisor)
+        else:
+            assert dividend.divexact(divisor) == want
 
     def test_eval_and_derivative(self):
         p = IntPoly([1, -3, 2])  # 1 - 3x + 2x^2
@@ -149,6 +153,25 @@ class TestXSeries:
     def test_coeff_beyond_order_raises(self):
         with pytest.raises(IndexError):
             S.coeff(ORDER + 1)
+        assert S[ORDER + 1] == 0 and S[1] == S.coeff(1) == -1
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            XSeries([1], -1)
+
+    @given(polys, polys, st.integers(0, 12), st.integers(0, 12))
+    def test_mul_is_cut_product(self, a, b, m, n):
+        assert a * b == IntPoly(_double_loop_product(a.coeffs, b.coeffs))
+        sa, sb = XSeries(a, m), XSeries(b, n)
+        assert sa * sb == XSeries((a * b).coeffs, min(m, n))
+        assert sa * b == b * sa == XSeries((a * b).coeffs, m)
+
+    @given(polys, polys, st.integers(0, 12))
+    def test_mixed_add_sub_give_series(self, a, b, m):
+        sa = XSeries(a, m)
+        assert sa + b == b + sa == XSeries((a + b).coeffs, m)
+        assert sa - b == XSeries((a - b).coeffs, m)
+        assert b - sa == XSeries((b - a).coeffs, m)
 
     def test_matches_uses_common_order(self):
         assert XSeries([1, 2, 3], 2).matches(XSeries([1, 2], 1))
@@ -234,6 +257,41 @@ class TestXVPoly:
             "vars": ["x", "v"],
             "matrix": [["1", "0"], ["0", "-3"]],
         }
+
+
+def _double_loop_product(a, b) -> list[int]:
+    """Reference product: every a_i * b_j added into x^(i+j)."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _divexact_fraction(dividend: IntPoly, divisor: IntPoly) -> IntPoly:
+    """Reference for IntPoly.divexact: long division over Fractions, then a
+    check that the remainder is zero and the quotient integral."""
+    if not divisor:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not dividend:
+        return IntPoly()
+    if dividend.degree < divisor.degree:
+        raise InexactDivisionError("degree too small")
+    dd = divisor.degree
+    rem = [Fraction(c) for c in dividend.coeffs]
+    lead = Fraction(divisor.coeffs[-1])
+    q = [Fraction(0)] * (dividend.degree - dd + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + dd] / lead
+        q[k] = c
+        if c:
+            for i, dc in enumerate(divisor.coeffs):
+                rem[k + i] -= c * dc
+    if any(rem):
+        raise InexactDivisionError("nonzero polynomial remainder")
+    if any(f.denominator != 1 for f in q):
+        raise InexactDivisionError("quotient has non-integer coefficients")
+    return IntPoly(int(f) for f in q)
 
 
 def test_fraction_arithmetic_is_exact():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flatperm import cli
+from flatperm import cli, genfun, perms
 from flatperm.cli import (
     AVOIDERS_NMAX,
     ENUM_LIMIT_MAX,
@@ -19,6 +19,7 @@ from flatperm.cli import (
     WITNESS_MAX,
     main,
 )
+from flatperm.genfun import Pipeline
 from flatperm.perms import DEFAULT_ENUM_LIMIT
 
 
@@ -255,6 +256,47 @@ def test_verify_lower_bounds(capsys, monkeypatch, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert message in err
+
+
+#: Commands whose input the library rejects with a ValueError, each with
+#: the library call that rejects it.
+LIBRARY_REJECTIONS = {
+    "witness --n 0": lambda: perms.max_pattern_perm(0),
+    "witness --r 2": lambda: perms.witness_perm(2, 2),
+    "witness --r 5 --i 9": lambda: perms.witness_perm(5, 9),
+    "distribution --n 5 --prefix 1,1": lambda: perms.distribution(5, (1, 1)),
+    "distribution --n 5 --prefix 1,9": lambda: perms.distribution(5, (1, 9)),
+    "ctable --r 3 --order 12": lambda: Pipeline(3, order=12),
+    "rational --r 0 --order 2": lambda: Pipeline(1, order=2),
+}
+
+
+@pytest.mark.parametrize("command", list(LIBRARY_REJECTIONS))
+def test_library_rejections_are_usage_errors(capsys, monkeypatch, command):
+    """Exit 2, with the message the library gives for the same input."""
+    with pytest.raises(ValueError) as rejected:
+        LIBRARY_REJECTIONS[command]()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(genfun, "GTable", no_work)
+    for name in ("c_table", "rational_gf"):
+        monkeypatch.setattr(Pipeline, name, no_work)
+    for name in ("distribution", "max_pattern_perm", "witness_perm"):
+        monkeypatch.setattr(cli.perms, name, no_work)
+    code, out, err = run(capsys, *command.split())
+    assert code == EXIT_USAGE and out == ""
+    assert f"error: {rejected.value}" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(self, r):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(Pipeline, "c_table", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["ctable", "--r", "1"])
 
 
 def readme_cli_examples():
