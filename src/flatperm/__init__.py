@@ -49,11 +49,11 @@ from .perms import (
 )
 from .recurrence import (
     GTable,
+    a_poly,
     avoider_count,
     average_occurrences,
     b_poly,
     b_poly_alt,
-    g_poly,
     harmonic,
     verify_a_closed_form,
 )
@@ -75,6 +75,7 @@ __all__ = [
     "VPoly",
     "XSeries",
     "XVPoly",
+    "a_poly",
     "avoider_count",
     "average_occurrences",
     "b_poly",
@@ -84,7 +85,6 @@ __all__ = [
     "distribution",
     "doubling_pair",
     "flatten",
-    "g_poly",
     "harmonic",
     "max_occurrences",
     "max_pattern_perm",

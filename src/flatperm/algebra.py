@@ -216,28 +216,6 @@ class IntPoly(_Dense):
             raise InexactDivisionError("nonzero polynomial remainder")
         return IntPoly(q)
 
-    def format(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = var if i == 1 else f"{var}^{i}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
 
 P_ZERO = IntPoly()
 

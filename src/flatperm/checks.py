@@ -17,11 +17,12 @@ from ._reference import REFERENCE_CTABLES
 from .algebra import ConsistencyError, IntPoly
 from .genfun import Pipeline
 from .recurrence import (
+    Q_MINUS_1,
     GTable,
+    a_rows,
     avoider_count,
     average_occurrences,
     b_poly,
-    shared_table,
     verify_a_closed_form,
 )
 
@@ -57,13 +58,25 @@ def _poly_matches_distribution(table: GTable, n: int, k: int | None) -> bool:
     return dist.coeff_list() == list(poly.coeffs)
 
 
+def a_sum(table: GTable, n: int, a_row: list[IntPoly]):
+    """g_n(1k) for 3 <= k <= n as the a-sum over the table's g column,
+
+        sum_{j=1}^{k-1} a_{k,j} (q-1)^{j-1} g_{n-j},
+
+    given a_row = [a_{k,1}, ..., a_{k,k-1}]: the reference the table's
+    short-rule rows are compared with."""
+    total = IntPoly()
+    for j, a in enumerate(a_row, 1):
+        total = total + table.g(n - j) * (a * Q_MINUS_1 ** (j - 1))
+    return total
+
+
 def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[CheckResult]:
     """Checks of the q-polynomial layer: base values, oracle agreement,
     the g_n(1k) identities, parity, avoiders, averages, and the rational
     closed form of the a/b coefficient tables."""
-    table = table or shared_table(2)
+    table = table or GTable()
     out: list[CheckResult] = []
-    q = IntPoly([0, 1])
 
     _check(out, "base polynomials g_1, g_2, g_3, g_3(12), g_3(13)", lambda: (
         table.g(1) == IntPoly([1])
@@ -84,6 +97,7 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
         return True, ""
     _check(out, f"enumeration agrees with recurrence for n <= {oracle_nmax}", oracle_agreement)
 
+    # The b-sum column against the sum of the short-rule rows.
     def mass_and_sign():
         for n in range(1, IDENTITY_NMAX + 1):
             g = table.g(n)
@@ -105,33 +119,24 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
         return True, ""
     _check(out, f"g_n(12) = 2 g_(n-1) for n <= {IDENTITY_NMAX}", doubling_identity)
 
+    # The table grows g_n(1k) by the three-term rule and the closed
+    # initial forms, so these two lines compare it with the a-sum.
+    a = a_rows(IDENTITY_NMAX)
+
     def three_term():
         for n in range(5, IDENTITY_NMAX + 1):
             for k in range(5, n + 1):
-                lhs = table.g1k(n, k)
-                rhs = (
-                    IntPoly([1, 1]) * table.g1k(n, k - 1)
-                    - q * table.g1k(n, k - 2)
-                    - IntPoly([1, -1]) * table.g1k(n - 1, k - 1)
-                )
-                if lhs != rhs:
+                if table.g1k(n, k) != a_sum(table, n, a[k]):
                     return False, f"(n,k)=({n},{k})"
         return True, ""
     _check(out, f"three-term recurrence for g_n(1k), 5 <= k <= n <= {IDENTITY_NMAX}", three_term)
 
     def initial_forms():
-        one_minus_q = IntPoly([1, -1])
         for n in range(3, IDENTITY_NMAX + 1):
-            if table.g1k(n, 3) != table.g(n - 1) - 2 * one_minus_q * table.g(n - 2):
+            if table.g1k(n, 3) != a_sum(table, n, a[3]):
                 return False, f"g_{n}(13)"
-            if n >= 4:
-                want = (
-                    table.g(n - 1)
-                    - one_minus_q * IntPoly([3, 2]) * table.g(n - 2)
-                    + 2 * one_minus_q * one_minus_q * table.g(n - 3)
-                )
-                if table.g1k(n, 4) != want:
-                    return False, f"g_{n}(14)"
+            if n >= 4 and table.g1k(n, 4) != a_sum(table, n, a[4]):
+                return False, f"g_{n}(14)"
         return True, ""
     _check(out, f"closed initial forms for g_n(13), g_n(14), n <= {IDENTITY_NMAX}", initial_forms)
 
@@ -172,7 +177,7 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
     _check(out, f"average occurrences equal (n^2+3n+8)/12 - H_n for n <= {AVERAGE_NMAX}", averages)
 
     def closed_form():
-        rep = verify_a_closed_form(A_FORM_KMAX, A_FORM_KMAX, table)
+        rep = verify_a_closed_form(A_FORM_KMAX, A_FORM_KMAX)
         return rep.passed, "; ".join(rep.mismatches[:3])
     _check(out, f"closed form of A(x,y) matches a- and b-tables through {A_FORM_KMAX}", closed_form)
 
@@ -197,7 +202,7 @@ def genfun_suite(
     """Checks of the kernel pipeline: reference c tables, the structure of
     P_r, rationality round trips, the functional-equation identities, and
     the extremal-length facts."""
-    table = table or shared_table(2)
+    table = table or GTable()
     pl = pipeline or Pipeline(r_max=max(r_max, 1), table=table)
     identity_rmax = min(r_max, IDENTITY_RMAX)
     out: list[CheckResult] = []
@@ -299,7 +304,7 @@ def constructions_suite(
     """Checks of the explicit constructions: the one-to-two prefix-12 map,
     the avoider doubling, the witness words, and the dual-route boundary
     consistency of the kernel pipeline."""
-    table = table or shared_table(2)
+    table = table or GTable()
     out: list[CheckResult] = []
 
     def doubling_bijection():
@@ -379,7 +384,7 @@ def run_suite(
 ) -> list[CheckResult]:
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    table = table or shared_table(2)
+    table = table or GTable()
     out: list[CheckResult] = []
     if suite in ("all", "recurrence"):
         out.extend(recurrence_suite(oracle_nmax=oracle_nmax, table=table))

@@ -30,12 +30,7 @@ from . import perms
 from .algebra import ConsistencyError, poly_json, xvpoly_json
 from .checks import SUITE_NAMES, run_suite
 from .genfun import Pipeline
-from .recurrence import (
-    avoider_count,
-    average_occurrences,
-    harmonic,
-    shared_table,
-)
+from .recurrence import GTable, avoider_count, average_occurrences, harmonic
 
 RECURRENCE_NMAX = 30
 #: Largest --limit for ``distribution``: the walk over the (n-1)! flattened
@@ -44,7 +39,7 @@ ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
 AVOIDERS_NMAX = 500
-#: Largest r for ``ctable`` and ``rational``: r = 20 takes about 5 s.
+#: Largest r for ``ctable`` and ``rational``: r = 20 takes about 2-3 s.
 PIPELINE_RMAX = 20
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
@@ -81,9 +76,9 @@ def _pipeline(r_max: int, order: int | None) -> Pipeline:
 
 
 def _emit(payload, args, csv_rows=None) -> None:
+    """Write the payload as JSON, or csv_rows as CSV for the commands that
+    offer ``--format csv``."""
     if args.format == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is only available for scalar tables")
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in csv_rows:
@@ -114,7 +109,7 @@ def _cmd_distribution(args) -> int:
         counts = perms.distribution(n, prefix, args.limit).counts
     elif n <= RECURRENCE_NMAX:
         source = "recurrence"
-        t = shared_table(n)
+        t = GTable(n)
         if prefix in ((), (1,)):
             poly = t.g(n)
         elif len(prefix) == 2 and prefix[0] == 1 and 2 <= prefix[1] <= n:
@@ -145,7 +140,7 @@ def _cmd_gpoly(args) -> int:
         raise UsageError("--n must be >= 1")
     if n > RECURRENCE_NMAX:
         raise UsageError(f"n={n} exceeds the recurrence cap {RECURRENCE_NMAX}")
-    t = shared_table(n)
+    t = GTable(n)
     if args.k is None:
         poly = t.g(n)
     else:
@@ -199,6 +194,8 @@ def _cmd_rational(args) -> int:
 def _cmd_witness(args) -> int:
     if (args.n is None) == (args.r is None):
         raise UsageError("give exactly one of --n (extremal word) or --r [--i] (witness word)")
+    if args.n is not None and args.i is not None:
+        raise UsageError("--i goes with --r (witness word), not with --n")
     flag, size = ("--n", args.n) if args.n is not None else ("--r", args.r)
     if size > WITNESS_MAX:
         raise UsageError(f"{flag} {size} exceeds the witness cap {WITNESS_MAX}")
@@ -238,7 +235,7 @@ def _cmd_average(args) -> int:
         raise UsageError("--n must be >= 1")
     if args.n > RECURRENCE_NMAX:
         raise UsageError(f"n={args.n} exceeds the recurrence cap {RECURRENCE_NMAX}")
-    value = average_occurrences(args.n, shared_table(args.n))
+    value = average_occurrences(args.n, GTable(args.n))
     payload = {
         "command": "average",
         "n": args.n,
@@ -298,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def common(p: argparse.ArgumentParser, with_csv: bool = False) -> None:
+        formats = ("json", "csv") if with_csv else ("json",)
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="write the output to this path instead of stdout")
 
     p = sub.add_parser("distribution", help="occurrence distribution over S_n")
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default="", help="comma-separated flattened-word prefix, e.g. 1,3")
     p.add_argument("--limit", type=int, default=perms.DEFAULT_ENUM_LIMIT,
                    help=f"largest n enumerated exhaustively, at most {ENUM_LIMIT_MAX}")
-    common(p)
+    common(p, with_csv=True)
     p.set_defaults(fn=_cmd_distribution)
 
     p = sub.add_parser("gpoly", help="the polynomial g_n or g_n(1k)")
@@ -343,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("avoiders", help="count of 13-2-avoiding flattened permutations")
     p.add_argument("--n", type=int, required=True, help=f"permutation length, at most {AVOIDERS_NMAX}")
-    common(p)
+    common(p, with_csv=True)
     p.set_defaults(fn=_cmd_avoiders)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=7,
                    help=f"bound for enumeration-backed checks, 1 to {perms.DEFAULT_ENUM_LIMIT}")
     p.add_argument("--rmax", type=int, default=4, help=f"bound for pipeline checks, 1 to {VERIFY_RMAX}")
-    common(p)
+    common(p, with_csv=True)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -149,7 +149,7 @@ class Pipeline:
     The tables are read only at q^r with r <= r_max.  Given no ``table``
     (as for the ``ctable`` and ``rational`` commands), the pipeline builds
     its own ``GTable(2, q_top=r_max)``, kept only through q^r_max.  A
-    caller that passes a table (the ``verify`` suites pass the full shared
+    caller that passes a table (the ``verify`` suites pass one full
     table) has the pipeline checked against full q-polynomials.
 
     The pipeline never calls the enumeration oracle: comparisons of its

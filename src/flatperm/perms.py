@@ -91,23 +91,7 @@ def flatten(p: Sequence[int]) -> Perm:
     >>> flatten((7, 1, 5, 6, 4, 3, 2, 8))
     (1, 7, 2, 3, 5, 4, 6, 8)
     """
-    p = as_permutation(p)
-    # Scanning starts in increasing order visits each cycle at its minimum,
-    # so the concatenation below is the standard cycle form read flat.
-    n = len(p)
-    seen = bytearray(n + 1)
-    out = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        out.append(start)
-        x = p[start - 1]
-        while x != start:
-            seen[x] = 1
-            out.append(x)
-            x = p[x - 1]
-    return tuple(out)
+    return tuple(x for cycle in standard_cycle_form(p) for x in cycle)
 
 
 def count_13_2(word: Sequence[int]) -> int:

@@ -3,17 +3,27 @@ permutations.
 
 g_n is the polynomial whose q^r coefficient counts the permutations of
 length n whose flattening has exactly r occurrences of 13-2; g_n(1k)
-restricts to flattenings starting with the letters 1, k.  Both families
-are generated here from pure recurrences:
+restricts to flattenings starting with the letters 1, k.  ``GTable``
+generates both from pure recurrences: the column g_n by the b-sum
 
-    g_n      = sum_{j=1}^{n-1} b_{n,j} (q-1)^{j-1} g_{n-j},
-    g_n(12)  = 2 g_{n-1},
-    g_n(1k)  = sum_{j=1}^{k-1} a_{k,j} (q-1)^{j-1} g_{n-j}   (3 <= k <= n),
+    g_n = sum_{j=1}^{n-1} b_{n,j} (q-1)^{j-1} g_{n-j},
 
-with the integer-polynomial coefficient tables a_{k,j} and b_{n,j} built
-below.  Derived exact facts (the 2^{n-1} avoider count, the harmonic-
-number average) are recomputed from independent identities and asserted,
-never assumed.
+and each row g_n(12), g_n(13), ... by the paper's short rules
+
+    g_n(12) = 2 g_{n-1},
+    g_n(13) = g_{n-1} - 2(1-q) g_{n-2},
+    g_n(14) = g_{n-1} - (1-q)(3+2q) g_{n-2} + 2(1-q)^2 g_{n-3},
+    g_n(1k) = (1+q) g_n(1,k-1) - q g_n(1,k-2) - (1-q) g_{n-1}(1,k-1)   (k >= 5).
+
+The integer-polynomial coefficients b_{n,j} (a closed form) and a_{k,j}
+(a recurrence) are module functions.  The a-sum
+
+    g_n(1k) = sum_{j=1}^{k-1} a_{k,j} (q-1)^{j-1} g_{n-j}   (3 <= k <= n)
+
+is not used by the table; ``flatperm.checks`` keeps it as the independent
+reference for the short rules.  Derived exact facts (the 2^{n-1} avoider
+count, the harmonic-number average) are recomputed from independent
+identities and asserted, never assumed.
 """
 
 from __future__ import annotations
@@ -24,9 +34,11 @@ from fractions import Fraction
 
 from .algebra import ConsistencyError, IntPoly, XSeries
 
-#: q and (q - 1) as polynomials.
+#: q, q - 1, 1 + q and 1 - q as polynomials.
 Q = IntPoly([0, 1])
 Q_MINUS_1 = IntPoly([-1, 1])
+ONE_PLUS_Q = IntPoly([1, 1])
+ONE_MINUS_Q = IntPoly([1, -1])
 
 
 def _binom(m: int, k: int) -> int:
@@ -65,6 +77,32 @@ def b_poly(n: int, j: int, top: int | None = None) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def a_rows(k_max: int) -> list[list[IntPoly]]:
+    """The coefficient polynomials a_{k,j} as rows: ``a_rows(k_max)[k]``
+    is [a_{k,1}, ..., a_{k,k-1}] for 2 <= k <= k_max (rows 0 and 1 are
+    empty), from a_{2,1} = a_{3,1} = 1, a_{3,2} = 2 and, for k >= 4,
+
+        a_{k,j} = (1+q) a_{k-1,j} - q a_{k-2,j} + a_{k-1,j-1}.
+    """
+    zero = IntPoly()
+    rows = [[], [], [IntPoly([1])], [IntPoly([1]), IntPoly([2])]]
+    for k in range(4, k_max + 1):
+        prev, prev2 = rows[k - 1] + [zero], rows[k - 2] + [zero, zero]
+        rows.append([
+            ONE_PLUS_Q * prev[i] - Q * prev2[i] + (prev[i - 1] if i else zero)
+            for i in range(k - 1)
+        ])
+    return rows[: k_max + 1]
+
+
+def a_poly(k: int, j: int) -> IntPoly:
+    """a_{k,j} for k >= 2; zero outside 1 <= j <= k-1.  Each call grows
+    the rows of ``a_rows`` through k afresh."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    return a_rows(k)[k][j - 1] if 1 <= j < k else IntPoly()
+
+
 def b_poly_alt(n: int, j: int) -> IntPoly:
     """Second, manifestly integral route to b_{n,j}:
 
@@ -84,8 +122,21 @@ def b_poly_alt(n: int, j: int) -> IntPoly:
 class GTable:
     """Bottom-up tables of g_n and g_n(1k), growable on demand.
 
-    The g column is filled eagerly through n_max at construction; the
-    g_n(1k) entries and the a_{k,j} rows are computed lazily and cached.
+    The g column is filled eagerly through n_max at construction, each
+    g_n by the b-sum.  The row g_n(12), g_n(13), ... of one n is grown
+    lazily by the short rules, only through the largest k asked for, and
+    memoized per n:
+
+        g_n(12) = 2 g_{n-1},
+        g_n(13) = g_{n-1} - 2(1-q) g_{n-2},
+        g_n(14) = g_{n-1} - (1-q)(3+2q) g_{n-2} + 2(1-q)^2 g_{n-3},
+        g_n(1k) = (1+q) g_n(1,k-1) - q g_n(1,k-2) - (1-q) g_{n-1}(1,k-1)
+                                                              (k >= 5),
+
+    so each entry costs a few products by a polynomial of degree at most
+    2.  The column is not taken as the row sum, which would build every
+    row through k = n.  A table grows as it is read, so give each thread
+    its own.
 
     With ``q_top`` unset (the default) every polynomial is kept in full
     and each g_n is checked for nonnegative coefficients summing to n!.
@@ -100,8 +151,7 @@ class GTable:
     ``Pipeline`` builds such a table for itself when it is given none.
     Nonnegativity is checked on the kept coefficients; the n! mass needs
     the whole polynomial and is checked in full mode only.  ``coeff``
-    raises IndexError for a power above q_top.  The a_{k,j} rows are
-    always kept in full.
+    raises IndexError for a power above q_top.
     """
 
     def __init__(self, n_max: int = 2, q_top: int | None = None):
@@ -113,14 +163,7 @@ class GTable:
         else:
             self._zero, one = XSeries.zero(q_top), XSeries.one(q_top)
         self._g = [self._zero, one]  # index 0 unused
-        self._g1k: dict[tuple[int, int], IntPoly | XSeries] = {}
-        # a rows: index k -> {j: IntPoly}; rows 0, 1 unused.
-        self._a: list[dict[int, IntPoly]] = [
-            {},
-            {},
-            {1: IntPoly([1])},
-            {1: IntPoly([1]), 2: IntPoly([2])},
-        ]
+        self._rows: dict[int, list[IntPoly | XSeries]] = {}  # n -> [g_n(12), g_n(13), ...]
         self._qm1_pows = [one]
         self.ensure(n_max)
 
@@ -151,46 +194,27 @@ class GTable:
         self.ensure(n)
         return self._g[n]
 
-    def a_poly(self, k: int, j: int) -> IntPoly:
-        """a_{k,j} for k >= 2; zero outside 1 <= j <= k-1."""
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        if j <= 0 or j >= k:
-            return IntPoly()
-        while len(self._a) <= k:
-            m = len(self._a)
-            prev, prev2 = self._a[m - 1], self._a[m - 2]
-            row = {}
-            one_plus_q = IntPoly([1, 1])
-            for jj in range(1, m):
-                val = (
-                    one_plus_q * prev.get(jj, IntPoly())
-                    - Q * prev2.get(jj, IntPoly())
-                    + prev.get(jj - 1, IntPoly())
-                )
-                if val:
-                    row[jj] = val
-            self._a.append(row)
-        return self._a[k].get(j, IntPoly())
-
     def g1k(self, n: int, k: int) -> IntPoly | XSeries:
         """g_n(1k) for 2 <= k <= n."""
         if not 2 <= k <= n:
             raise ValueError(f"k must lie in [2, {n}]")
-        key = (n, k)
-        cached = self._g1k.get(key)
-        if cached is not None:
-            return cached
-        if k == 2:
-            val = self.g(n - 1) * 2
-        else:
-            val = self._zero
-            for j in range(1, k):
-                a = self.a_poly(k, j)
-                if a:
-                    val = val + self._qm1(j - 1) * a * self.g(n - j)
-        self._g1k[key] = val
-        return val
+        row = self._rows.setdefault(n, [])
+        while len(row) < k - 1:
+            j = len(row) + 2
+            if j == 2:
+                val = self.g(n - 1) * 2
+            elif j == 3:
+                val = self.g(n - 1) - self.g(n - 2) * (ONE_MINUS_Q * 2)
+            elif j == 4:
+                val = (
+                    self.g(n - 1)
+                    - self.g(n - 2) * (ONE_MINUS_Q * IntPoly([3, 2]))
+                    + self.g(n - 3) * (ONE_MINUS_Q * ONE_MINUS_Q * 2)
+                )
+            else:
+                val = row[-1] * ONE_PLUS_Q - row[-2] * Q - self.g1k(n - 1, j - 1) * ONE_MINUS_Q
+            row.append(val)
+        return row[k - 2]
 
     def coeff(self, n: int, r: int, k: int | None = None) -> int:
         """[q^r] g_n, or [q^r] g_n(1k) when k is given.  Returns 0 for any
@@ -205,23 +229,6 @@ class GTable:
         if k > n:
             return 0
         return self.g1k(n, k)[r]
-
-
-# A lazily grown table shared by the convenience functions and the CLI.
-_shared: GTable | None = None
-
-
-def shared_table(n_min: int = 2) -> GTable:
-    global _shared
-    if _shared is None:
-        _shared = GTable(n_min)
-    else:
-        _shared.ensure(n_min)
-    return _shared
-
-
-def g_poly(n: int, table: GTable | None = None) -> IntPoly:
-    return (table or shared_table(n)).g(n)
 
 
 def avoider_count(n: int) -> int:
@@ -254,8 +261,9 @@ def harmonic(n: int) -> Fraction:
 
 def average_occurrences(n: int, table: GTable | None = None) -> Fraction:
     """Mean number of 13-2 occurrences over flattenings of S_n, computed
-    as g_n'(1)/n! and asserted equal to (n^2 + 3n + 8)/12 - H_n."""
-    g = g_poly(n, table)
+    as g_n'(1)/n! from the given full table (or a new one) and asserted
+    equal to (n^2 + 3n + 8)/12 - H_n."""
+    g = (table or GTable(n)).g(n)
     mean = Fraction(g.derivative().eval_at(1), math.factorial(n))
     closed = Fraction(n * n + 3 * n + 8, 12) - harmonic(n)
     if mean != closed:
@@ -316,22 +324,20 @@ def _a_series(x_top: int, y_top: int) -> list[list[IntPoly]]:
     return A
 
 
-def verify_a_closed_form(
-    k_max: int = 15, n_max: int = 15, table: GTable | None = None
-) -> ClosedFormReport:
+def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> ClosedFormReport:
     """Expand the closed form of A(x, y) and compare every coefficient
     with the a recurrence, then compare the partial column sums with
     b_poly (and its alternative form).  Returns a report listing the first
     mismatching indices, if any."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    table = table or shared_table(2)
     top = max(k_max, n_max)
     A = _a_series(top - 2, top - 2)
+    rows = a_rows(k_max)
     report = ClosedFormReport(k_max, n_max)
     for k in range(2, k_max + 1):
         for j in range(1, top - 1 + 1):
-            want = table.a_poly(k, j)
+            want = rows[k][j - 1] if j < k else IntPoly()
             got = A[k - 2][j - 1] if j - 1 <= top - 2 else IntPoly()
             if want != got:
                 report.mismatches.append(f"a({k},{j}): series {got!r} != recurrence {want!r}")

@@ -68,8 +68,8 @@ def test_04_average(table):
     _report(4, "average occurrences equal (n^2+3n+8)/12 - H_n for n <= 25", ok)
 
 
-def test_05_a_closed_form(table):
-    report = verify_a_closed_form(15, 15, table)
+def test_05_a_closed_form():
+    report = verify_a_closed_form(15, 15)
     _report(5, "closed form of A(x,y) matches a_{k,j} (k <= 15) and b sums (n <= 15)",
             report.passed)
 

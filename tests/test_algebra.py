@@ -95,11 +95,6 @@ class TestIntPoly:
         assert IntPoly([-1, 1]) ** 3 == IntPoly([-1, 3, -3, 1])
         assert IntPoly([2]) ** 0 == IntPoly([1])
 
-    def test_format(self):
-        assert IntPoly([4, 2]).format("q") == "4 + 2*q"
-        assert IntPoly([3, -2]).format() == "3 - 2*x"
-        assert IntPoly().format() == "0"
-
 
 class TestXSeries:
     def test_known_division(self):

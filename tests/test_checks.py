@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from flatperm import perms
+from flatperm import checks, perms
+from flatperm.algebra import IntPoly
 from flatperm.checks import constructions_suite, genfun_suite
+from flatperm.cli import EXIT_CHECK_FAILED, main
 from flatperm.recurrence import GTable
 
 BOUNDARY = "boundary data matches enumeration (r = 3)"
@@ -68,3 +70,33 @@ def test_structure_check_fails_on_witness(table, pipeline6, monkeypatch, bad_wor
     res = _result(genfun_suite(r_max=4, table=table, pipeline=pipeline6), "P_r structure")
     assert not res.passed
     assert "i=2" in res.detail
+
+
+def _g1k_off_by_two(cell):
+    """A full GTable class whose g_n(1k) at cell = (n, k) is 2q too large."""
+
+    class OffByTwo(GTable):
+        def g1k(self, n, k):
+            return super().g1k(n, k) + (IntPoly([0, 2]) if (n, k) == cell else IntPoly())
+
+    return OffByTwo
+
+
+THREE_TERM = "three-term recurrence for g_n(1k)"
+INITIAL_FORMS = "closed initial forms for g_n(13), g_n(14)"
+
+
+@pytest.mark.parametrize("cell, failing, detail, passing", [
+    ((7, 5), THREE_TERM, "(n,k)=(7,5)", INITIAL_FORMS),
+    ((6, 3), INITIAL_FORMS, "g_6(13)", THREE_TERM),
+])
+def test_row_checks_see_a_corrupted_table(capsys, monkeypatch, cell, failing, detail, passing):
+    """The table grows its rows by the rules these lines name, so they
+    compare it with the a-sum instead of with itself."""
+    monkeypatch.setattr(checks, "GTable", _g1k_off_by_two(cell))
+    assert main(["verify", "--suite", "recurrence", "--n", "3"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    (bad,) = [line for line in lines if failing in line]
+    (good,) = [line for line in lines if passing in line]
+    assert bad.startswith("FAIL  ") and bad.endswith(f"[{detail}]")
+    assert good.startswith("PASS  ")

@@ -104,8 +104,10 @@ class TestGPoly:
         assert code == EXIT_USAGE
 
     def test_csv_rejected_for_polynomials(self, capsys):
-        code, _, _ = run(capsys, "gpoly", "--n", "4", "--format", "csv")
-        assert code == EXIT_USAGE
+        # Only distribution, avoiders and verify offer --format csv.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "gpoly", "--n", "4", "--format", "csv")
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestCTable:
@@ -134,6 +136,16 @@ class TestCTable:
 
             polys = [[int(c) for c in p["coeffs"]] for p in json.loads(out)["polys"]]
             assert polys == REFERENCE_CTABLES[3]
+
+    def test_csv_rejected_before_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --format was checked")
+
+        monkeypatch.setattr(cli, "Pipeline", no_work)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "ctable", "--r", "12", "--format", "csv")
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestRational:
@@ -174,6 +186,15 @@ class TestWitness:
     def test_requires_exactly_one_mode(self, capsys):
         assert run(capsys, "witness")[0] == EXIT_USAGE
         assert run(capsys, "witness", "--n", "4", "--r", "5")[0] == EXIT_USAGE
+
+    def test_i_without_r_is_rejected_before_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --i was checked")
+
+        monkeypatch.setattr(cli.perms, "max_pattern_perm", no_work)
+        code, out, err = run(capsys, "witness", "--n", "5", "--i", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert "--i" in err
 
 
 class TestScalars:

@@ -7,8 +7,11 @@ import pytest
 
 from flatperm import perms
 from flatperm.algebra import ConsistencyError, IntPoly, XSeries
+from flatperm.checks import a_sum
 from flatperm.recurrence import (
     GTable,
+    a_poly,
+    a_rows,
     avoider_count,
     average_occurrences,
     b_poly,
@@ -44,22 +47,32 @@ class TestBTable:
 
 
 class TestATable:
-    def test_first_rows(self, table):
-        assert table.a_poly(2, 1) == IntPoly([1])
-        assert table.a_poly(3, 1) == IntPoly([1])
-        assert table.a_poly(3, 2) == IntPoly([2])
-        assert table.a_poly(4, 2) == IntPoly([3, 2])
-        assert table.a_poly(4, 3) == IntPoly([2])
+    def test_first_rows(self):
+        assert a_poly(2, 1) == IntPoly([1])
+        assert a_poly(3, 1) == IntPoly([1])
+        assert a_poly(3, 2) == IntPoly([2])
+        assert a_poly(4, 2) == IntPoly([3, 2])
+        assert a_poly(4, 3) == IntPoly([2])
 
-    def test_vanishes_outside_range(self, table):
+    def test_vanishes_outside_range(self):
         for k in range(2, 10):
-            assert table.a_poly(k, 0) == IntPoly()
-            assert table.a_poly(k, k) == IntPoly()
-            assert table.a_poly(k, k + 3) == IntPoly()
+            assert a_poly(k, 0) == IntPoly()
+            assert a_poly(k, k) == IntPoly()
+            assert a_poly(k, k + 3) == IntPoly()
 
-    def test_first_column_is_one(self, table):
+    def test_first_column_is_one(self):
         for k in range(2, 13):
-            assert table.a_poly(k, 1) == IntPoly([1])
+            assert a_poly(k, 1) == IntPoly([1])
+
+    def test_rows_hold_every_entry(self):
+        rows = a_rows(12)
+        assert rows[:2] == [[], []]
+        for k in range(2, 13):
+            assert rows[k] == [a_poly(k, j) for j in range(1, k)]
+
+    def test_bad_index(self):
+        with pytest.raises(ValueError):
+            a_poly(1, 1)
 
 
 class TestGTable:
@@ -133,6 +146,32 @@ class TestGTable:
             for k in range(2, n + 1):
                 poly = table.g1k(n, k)
                 assert all(poly[r] % 2 == 0 for r in range(1, poly.degree + 1)), (n, k)
+
+
+class TestShortRules:
+    """The rows g_n(12), g_n(13), ... grown by the short rules against the
+    a-sum reference kept in ``checks``."""
+
+    def test_rows_match_a_sum_in_full(self, table):
+        a = a_rows(30)
+        for n in range(3, 31):
+            for k in range(3, n + 1):
+                assert table.g1k(n, k) == a_sum(table, n, a[k]), (n, k)
+
+    @pytest.mark.parametrize("top", [0, 1, 5, 12])
+    def test_rows_match_a_sum_when_cut(self, top):
+        cut, a = GTable(30, q_top=top), a_rows(30)
+        for n in range(3, 31):
+            for k in range(3, n + 1):
+                got, want = cut.g1k(n, k), a_sum(cut, n, a[k])
+                assert isinstance(want, XSeries) and got == want, (n, k)
+
+    def test_rows_grow_only_as_far_as_asked(self):
+        table = GTable(12)
+        table.g1k(12, 4)
+        assert len(table._rows[12]) == 3
+        assert table.g1k(12, 6) == a_sum(table, 12, a_rows(6)[6])
+        assert len(table._rows[12]) == 5
 
 
 class TestCoefficients:
@@ -234,14 +273,14 @@ class TestAverage:
 
 class TestClosedForm:
     def test_matches_through_12(self, table):
-        report = verify_a_closed_form(12, 12, table)
+        report = verify_a_closed_form(12, 12)
         assert report.passed, report.mismatches[:3]
 
-    def test_b_column_sum_example(self, table):
+    def test_b_column_sum_example(self):
         # b(7,6) as a column sum over the a-table equals the direct value.
         total = IntPoly()
         for k in range(2, 8):
-            total = total + table.a_poly(k, 6)
+            total = total + a_poly(k, 6)
         assert total == b_poly(7, 6) == IntPoly([2])
 
 
