@@ -19,6 +19,7 @@ from .algebra import (
     ConsistencyError,
     InexactDivisionError,
     IntPoly,
+    RationalGF,
     VPoly,
     XSeries,
     XVPoly,
@@ -29,7 +30,6 @@ from .genfun import (
     BoundaryData,
     CTable,
     Pipeline,
-    RationalGF,
     t_poly,
 )
 from .perms import (

@@ -1,11 +1,19 @@
 """Exact algebra substrate: integer polynomials, truncated integer power
-series in x, polynomials in v over such series, and bivariate (x, v)
-integer polynomials.
+series in x, polynomials in v over such series, bivariate (x, v) integer
+polynomials, and the exact values N(x, v)/((1-x)^a (1-2x)^b) of
+``RationalGF``.
 
 Everything is arbitrary precision (Python ints) and every division is
-checked: dividing by a unit series, by a power of x, by a constant, or by
-a polynomial either succeeds exactly or raises.  ``IntPoly.eval_at`` is
-also exact at ``fractions.Fraction`` points.
+checked: dividing by a unit series, by a power of x, by a constant, by a
+polynomial, by 1 - x or 1 - 2x, or by the kernel 1 - (1-x)v either
+succeeds exactly or raises.  ``IntPoly.eval_at`` is also exact at
+``fractions.Fraction`` points.
+
+The kernel pipeline runs on ``RationalGF`` alone.  ``VPoly`` holds its
+expansions as series; ``VPoly.subst_v``, ``vpoly_div_kernel`` and
+``xvpoly_extract_from_series`` are the truncated-series forms of its
+steps, kept for the test reference in ``tests/series_reference.py`` and
+for the benchmark's span tracer.
 
 ``IntPoly`` and ``XSeries`` share one core for their dense coefficient
 vectors: one schoolbook product with a top cut, one exact division by a
@@ -21,6 +29,7 @@ XSeries([1, 3, 3], order=2)
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from operator import add, sub
 from typing import Iterable, Iterator, Union
 
@@ -431,12 +440,6 @@ class VPoly:
         pad = [XSeries.zero(self.order)] * k
         return VPoly(pad + list(self.vcoeffs), self.order)
 
-    def eval_v_one(self) -> XSeries:
-        acc = XSeries.zero(self.order)
-        for s in self.vcoeffs:
-            acc = acc + s
-        return acc
-
     def subst_v(self, w: XSeries) -> XSeries:
         """Substitute the series w for v (Horner's rule)."""
         m = min(self.order, w.order)
@@ -552,6 +555,166 @@ class XVPoly:
         xd = max(self.xdegree, 0)
         vd = max(self.vdegree, 0)
         return [[self.coeff(j)[i] for j in range(vd + 1)] for i in range(xd + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Exact rational functions N(x, v) / ((1 - x)^a (1 - 2x)^b)
+# ---------------------------------------------------------------------------
+
+def _times(cs, k: int) -> list[int]:
+    """The coefficients of (1 - kx) p, p's being cs: one shift-and-subtract
+    pass."""
+    shifted = chain((0,), cs)
+    if k == 2:
+        shifted = map(add, shifted, chain((0,), cs))
+    return list(map(sub, chain(cs, (0,)), shifted))
+
+
+def _over(cs, k: int) -> list[int]:
+    """The coefficients of p / (1 - kx), p's being cs, exactly: the quotient
+    runs Q_m = p_m + k Q_(m-1) (prefix sums for k = 1, doubling for k = 2),
+    and its term at the degree of p, the remainder, must vanish."""
+    q = list(accumulate(cs, (lambda acc, c: 2 * acc + c) if k == 2 else None))
+    if q and q[-1]:
+        raise InexactDivisionError(f"polynomial not divisible by {'1 - x' if k == 1 else '1 - 2x'}")
+    return q[:-1]
+
+
+class RationalGF:
+    """The exact value N(x, v) / (s^s_power t^t_power), s = 1 - x and
+    t = 1 - 2x, with N an integer ``XVPoly``: an element of
+    Z[x, v][1/s, 1/t], the ring in which the kernel method for G_r runs.
+
+    Multiplying by x^k or v^k shifts N; dividing by s or t raises an
+    exponent.  Lifting to a larger denominator multiplies N by s or t, one
+    shift-and-subtract pass per power, and lowering it divides exactly, by
+    prefix sums for s and doubling for t, raising InexactDivisionError on
+    a remainder.  Sums lift both terms to the larger exponents, and two
+    values are equal when their numerators are over a common denominator.
+
+    >>> g0 = RationalGF(XVPoly([[0, 0, 0, 4]]), 0, 1)    # 4x^3 / (1 - 2x)
+    >>> g0.expand(5).coeff(0)
+    XSeries([0, 0, 0, 4, 8, 16], order=5)
+    >>> g0 == RationalGF(XVPoly([[0, 0, 0, 4, -4]]), 1, 1)
+    True
+    """
+
+    __slots__ = ("numerator", "s_power", "t_power")
+
+    def __init__(self, numerator: XVPoly, s_power: int = 0, t_power: int = 0):
+        if s_power < 0 or t_power < 0:
+            raise ValueError("denominator exponents must be >= 0")
+        self.numerator = numerator
+        self.s_power = s_power
+        self.t_power = t_power
+
+    def __repr__(self) -> str:
+        return f"RationalGF({self.numerator!r}, s_power={self.s_power}, t_power={self.t_power})"
+
+    @property
+    def vdegree(self) -> int:
+        return self.numerator.vdegree
+
+    def with_denominator(self, s_power: int, t_power: int) -> RationalGF:
+        """The same value over s^s_power t^t_power."""
+        if (s_power, t_power) == (self.s_power, self.t_power):
+            return self
+        cols = [p.coeffs for p in self.numerator.vcoeffs]
+        for k, old, new in ((1, self.s_power, s_power), (2, self.t_power, t_power)):
+            step = _times if new > old else _over
+            for _ in range(abs(new - old)):
+                cols = [step(cs, k) for cs in cols]
+        return RationalGF(XVPoly(cols), s_power, t_power)
+
+    def over(self, s_power: int = 0, t_power: int = 0) -> RationalGF:
+        """This value divided by s^s_power t^t_power; a negative power
+        multiplies."""
+        base = self.with_denominator(max(self.s_power, -s_power), max(self.t_power, -t_power))
+        return RationalGF(base.numerator, base.s_power + s_power, base.t_power + t_power)
+
+    def shift(self, x: int = 0, v: int = 0) -> RationalGF:
+        """This value times x^x v^v."""
+        return RationalGF(self.numerator.shift_x(x).shift_v(v), self.s_power, self.t_power)
+
+    def _common(self, other: RationalGF) -> tuple[XVPoly, XVPoly, int, int]:
+        a = max(self.s_power, other.s_power)
+        b = max(self.t_power, other.t_power)
+        return self.with_denominator(a, b).numerator, other.with_denominator(a, b).numerator, a, b
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalGF):
+            return NotImplemented
+        mine, theirs, _, _ = self._common(other)
+        return mine == theirs
+
+    __hash__ = None  # equal values may have different numerators
+
+    def __neg__(self) -> RationalGF:
+        return RationalGF(-self.numerator, self.s_power, self.t_power)
+
+    def __add__(self, other: RationalGF) -> RationalGF:
+        mine, theirs, a, b = self._common(other)
+        return RationalGF(mine + theirs, a, b)
+
+    def __sub__(self, other: RationalGF) -> RationalGF:
+        return self + (-other)
+
+    def __mul__(self, other: Union[XVPoly, IntPoly, int]) -> RationalGF:
+        return RationalGF(self.numerator * other, self.s_power, self.t_power)
+
+    def at_v_one(self) -> RationalGF:
+        """The value at v = 1."""
+        total = sum(self.numerator.vcoeffs, IntPoly())
+        return RationalGF(XVPoly([total]), self.s_power, self.t_power)
+
+    def at_v_sinv(self) -> RationalGF:
+        """The value at v = 1/s: Horner's rule sum_k N_k s^(d-k) on the
+        numerator N of v-degree d, with d added to the power of s."""
+        cols = self.numerator.vcoeffs
+        if not cols:
+            return self
+        acc = cols[0]
+        for p in cols[1:]:
+            acc = IntPoly(_times(acc.coeffs, 1)) + p
+        return RationalGF(XVPoly([acc]), self.s_power + len(cols) - 1, self.t_power)
+
+    def div_kernel(self) -> RationalGF:
+        """The exact quotient by the kernel 1 - sv, from the bottom:
+        Q_0 = N_0 and Q_k = N_k + s Q_(k-1).  A nonzero remainder
+        N_d + s Q_(d-1) raises ConsistencyError."""
+        cols = self.numerator.vcoeffs
+        quot: list[IntPoly] = []
+        carry = IntPoly()
+        for p in cols:
+            carry = p + IntPoly(_times(carry.coeffs, 1))
+            quot.append(carry)
+        if cols and quot.pop():
+            raise ConsistencyError(
+                f"kernel division left a nonzero remainder at v^{len(cols) - 1}"
+            )
+        return RationalGF(XVPoly(quot), self.s_power, self.t_power)
+
+    def expand(self, order: int) -> VPoly:
+        """The power series in x through x**order: one prefix-sum pass per
+        power of s and one doubling pass per power of t, per v-power.
+
+        >>> RationalGF(XVPoly([[1]]), 1, 1).expand(4).coeff(0)  # 1/(st)
+        XSeries([1, 3, 7, 15, 31], order=4)
+        """
+        out = []
+        for p in self.numerator.vcoeffs:
+            cs = XSeries(p.coeffs, order).coeffs
+            if self.t_power:
+                # A doubling pass on c_m is a prefix sum on c_m / 2^m: run
+                # the sums on c_m 2^(order-m) and scale back exactly.
+                cs = [c << (order - m) for m, c in enumerate(cs)]
+                for _ in range(self.t_power):
+                    cs = accumulate(cs)
+                cs = [c >> (order - m) for m, c in enumerate(cs)]
+            for _ in range(self.s_power):
+                cs = accumulate(cs)
+            out.append(XSeries(cs, order))
+        return VPoly(out, order)
 
 
 def xvpoly_extract_from_series(

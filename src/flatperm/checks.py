@@ -112,16 +112,20 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
         return True, ""
     _check(out, f"q=1 mass is n!, coefficients nonnegative, prefixes sum to g_n (n <= {IDENTITY_NMAX})", mass_and_sign)
 
+    # The table grows g_n(1k) by its short rules, g_n(12) = 2 g_(n-1)
+    # among them, so the next three lines compare it with the a-sum; the
+    # doubling line takes g_n(12) as the b-sum column minus the a-sum rows.
+    a = a_rows(IDENTITY_NMAX)
+
     def doubling_identity():
         for n in range(2, IDENTITY_NMAX + 1):
-            if table.g1k(n, 2) != table.g(n - 1) * 2:
+            rest = table.g(n)
+            for k in range(3, n + 1):
+                rest = rest - a_sum(table, n, a[k])
+            if rest != table.g(n - 1) * 2:
                 return False, f"n={n}"
         return True, ""
     _check(out, f"g_n(12) = 2 g_(n-1) for n <= {IDENTITY_NMAX}", doubling_identity)
-
-    # The table grows g_n(1k) by the three-term rule and the closed
-    # initial forms, so these two lines compare it with the a-sum.
-    a = a_rows(IDENTITY_NMAX)
 
     def three_term():
         for n in range(5, IDENTITY_NMAX + 1):

@@ -39,8 +39,9 @@ ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
 AVOIDERS_NMAX = 500
-#: Largest r for ``ctable`` and ``rational``: r = 20 takes about 2-3 s.
-PIPELINE_RMAX = 20
+#: Largest r for ``ctable`` and ``rational``: r = 40 takes 10-12 s on a
+#: shared 2-vCPU Xeon (Python 3.11), about half of it growing the table.
+PIPELINE_RMAX = 40
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
 WITNESS_MAX = 2000
@@ -314,16 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_gpoly)
 
+    r_help = f"at most {PIPELINE_RMAX} (10-12 s at the cap)"
     p = sub.add_parser("ctable", help="the polynomials c_{r,0..r}")
-    p.add_argument("--r", type=int, required=True, help=f"at most {PIPELINE_RMAX}")
-    p.add_argument("--order", type=int, help="truncation order override, at least 4r + 3")
+    p.add_argument("--r", type=int, required=True, help=r_help)
+    p.add_argument("--order", type=int,
+                   help="x-order through which G_r is compared with the recurrence tables "
+                        "(default 4r + 10), at least 4r + 3")
     common(p)
     p.set_defaults(fn=_cmd_ctable)
 
     p = sub.add_parser("rational", help="rational closed form of G_r")
-    p.add_argument("--r", type=int, required=True, help=f"at most {PIPELINE_RMAX}")
+    p.add_argument("--r", type=int, required=True, help=r_help)
     p.add_argument("--order", type=int,
-                   help="truncation order override, at least 4r + 3 (7 for r = 0)")
+                   help="x-order through which G_r is compared with the recurrence tables "
+                        "(default 4r + 10), at least 4r + 3 (7 for r = 0)")
     common(p)
     p.set_defaults(fn=_cmd_rational)
 

@@ -5,17 +5,19 @@
 where g_{n,r}(1i) counts permutations of length n whose flattening starts
 1, i and has exactly r occurrences of 13-2.
 
-With s = 1 - x and t = 1 - 2x (both units of the integer series ring),
-G_r satisfies a functional equation whose kernel factor is (1 - s v).
-Solving it once for the base case gives G_0 = 4x^3/t, and substituting
-the kernel root v = 1/s turns the equation into an explicit recurrence
-expressing G_r through G_1, ..., G_{r-1} plus finite boundary data (the
-values g_{r+2,r}(1i) and g_{n+3,j}(1k) with n <= r-2).  Every division on
-this route is by a unit series, a power of x, or the constant 2, so the
-whole computation stays in exact integers and any structural failure is
-detected, not rounded away.
+With s = 1 - x and t = 1 - 2x, G_r satisfies a functional equation whose
+kernel factor is (1 - s v).  Solving it once for the base case gives
+G_0 = 4x^3/t, and substituting the kernel root v = 1/s turns the equation
+into an explicit recurrence expressing G_r through G_0, ..., G_{r-1} plus
+finite boundary data (the values g_{r+2,r}(1i) and g_{n+3,j}(1k) with
+n <= r-2).  Every quantity on this route lies in Z[x, v][1/s, 1/t] and is
+carried exactly as a ``RationalGF``: an integer numerator over
+s^a t^b.  Substituting v = 1/s is Horner's rule on the numerator, the
+kernel is divided out exactly, and each G_r is brought to the denominator
+s^{2r-1} t^{r+1} by exact division, so the rationality theorem is proved
+for each r by integer arithmetic, with no truncated series.
 
-From G_r the pipeline certifies and extracts the integer polynomial
+From G_r the pipeline extracts the integer polynomial
 
     P_r(x, v) = s^{2r-1} t^{r+1} / (2 x^{r+3}) * G_r(x, v),
 
@@ -23,8 +25,10 @@ its structured decomposition
 
     P_r = 2 c_{r,0}(x) + sum_{l=1}^{r} c_{r,l}(x) s^{l-1} t^l v^l,
 
-and the rational closed form G_r = 2 x^{r+3} P_r / (s^{2r-1} t^{r+1}),
-each re-verified against the independent recurrence tables.
+and the rational closed form G_r = 2 x^{r+3} P_r / (s^{2r-1} t^{r+1}).
+Each G_r and each closed form is expanded through the pipeline's order
+and compared, coefficient by coefficient, with the independent recurrence
+tables.
 """
 
 from __future__ import annotations
@@ -32,34 +36,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    ConsistencyError,
-    IntPoly,
-    VPoly,
-    XSeries,
-    XVPoly,
-    vpoly_div_kernel,
-    xvpoly_extract_from_series,
-)
+from .algebra import ConsistencyError, IntPoly, RationalGF, VPoly, XVPoly
 from .recurrence import GTable
 
 S_POLY = IntPoly([1, -1])   # s = 1 - x
 T_POLY = IntPoly([1, -2])   # t = 1 - 2x
+ONE_MINUS_V = XVPoly([[1], [-1]])
+TWO_MINUS_V = XVPoly([[2], [-1]])
+KERNEL = XVPoly([[1], S_POLY * -1])  # 1 - s v
+G_0 = RationalGF(XVPoly([IntPoly.term(4, 3)]), 0, 1)  # 4x^3/t
 
 DEFAULT_R_MAX = 6
 
 
 def default_order(r: int) -> int:
-    """Truncation order 4r + 10: enough for the degree-(4r+2) numerator of
-    G_r plus eight guard coefficients to make vanishing-tail checks real."""
+    """Default order 4r + 10 of the table cross-check: the numerator
+    2x^(r+3) P_r of G_r has x-degree at most 4r + 2, and eight more
+    coefficients are compared past it."""
     return 4 * r + 10
 
 
 def min_order(r: int) -> int:
-    """Smallest truncation order 4r + 3 at which the vanishing-tail check
-    on P_r sees a coefficient: P_r is read off x^(r+3) .. x^order of
-    s^(2r-1) t^(r+1) G_r and has x-degree at most 3r - 1, so its tail
-    starts at x^(4r+3)."""
+    """Smallest order 4r + 3 accepted for the table cross-check: the
+    coefficients x^0 .. x^(4r+3) of G_r outnumber those of its numerator
+    2x^(r+3) P_r (x-degree at most 4r + 2), so over the known denominator
+    s^(2r-1) t^(r+1) the compared coefficients alone determine G_r."""
     return 4 * r + 3
 
 
@@ -68,12 +69,13 @@ def t_poly(h: int) -> XVPoly:
 
         T_h(x, v) = 1 - (1 - 2x)(1 - v) sum_{k=0}^{h-1} (1 - x)^k v^k,
 
-    an integer polynomial of v-degree h."""
+    an integer polynomial of v-degree h.  Route one of
+    ``Pipeline.htilde_over_kernel`` forms each product T_h X_h from this
+    definition directly."""
     if h < 1:
         raise ValueError("h must be >= 1")
     geo = XVPoly([S_POLY**k for k in range(h)])
-    one_minus_v = XVPoly([IntPoly([1]), IntPoly([-1])])
-    return XVPoly([IntPoly([1])]) - geo * one_minus_v * XVPoly([T_POLY])
+    return XVPoly([IntPoly([1])]) - geo * ONE_MINUS_V * XVPoly([T_POLY])
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,6 @@ class BoundaryData:
         """sum_i g_{r+2,r}(1i) v^{i-2} as a polynomial in v alone."""
         return XVPoly([IntPoly([c]) for c in self.top_row])
 
-    def inner_poly(self, n: int, j: int) -> XVPoly:
-        """sum_k g_{n+3,j}(1k) v^{k-2} for one inner (n, j) cell."""
-        return XVPoly([IntPoly([self.inner[n, j, k]]) for k in range(2, j + 3)])
-
 
 @dataclass(frozen=True)
 class CTable:
@@ -110,41 +108,18 @@ class CTable:
         return self.polys[ell]
 
 
-@dataclass(frozen=True)
-class RationalGF:
-    """G_r as the rational function
-
-        numerator / ((1 - x)^s_power (1 - 2x)^t_power),
-
-    with numerator = 2 x^{r+3} P_r(x, v) (or 4x^3 for r = 0)."""
-
-    r: int
-    numerator: XVPoly
-    s_power: int
-    t_power: int
-
-    def expand(self, order: int) -> VPoly:
-        """Re-expand the rational form as a truncated series in x."""
-        s_inv = XSeries(S_POLY, order).inverse()
-        t_inv = XSeries(T_POLY, order).inverse()
-        factor = XSeries.one(order)
-        for _ in range(self.s_power):
-            factor = factor * s_inv
-        for _ in range(self.t_power):
-            factor = factor * t_inv
-        return self.numerator.to_vpoly(order) * factor
-
-
 class Pipeline:
     """Memoized exact computation of G_r, P_r, the c tables and the
-    rational closed forms for all r up to r_max, at one unified
-    truncation order (default 4 * r_max + 10, at least 4 * r_max + 3).
+    rational closed forms for all r up to r_max, each G_r cross-checked
+    against the recurrence tables through one order (default
+    4 * r_max + 10, at least 4 * r_max + 3).
 
     Every stage re-verifies itself: the two independent routes to
-    H~_r/(1 - sv) must agree, kernel divisions must leave no remainder,
-    extracted polynomials must have even/vanishing parts exactly where
-    claimed, and all series coefficients are compared against the
-    q-polynomial recurrence tables.
+    H~_r/(1 - sv) must agree exactly, kernel divisions must leave no
+    remainder, each G_r must divide down exactly to the denominator
+    s^(2r-1) t^(r+1), extracted polynomials must be divisible and of
+    bounded degree exactly where claimed, and every coefficient of G_r
+    through the order is compared with the q-polynomial recurrence tables.
 
     The tables are read only at q^r with r <= r_max.  Given no ``table``
     (as for the ``ctable`` and ``rational`` commands), the pipeline builds
@@ -168,28 +143,17 @@ class Pipeline:
         self.order = default_order(r_max) if order is None else order
         if self.order < min_order(r_max):
             raise ValueError(
-                f"order {self.order} too small for r_max {r_max}: "
-                f"need at least {min_order(r_max)} so that the vanishing-tail checks see a coefficient"
+                f"order {self.order} too small for r_max {r_max}: need at least "
+                f"{min_order(r_max)} so that the table cross-check covers the numerator of G_r"
             )
         self.table = table if table is not None else GTable(2, q_top=r_max)
-        n = self.order
-        self.s = XSeries(S_POLY, n)
-        self.t = XSeries(T_POLY, n)
-        self.s_inv = self.s.inverse()
-        self.t_inv = self.t.inverse()
-        self._s_inv_pows: list[XSeries] = [XSeries.one(n)]
         self._boundary: dict[int, BoundaryData] = {}
-        self._g: dict[int, VPoly] = {}
-        self._g_at_sinv: dict[int, XSeries] = {}
+        self._g: list[RationalGF] = []
+        # The running sums V_r and K_r of the recurrence for G_r, for the
+        # next r to derive.
+        self._v_sum = self._k_sum = RationalGF(XVPoly())
         self._p: dict[int, XVPoly] = {}
         self._c: dict[int, CTable] = {}
-
-    # -- helpers ----------------------------------------------------------
-
-    def _sinv_pow(self, m: int) -> XSeries:
-        while len(self._s_inv_pows) <= m:
-            self._s_inv_pows.append(self._s_inv_pows[-1] * self.s_inv)
-        return self._s_inv_pows[m]
 
     def _check_r(self, r: int) -> None:
         if not 0 <= r <= self.r_max:
@@ -227,22 +191,15 @@ class Pipeline:
               - x (1-v) sum_{n=0}^{r-2} sum_{j=0}^{n} v^{r-j} G_{n+3,j}(v) x^n.
         """
         bd = self.boundary(r)
-        two_minus_v = XVPoly([IntPoly([2]), IntPoly([-1])])
-        one_minus_v = XVPoly([IntPoly([1]), IntPoly([-1])])
         top = bd.top_poly()
         top_at_1 = sum(bd.top_row)
-        h = (two_minus_v * top_at_1).shift_x(r) - top.shift_v(1).shift_x(r)
-        inner_sum = XVPoly()
-        for n in range(r - 1):
-            for j in range(n + 1):
-                inner_sum = inner_sum + bd.inner_poly(n, j).shift_v(r - j).shift_x(n)
-        return h - (one_minus_v * inner_sum).shift_x(1)
+        h = (TWO_MINUS_V * top_at_1).shift_x(r) - top.shift_v(1).shift_x(r)
+        inner_sum = [[0] * max(r - 1, 0) for _ in range(r + 1)]  # [v-power][x-power]
+        for (n, j, k), val in bd.inner.items():
+            inner_sum[r - j + k - 2][n] += val
+        return h - (ONE_MINUS_V * XVPoly(inner_sum)).shift_x(1)
 
-    def h_series(self, r: int) -> VPoly:
-        """H_r at the pipeline truncation order."""
-        return self.h_poly(r).to_vpoly(self.order)
-
-    def htilde_over_kernel(self, r: int) -> VPoly:
+    def htilde_over_kernel(self, r: int) -> RationalGF:
         """H~_r(x, v)/(1 - sv), computed two independent ways.
 
         Route one assembles the expanded form directly from boundary data:
@@ -252,127 +209,140 @@ class Pipeline:
 
         The inner cells depend on (j, k) only through h = r-j+k-2, which
         takes at most r - 1 values, so their x^{n+1} terms are summed into
-        one polynomial per h and T_h is multiplied in once per h.
+        one polynomial X_h per h.  Each T_h X_h is formed from the
+        definition of T_h as X_h - (1-v) sum_{k<h} v^k s^k t X_h, one
+        product by s per power.  The terms are summed in ascending powers
+        of s, so each addition lifts the running sum by one pass per new
+        power.
 
         Route two forms H~_r = H_r(x,v) - (2-v)(s/t) H_r(x, 1/s) and divides
-        out the kernel factor by exact long division.  The two must agree
-        coefficient-for-coefficient up to truncation.
+        out the kernel factor exactly.  The two must be equal as exact
+        values over one denominator.
         """
         self._check_r(r)
         bd = self.boundary(r)
-        n = self.order
 
-        expanded = VPoly.zero(n)
+        terms = []
+        vpart = [IntPoly([2, -2])]  # v^0 of 1 + t*sum: 1 + t = 2 - 2x
+        ts = T_POLY
         for i in range(2, r + 3):
+            if i > 2:
+                ts = ts * S_POLY  # t s^(i-2), the v^(i-2) part of 1 + t*sum
+                vpart.append(ts)
             gi = bd.top(i)
-            if gi == 0:
-                continue
-            base = (self.t_inv * gi * self._sinv_pow(i - 1)).mul_xpow(r)
-            vpart = [base * IntPoly([2, -2])]  # v^0 of 1 + t*sum: 1 + t = 2 - 2x
-            for k in range(1, i - 1):
-                vpart.append(base * (T_POLY * S_POLY**k))
-            expanded = expanded + VPoly(vpart, n)
-        by_h: dict[int, IntPoly] = {}
+            if gi:
+                terms.append(RationalGF(XVPoly(vpart).shift_x(r) * gi, i - 1, 1))
+        by_h: dict[int, list[int]] = {}
         for (m, j, k), val in bd.inner.items():
             if val:
-                h = r - j + k - 2
-                by_h[h] = by_h.get(h, IntPoly()) + IntPoly.term(val, m + 1)
+                by_h.setdefault(r - j + k - 2, [0] * r)[m + 1] -= val
         for h, xpoly in by_h.items():
-            factor = self.t_inv * self._sinv_pow(h) * xpoly
-            expanded = expanded - t_poly(h).to_vpoly(n) * factor
+            geo = [IntPoly(xpoly) * T_POLY]
+            for _ in range(h - 1):
+                geo.append(geo[-1] * S_POLY)
+            th_x = XVPoly([xpoly]) - XVPoly(geo) + XVPoly(geo).shift_v(1)
+            terms.append(RationalGF(th_x, h, 1))
+        expanded = RationalGF(XVPoly())
+        for term in sorted(terms, key=lambda gf: gf.s_power):
+            expanded = expanded + term
 
-        hv = self.h_series(r)
-        h_at_sinv = hv.subst_v(self.s_inv)
-        w = h_at_sinv * self.s * self.t_inv
-        htilde = hv - VPoly([w * 2, -w], n)
-        divided = vpoly_div_kernel(htilde, self.s, r)
+        hv = RationalGF(self.h_poly(r))
+        divided = (hv - (hv.at_v_sinv() * TWO_MINUS_V).over(-1, 1)).div_kernel()
 
-        if not expanded.matches(divided):
-            raise ConsistencyError(
-                f"the two routes to H~_{r}/(1-sv) disagree at order {n}"
-            )
+        if expanded != divided:
+            raise ConsistencyError(f"the two routes to H~_{r}/(1-sv) disagree")
         return expanded
 
-    # -- the G series -------------------------------------------------------
+    # -- G_r ----------------------------------------------------------------
 
-    def g_series(self, r: int) -> VPoly:
-        """G_r(x, v) as a v-polynomial over truncated integer series.
+    def g_exact(self, r: int) -> RationalGF:
+        """G_r(x, v) exactly, over s^(2r-1) t^(r+1) (over t for r = 0).
 
         G_0 = 4x^3/t.  For r >= 1 the solved functional equation gives
 
-            G_r = [ (4x^4/t)((1-v)v^r + x(2-v)/(s^r t))
-                    + x sum_{j=1}^{r-1} ((1-v)v^{r-j} G_j + x(2-v) G_j(x,1/s)/(s^{r-j} t))
-                  ] / (1 - sv)
+            G_r = [ x(1-v) V_r + x^2 (2-v) K_r / t ] / (1 - sv)
                   + x^3 * (H~_r/(1 - sv)),
+            V_r = sum_{j<r} v^{r-j} G_j,   K_r = sum_{j<r} s^{j-r} G_j(x, 1/s),
 
-        where the bracket is divided by the kernel exactly.  Every series
-        coefficient through the truncation order is then compared with the
-        q-polynomial recurrence: [x^n v^{i-2}] G_r = g_{n,r}(1i).
+        where the bracket is divided by the kernel exactly.  The sums are
+        kept Horner style, V_r = v (V_{r-1} + G_{r-1}) and
+        K_r = (K_{r-1} + G_{r-1}(x, 1/s))/s, so each r adds one term to
+        each.  G_r is then divided exactly down to s^(2r-1) t^(r+1), and its
+        expansion through the order is compared with the q-polynomial
+        recurrence: [x^n v^{i-2}] G_r = g_{n,r}(1i).
         """
         self._check_r(r)
-        if r in self._g:
-            return self._g[r]
-        n = self.order
-        if r == 0:
-            g = VPoly([XSeries(IntPoly.term(4, 3), n).divexact(self.t)], n)
-        else:
-            w = self.t_inv.mul_xpow(4) * 4
-            bracket = VPoly([w], n).shift_v(r) - VPoly([w], n).shift_v(r + 1)
-            u = w * self._sinv_pow(r) * self.t_inv
-            bracket = bracket + VPoly([(u * 2).mul_xpow(1), -u.mul_xpow(1)], n)
-            for j in range(1, r):
-                gj = self.g_series(j)
-                bracket = bracket + (gj.shift_v(r - j) - gj.shift_v(r - j + 1)).mul_xpow(1)
-                uj = self.g_at_sinv(j) * self._sinv_pow(r - j) * self.t_inv
-                bracket = bracket + VPoly([(uj * 2).mul_xpow(2), -uj.mul_xpow(2)], n)
-            g = vpoly_div_kernel(bracket, self.s, r) + self.htilde_over_kernel(r).mul_xpow(3)
+        while len(self._g) <= r:
+            self._derive_next()
+        return self._g[r]
 
+    def _derive_next(self) -> None:
+        r = len(self._g)
+        v_sum, k_sum = self._v_sum, self._k_sum
+        if r == 0:
+            g = G_0
+        else:
+            prev = self._g[-1]
+            v_sum = (v_sum + prev).shift(v=1)
+            k_sum = (k_sum + prev.at_v_sinv()).over(1)
+            bracket = (v_sum * ONE_MINUS_V).shift(x=1) + (k_sum * TWO_MINUS_V).over(0, 1).shift(x=2)
+            # The bracket's quotient divides down on its own; the sum needs
+            # the second step only at r = 1, where H~_1 carries s^2.
+            g = bracket.div_kernel().with_denominator(2 * r - 1, r + 1)
+            g = (g + self.htilde_over_kernel(r).shift(x=3)).with_denominator(2 * r - 1, r + 1)
         if g.vdegree > r:
             raise ConsistencyError(f"G_{r} has v-degree {g.vdegree} > {r}")
-        self._verify_g_against_table(r, g)
-        self._g[r] = g
-        return g
+        self._verify_against_table(r, g)
+        self._v_sum, self._k_sum = v_sum, k_sum
+        self._g.append(g)
 
-    def _verify_g_against_table(self, r: int, g: VPoly) -> None:
+    def _verify_against_table(self, r: int, g: RationalGF) -> None:
+        series = g.expand(self.order)
         for i in range(2, r + 3):
-            series = g.coeff(i - 2)
+            coeffs = series.coeff(i - 2).coeffs
             for m in range(min(r + 3, self.order + 1)):
-                if series.coeffs[m] != 0:
+                if coeffs[m] != 0:
                     raise ConsistencyError(
                         f"G_{r} has a nonzero coefficient at x^{m} below x^{r + 3}"
                     )
             for m in range(r + 3, self.order + 1):
                 want = self.table.coeff(m, r, i)
-                if series.coeffs[m] != want:
+                if coeffs[m] != want:
                     raise ConsistencyError(
-                        f"[x^{m} v^{i - 2}] G_{r} = {series.coeffs[m]} "
-                        f"but the recurrence gives {want}"
+                        f"[x^{m} v^{i - 2}] G_{r} = {coeffs[m]} but the recurrence "
+                        f"gives {want} (n={m}, r={r}, i={i})"
                     )
 
-    def g_at_sinv(self, r: int) -> XSeries:
-        """G_r(x, 1/s), memoized."""
-        if r not in self._g_at_sinv:
-            self._g_at_sinv[r] = self.g_series(r).subst_v(self.s_inv)
-        return self._g_at_sinv[r]
+    def g_series(self, r: int) -> VPoly:
+        """G_r(x, v) expanded through the pipeline's order, as a
+        v-polynomial over truncated integer series."""
+        return self.g_exact(r).expand(self.order)
 
     # -- extraction ---------------------------------------------------------
 
     def p_poly(self, r: int) -> XVPoly:
         """The certified integer polynomial P_r(x, v), of v-degree exactly
-        r and x-degree at most 3r - 1."""
+        r and x-degree at most 3r - 1: the numerator of G_r over
+        s^(2r-1) t^(r+1), divided exactly by 2 x^(r+3)."""
         self._check_r(r)
         if r < 1:
             raise ValueError("P_r is defined for r >= 1 only")
         if r in self._p:
             return self._p[r]
-        pre = XVPoly([S_POLY ** (2 * r - 1) * T_POLY ** (r + 1)])
-        p = xvpoly_extract_from_series(
-            self.g_series(r),
-            pre,
-            divide_x_power=r + 3,
-            divide_const=2,
-            degree_bound_x=3 * r - 1,
-        )
+        cols = []
+        for k, num in enumerate(self.g_exact(r).numerator.vcoeffs):
+            if any(num.coeffs[: r + 3]):
+                raise ConsistencyError(
+                    f"v^{k} coefficient of the numerator of G_{r} is not divisible by x^{r + 3}"
+                )
+            col = IntPoly(num.coeffs[r + 3 :]).divexact_const(2)
+            if col.degree > 3 * r - 1:
+                raise ConsistencyError(
+                    f"v^{k} coefficient has a nonzero term at x^{col.degree}, "
+                    f"beyond the degree bound {3 * r - 1}"
+                )
+            cols.append(col)
+        p = XVPoly(cols)
         if p.vdegree != r:
             raise ConsistencyError(f"P_{r} has v-degree {p.vdegree}, expected {r}")
         self._p[r] = p
@@ -410,52 +380,46 @@ class Pipeline:
         return ct
 
     def rational_gf(self, r: int) -> RationalGF:
-        """Package G_r as a rational function and re-expand it, checking
-        the expansion against the series route."""
+        """G_r as the closed form 2 x^{r+3} P_r / (s^{2r-1} t^{r+1})
+        (4x^3/t for r = 0), re-expanded through the order and compared
+        with the recurrence tables."""
         self._check_r(r)
         if r == 0:
-            gf = RationalGF(0, XVPoly([IntPoly.term(4, 3)]), 0, 1)
+            gf = G_0
         else:
-            gf = RationalGF(r, self.p_poly(r).shift_x(r + 3) * 2, 2 * r - 1, r + 1)
-        if not gf.expand(self.order).matches(self.g_series(r)):
-            raise ConsistencyError(f"rational form of G_{r} fails to re-expand")
+            gf = RationalGF(self.p_poly(r).shift_x(r + 3) * 2, 2 * r - 1, r + 1)
+        self._verify_against_table(r, gf)
         return gf
 
-    # -- identity checks and reports ----------------------------------------
+    # -- identity checks ------------------------------------------------------
 
     def check_functional_equation(self, r: int) -> bool:
-        """The pre-kernel functional equation for G_r as a truncated-series
-        identity:
+        """The pre-kernel functional equation for G_r as an exact identity,
+        both sides over one denominator:
 
             (1 - v + vx) G_r = x(1-v) sum_{j<r} v^{r-j} G_j
                                + x(2-v) G_r(x, 1) + x^3 H_r.
         """
         self._check_r(r)
-        n = self.order
-        g = self.g_series(r)
-        lhs = g * VPoly([XSeries.one(n), -self.s], n)
-        acc = VPoly.zero(n)
+        g = self.g_exact(r)
+        acc = RationalGF(XVPoly())
         for j in range(r):
-            acc = acc + self.g_series(j).shift_v(r - j)
-        one_minus_v = VPoly([XSeries.one(n), -XSeries.one(n)], n)
-        rhs = (one_minus_v * acc).mul_xpow(1)
-        g1 = g.eval_v_one()
-        rhs = rhs + VPoly([(g1 * 2).mul_xpow(1), -g1.mul_xpow(1)], n)
-        rhs = rhs + self.h_series(r).mul_xpow(3)
-        return lhs.matches(rhs)
+            acc = acc + self.g_exact(j).shift(v=r - j)
+        rhs = (acc * ONE_MINUS_V + g.at_v_one() * TWO_MINUS_V).shift(x=1)
+        rhs = rhs + RationalGF(self.h_poly(r)).shift(x=3)
+        return g * KERNEL == rhs
 
     def check_kernel_root(self, r: int) -> bool:
-        """The kernel-root consequence of the functional equation:
+        """The kernel-root consequence of the functional equation, as an
+        exact identity:
 
             G_r(x, 1) = (x/t) sum_{j<r} s^{j-r} G_j(x, 1/s)
                         - (x^2 s / t) H_r(x, 1/s).
         """
         self._check_r(r)
-        lhs = self.g_series(r).eval_v_one()
-        acc = XSeries.zero(self.order)
+        acc = RationalGF(XVPoly())
         for j in range(r):
-            acc = acc + self._sinv_pow(r - j) * self.g_at_sinv(j)
-        rhs = (self.t_inv * acc).mul_xpow(1)
-        h_at = self.h_series(r).subst_v(self.s_inv)
-        rhs = rhs - (h_at * self.s * self.t_inv).mul_xpow(2)
-        return lhs.matches(rhs)
+            acc = acc + self.g_exact(j).at_v_sinv().over(r - j)
+        h_at = RationalGF(self.h_poly(r)).at_v_sinv()
+        rhs = acc.over(0, 1).shift(x=1) - h_at.over(-1, 1).shift(x=2)
+        return self.g_exact(r).at_v_one() == rhs

@@ -12,6 +12,7 @@ from flatperm.algebra import (
     ConsistencyError,
     InexactDivisionError,
     IntPoly,
+    RationalGF,
     VPoly,
     XSeries,
     XVPoly,
@@ -20,6 +21,7 @@ from flatperm.algebra import (
     xvpoly_extract_from_series,
     xvpoly_json,
 )
+from series_reference import expand_by_products
 
 coeffs = st.lists(st.integers(-9, 9), max_size=6)
 polys = coeffs.map(IntPoly)
@@ -36,8 +38,10 @@ unit_series = st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(-9, 9), m
     lambda t: XSeries([t[0]] + t[1], ORDER)
 )
 
-S = XSeries(IntPoly([1, -1]), ORDER)   # 1 - x
-T = XSeries(IntPoly([1, -2]), ORDER)   # 1 - 2x
+S_POLY = IntPoly([1, -1])   # s = 1 - x
+T_POLY = IntPoly([1, -2])   # t = 1 - 2x
+S = XSeries(S_POLY, ORDER)
+T = XSeries(T_POLY, ORDER)
 
 
 def test_docstring_examples():
@@ -252,6 +256,57 @@ class TestXVPoly:
             "vars": ["x", "v"],
             "matrix": [["1", "0"], ["0", "-3"]],
         }
+
+
+xvpolys = st.lists(polys, max_size=4).map(XVPoly)
+rationals = st.builds(RationalGF, xvpolys, st.integers(0, 3), st.integers(0, 3))
+KERNEL = XVPoly([[1], [-1, 1]])   # 1 - sv
+
+
+class TestRationalGF:
+    @given(rationals, st.integers(0, 3), st.integers(0, 3))
+    def test_lift_then_divide_round_trip(self, gf, i, j):
+        up = gf.with_denominator(gf.s_power + i, gf.t_power + j)
+        assert up == gf and up.numerator == gf.numerator * (S_POLY**i * T_POLY**j)
+        back = up.with_denominator(gf.s_power, gf.t_power)
+        assert back.numerator == gf.numerator
+
+    @given(rationals)
+    def test_expand_matches_series_products(self, gf):
+        assert gf.expand(ORDER).matches(expand_by_products(gf, ORDER))
+        assert gf.expand(ORDER).order == ORDER
+
+    @given(rationals)
+    def test_at_v_sinv_matches_series_substitution(self, gf):
+        want = expand_by_products(gf, ORDER).subst_v(S.inverse())
+        assert gf.at_v_sinv().expand(ORDER).coeff(0) == want
+
+    @given(rationals, rationals)
+    def test_sum_matches_series_sum(self, a, b):
+        assert (a + b).expand(ORDER).matches(a.expand(ORDER) + b.expand(ORDER))
+        assert (a - b) + b == a
+
+    @given(rationals)
+    def test_kernel_division_inverts_multiplication(self, gf):
+        assert (gf * KERNEL).div_kernel().numerator == gf.numerator
+
+    def test_kernel_remainder_raises(self):
+        with pytest.raises(ConsistencyError, match="remainder at v\\^1"):
+            RationalGF(XVPoly([[1], [1]])).div_kernel()  # 1 + v
+
+    @pytest.mark.parametrize("s_power, t_power", [(1, 0), (0, 1)])
+    def test_inexact_normalisation_raises(self, s_power, t_power):
+        gf = RationalGF(XVPoly([[1, 0, 1]]), s_power, t_power)  # 1 + x^2 over s or t
+        with pytest.raises(InexactDivisionError):
+            gf.with_denominator(0, 0)
+
+    def test_over_with_negative_power_multiplies(self):
+        gf = RationalGF(XVPoly([[3]]), 0, 1).over(-2, 1)  # 3 s^2 / t^2
+        assert (gf.numerator, gf.s_power, gf.t_power) == (XVPoly([S_POLY**2 * 3]), 0, 2)
+
+    def test_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            RationalGF(XVPoly([[1]]), -1, 0)
 
 
 def _double_loop_product(a, b) -> list[int]:

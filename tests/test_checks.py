@@ -100,3 +100,20 @@ def test_row_checks_see_a_corrupted_table(capsys, monkeypatch, cell, failing, de
     (good,) = [line for line in lines if passing in line]
     assert bad.startswith("FAIL  ") and bad.endswith(f"[{detail}]")
     assert good.startswith("PASS  ")
+
+
+DOUBLING = "g_n(12) = 2 g_(n-1)"
+
+
+def test_doubling_check_sees_a_corrupted_column(capsys, monkeypatch):
+    """The table's own rule takes g_n(12) as 2 g_(n-1), so the doubling
+    line compares it with the b-sum column minus the a-sum rows."""
+
+    class OffByTwo(GTable):
+        def g(self, n):
+            return super().g(n) + (IntPoly([0, 2]) if n == 6 else IntPoly())
+
+    monkeypatch.setattr(checks, "GTable", OffByTwo)
+    assert main(["verify", "--suite", "recurrence", "--n", "3"]) == EXIT_CHECK_FAILED
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if DOUBLING in line]
+    assert line.startswith("FAIL  ") and line.endswith("[n=6]")

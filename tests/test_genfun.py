@@ -6,8 +6,11 @@ import pytest
 
 from flatperm import perms
 from flatperm._reference import REFERENCE_CTABLES
-from flatperm.algebra import IntPoly, VPoly, XSeries, XVPoly
-from flatperm.genfun import S_POLY, T_POLY, Pipeline, default_order, t_poly
+from flatperm import algebra
+from flatperm.algebra import ConsistencyError, IntPoly, RationalGF, VPoly, XSeries, XVPoly
+from flatperm.genfun import S_POLY, T_POLY, BoundaryData, Pipeline, t_poly
+from flatperm.recurrence import GTable
+from series_reference import SeriesPipeline, expand_by_products
 
 
 class TestTPoly:
@@ -65,16 +68,14 @@ class TestHLayer:
 
     def test_htilde_r0_is_4_over_t(self, pipeline6):
         ht = pipeline6.htilde_over_kernel(0)
-        assert ht.vdegree == 0
-        assert ht.coeff(0).coeffs[:5] == (4, 8, 16, 32, 64)
+        assert ht == RationalGF(XVPoly([[4]]), 0, 1)
+        assert ht.expand(4).coeff(0).coeffs == (4, 8, 16, 32, 64)
 
     def test_htilde_r1(self, pipeline6):
         # 2x (2 + t v) / (s t)
         ht = pipeline6.htilde_over_kernel(1)
-        st_inv = (pipeline6.s * pipeline6.t).inverse()
         assert ht.vdegree == 1
-        assert ht.coeff(0) == (st_inv * 4).mul_xpow(1)
-        assert ht.coeff(1) == (st_inv * T_POLY * 2).mul_xpow(1)
+        assert ht == RationalGF(XVPoly([[0, 4], T_POLY * IntPoly([0, 2])]), 1, 1)
 
     @pytest.mark.parametrize("r", range(0, 5))
     def test_dual_routes_never_disagree(self, pipeline6, r):
@@ -82,37 +83,30 @@ class TestHLayer:
 
     @pytest.mark.parametrize("r", range(0, 7))
     def test_route_one_grouped_by_h_matches_per_cell(self, pipeline6, r):
-        assert pipeline6.order == default_order(6)
-        got = pipeline6.htilde_over_kernel(r)
-        want = _route_one_per_cell(pipeline6, r)
-        assert got.order == want.order and got.matches(want)
+        assert pipeline6.htilde_over_kernel(r) == _route_one_per_cell(pipeline6, r)
+
+    def test_corrupted_top_row_makes_routes_disagree(self, table, monkeypatch):
+        # Route one reads the top row entry by entry; route two reads it
+        # through H_r, so a changed entry is seen by route one alone.
+        real = BoundaryData.top
+        monkeypatch.setattr(BoundaryData, "top", lambda bd, i: real(bd, i) + 2 * (i == 3))
+        with pytest.raises(ConsistencyError, match="routes to H~_3/\\(1-sv\\) disagree"):
+            Pipeline(r_max=3, table=table).htilde_over_kernel(3)
 
 
-def _route_one_per_cell(pl: Pipeline, r: int) -> VPoly:
+def _route_one_per_cell(pl: Pipeline, r: int) -> RationalGF:
     """Route one to H~_r/(1 - sv) with one T_h multiply per inner boundary
-    cell: the reference for the grouped form in Pipeline.htilde_over_kernel."""
+    cell, summed in cell order: the reference for the grouped form in
+    Pipeline.htilde_over_kernel."""
     bd = pl.boundary(r)
-    n = pl.order
-    sinv_pows = [XSeries.one(n)]
-    for _ in range(r + 1):
-        sinv_pows.append(sinv_pows[-1] * pl.s_inv)
-    expanded = VPoly.zero(n)
+    total = RationalGF(XVPoly())
     for i in range(2, r + 3):
-        gi = bd.top(i)
-        if gi == 0:
-            continue
-        base = (pl.t_inv * gi * sinv_pows[i - 1]).mul_xpow(r)
-        vpart = [base * IntPoly([2, -2])]
-        for k in range(1, i - 1):
-            vpart.append(base * (T_POLY * S_POLY**k))
-        expanded = expanded + VPoly(vpart, n)
+        vpart = [IntPoly([2, -2])] + [T_POLY * S_POLY**k for k in range(1, i - 1)]
+        total = total + RationalGF(XVPoly(vpart).shift_x(r) * bd.top(i), i - 1, 1)
     for (m, j, k), val in bd.inner.items():
-        if val == 0:
-            continue
         h = r - j + k - 2
-        factor = (pl.t_inv * val * sinv_pows[h]).mul_xpow(m + 1)
-        expanded = expanded - t_poly(h).to_vpoly(n) * factor
-    return expanded
+        total = total - RationalGF(t_poly(h) * IntPoly.term(val, m + 1), h, 1)
+    return total
 
 
 class TestGSeries:
@@ -212,6 +206,91 @@ class TestIdentities:
     @pytest.mark.parametrize("r", range(0, 4))
     def test_kernel_root(self, pipeline6, r):
         assert pipeline6.check_kernel_root(r)
+
+    @pytest.mark.parametrize("check", ["check_functional_equation", "check_kernel_root"])
+    def test_corrupted_g_fails_the_identity(self, table, monkeypatch, check):
+        pl = Pipeline(r_max=3, table=table)
+        real = pl.g_exact
+        bump = RationalGF(XVPoly([IntPoly.term(2, 8)]), 5, 4)
+        monkeypatch.setattr(pl, "g_exact", lambda j: real(j) + bump if j == 3 else real(j))
+        assert getattr(pl, check)(2)
+        assert not getattr(pl, check)(3)
+
+
+class TestSeriesReference:
+    """The exact route against the truncated-series derivation it replaced."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, table):
+        pl = Pipeline(r_max=8, table=table)
+        return pl, SeriesPipeline(pl)
+
+    @pytest.mark.parametrize("r", range(0, 9))
+    def test_same_values(self, pair, r):
+        pl, ref = pair
+        assert pl.g_series(r).order == ref.order == 4 * 8 + 10
+        assert pl.g_series(r).matches(ref.g_series(r))
+        assert pl.htilde_over_kernel(r).expand(ref.order).matches(ref.htilde_over_kernel(r))
+        gf = pl.rational_gf(r)
+        assert gf.expand(ref.order).matches(expand_by_products(gf, ref.order))
+        if r == 0:
+            assert (gf.numerator, gf.s_power, gf.t_power) == (XVPoly([IntPoly.term(4, 3)]), 0, 1)
+            return
+        p = ref.p_poly(r)
+        assert pl.p_poly(r) == p
+        assert (gf.numerator, gf.s_power, gf.t_power) == (p.shift_x(r + 3) * 2, 2 * r - 1, r + 1)
+        want = [p.coeff(0).divexact_const(2)] + [
+            p.coeff(ell).divexact(S_POLY ** (ell - 1) * T_POLY**ell) for ell in range(1, r + 1)
+        ]
+        assert list(pl.c_table(r).polys) == want
+
+
+def _refuse(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return fail
+
+
+def test_exact_route_needs_no_series_arithmetic(table, monkeypatch):
+    """With a full table (integer polynomials in q), computing G_r, P_r,
+    the c tables and the closed forms forms no series product and divides
+    no series."""
+    for owner, name in [
+        (algebra, "vpoly_div_kernel"),
+        (algebra, "xvpoly_extract_from_series"),
+        (VPoly, "subst_v"),
+        (VPoly, "__mul__"),
+        (XSeries, "divexact"),
+        (XSeries, "__mul__"),
+    ]:
+        monkeypatch.setattr(owner, name, _refuse(name))
+    pl = Pipeline(r_max=6, table=table)
+    assert [list(p.coeffs) for p in pl.c_table(5).polys] == REFERENCE_CTABLES[5]
+    assert pl.c_table(6).r == 6  # c_table checks itself and raises on a failure
+    assert pl.rational_gf(6).numerator == pl.p_poly(6).shift_x(9) * 2
+
+
+def test_fresh_pipeline_needs_no_series_division(monkeypatch):
+    for owner, name in [
+        (algebra, "vpoly_div_kernel"),
+        (algebra, "xvpoly_extract_from_series"),
+        (VPoly, "subst_v"),
+        (XSeries, "divexact"),
+    ]:
+        monkeypatch.setattr(owner, name, _refuse(name))
+    pl = Pipeline(r_max=6)
+    assert [list(p.coeffs) for p in pl.c_table(5).polys] == REFERENCE_CTABLES[5]
+    assert pl.c_table(6).r == 6
+    assert pl.rational_gf(6).numerator == pl.p_poly(6).shift_x(9) * 2
+
+
+def test_table_off_by_two_names_the_cell():
+    class OffByTwo(GTable):
+        def coeff(self, n, r, k=None):
+            return super().coeff(n, r, k) + 2 * ((n, r, k) == (10, 2, 3))
+
+    with pytest.raises(ConsistencyError, match=r"G_2 .*\(n=10, r=2, i=3\)"):
+        Pipeline(r_max=2, table=OffByTwo(9)).g_exact(2)
 
 
 class TestStructure:
