@@ -8,6 +8,7 @@ kernel pipeline) and returns one CheckResult per claim.  The CLI's
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,8 +53,17 @@ def _check(results: list[CheckResult], name: str, fn) -> None:
     results.append(CheckResult(name, ok, detail if not ok else ""))
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle(n: int, prefix: tuple[int, ...] = ()) -> perms.OccurrenceTable:
+    """``perms.distribution(n, prefix)``, walked once per process: several
+    checks compare with the same case.  The suites ask for a few dozen
+    cases with n within the enumeration limit, so the memo stays small.
+    The result is shared, so callers only read it."""
+    return perms.distribution(n, prefix)
+
+
 def _poly_matches_distribution(table: GTable, n: int, k: int | None) -> bool:
-    dist = perms.distribution(n) if k is None else perms.distribution(n, (1, k))
+    dist = _oracle(n) if k is None else _oracle(n, (1, k))
     poly = table.g(n) if k is None else table.g1k(n, k)
     return dist.coeff_list() == list(poly.coeffs)
 
@@ -169,7 +179,7 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
             if avoider_count(n) != 2 ** (n - 1):
                 return False, f"n={n}"
         for n in range(1, oracle_nmax + 1):
-            if perms.distribution(n).count(0) != 2 ** (n - 1):
+            if _oracle(n).count(0) != 2 ** (n - 1):
                 return False, f"oracle n={n}"
         return True, ""
     _check(out, f"avoider count is 2^(n-1) (recurrence n <= {AVOIDER_NMAX}, oracle n <= {oracle_nmax})", avoiders)
@@ -281,7 +291,7 @@ def genfun_suite(
 
     def max_exhaustive():
         for n in range(1, maximal_nmax + 1):
-            if perms.distribution(n).max_occurrences() != perms.max_occurrences(n):
+            if _oracle(n).max_occurrences() != perms.max_occurrences(n):
                 return False, f"n={n}"
         return True, ""
     _check(out, f"exhaustive maximality of the occurrence bound for n <= {maximal_nmax}", max_exhaustive)
@@ -337,8 +347,8 @@ def constructions_suite(
 
     def aggregated_doubling():
         for n in range(2, doubling_nmax + 1):
-            lhs = perms.distribution(n, (1, 2)).counts
-            rhs = {r: 2 * c for r, c in perms.distribution(n - 1).counts.items()}
+            lhs = _oracle(n, (1, 2)).counts
+            rhs = {r: 2 * c for r, c in _oracle(n - 1).counts.items()}
             if lhs != rhs:
                 return False, f"n={n}"
         return True, ""
@@ -346,7 +356,7 @@ def constructions_suite(
 
     def avoider_doubling():
         for n in range(2, doubling_nmax + 1):
-            if perms.distribution(n).count(0) != 2 * perms.distribution(n - 1).count(0):
+            if _oracle(n).count(0) != 2 * _oracle(n - 1).count(0):
                 return False, f"n={n}"
         return True, ""
     _check(out, f"avoider counts double with n (enumeration, n <= {doubling_nmax})", avoider_doubling)
@@ -369,10 +379,10 @@ def constructions_suite(
     def boundary_oracle():
         bd = Pipeline(r_max=3, table=table).boundary(3)
         for i in range(2, 6):
-            if perms.distribution(5, (1, i)).count(3) != bd.top(i):
+            if _oracle(5, (1, i)).count(3) != bd.top(i):
                 return False, f"top row at i={i}"
         for (n, j, k), v in bd.inner.items():
-            if perms.distribution(n + 3, (1, k)).count(j) != v:
+            if _oracle(n + 3, (1, k)).count(j) != v:
                 return False, f"inner cell (n, j, k) = ({n}, {j}, {k})"
         return True, ""
     _check(out, "boundary data matches enumeration (r = 3)", boundary_oracle)

@@ -39,13 +39,13 @@ ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
 AVOIDERS_NMAX = 500
-#: Largest r for ``ctable`` and ``rational``: r = 40 takes 10-12 s on a
-#: shared 2-vCPU Xeon (Python 3.11), about half of it growing the table.
+#: Largest r for ``ctable`` and ``rational``: r = 40 takes 4-4.5 s on a
+#: shared 2-vCPU Xeon (Python 3.11), about 0.6 s of it growing the table.
 PIPELINE_RMAX = 40
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
 WITNESS_MAX = 2000
-#: Largest --rmax for ``verify``: --rmax 12 takes about 6 s.  Its --n is
+#: Largest --rmax for ``verify``: --rmax 12 takes about 2.5 s.  Its --n is
 #: capped by the enumeration limit ``perms.DEFAULT_ENUM_LIMIT``.
 VERIFY_RMAX = 12
 
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_gpoly)
 
-    r_help = f"at most {PIPELINE_RMAX} (10-12 s at the cap)"
+    r_help = f"at most {PIPELINE_RMAX} (4-4.5 s at the cap)"
     p = sub.add_parser("ctable", help="the polynomials c_{r,0..r}")
     p.add_argument("--r", type=int, required=True, help=r_help)
     p.add_argument("--order", type=int,

@@ -4,16 +4,23 @@ permutations.
 g_n is the polynomial whose q^r coefficient counts the permutations of
 length n whose flattening has exactly r occurrences of 13-2; g_n(1k)
 restricts to flattenings starting with the letters 1, k.  ``GTable``
-generates both from pure recurrences: the column g_n by the b-sum
-
-    g_n = sum_{j=1}^{n-1} b_{n,j} (q-1)^{j-1} g_{n-j},
-
-and each row g_n(12), g_n(13), ... by the paper's short rules
+generates both from pure recurrences: each row g_n(12), g_n(13), ... by
+the paper's short rules
 
     g_n(12) = 2 g_{n-1},
     g_n(13) = g_{n-1} - 2(1-q) g_{n-2},
     g_n(14) = g_{n-1} - (1-q)(3+2q) g_{n-2} + 2(1-q)^2 g_{n-3},
-    g_n(1k) = (1+q) g_n(1,k-1) - q g_n(1,k-2) - (1-q) g_{n-1}(1,k-1)   (k >= 5).
+    g_n(1k) = (1+q) g_n(1,k-1) - q g_n(1,k-2) - (1-q) g_{n-1}(1,k-1)   (k >= 5),
+
+and the column g_n, for full polynomials, by the b-sum
+
+    g_n = sum_{j=1}^{n-1} b_{n,j} (q-1)^{j-1} g_{n-j}.
+
+For polynomials cut at q^q_top the column is the row sum through
+k = q_top + 2 instead: the letters 2..k-1 of a flattening that starts
+1, k all fall in the gap of the ascent 1 < k, so it has at least k - 2
+occurrences and q^(k-2) divides g_n(1k).  The rows past q_top + 2 vanish
+below the cut, and the sum of the others is exact there.
 
 The integer-polynomial coefficients b_{n,j} (a closed form) and a_{k,j}
 (a recurrence) are module functions.  The a-sum
@@ -122,10 +129,9 @@ def b_poly_alt(n: int, j: int) -> IntPoly:
 class GTable:
     """Bottom-up tables of g_n and g_n(1k), growable on demand.
 
-    The g column is filled eagerly through n_max at construction, each
-    g_n by the b-sum.  The row g_n(12), g_n(13), ... of one n is grown
-    lazily by the short rules, only through the largest k asked for, and
-    memoized per n:
+    The g column is filled eagerly through n_max at construction.  The
+    row g_n(12), g_n(13), ... of one n is grown lazily by the short rules,
+    only through the largest k asked for, and memoized per n:
 
         g_n(12) = 2 g_{n-1},
         g_n(13) = g_{n-1} - 2(1-q) g_{n-2},
@@ -134,24 +140,27 @@ class GTable:
                                                               (k >= 5),
 
     so each entry costs a few products by a polynomial of degree at most
-    2.  The column is not taken as the row sum, which would build every
-    row through k = n.  A table grows as it is read, so give each thread
-    its own.
+    2.  A table grows as it is read, so give each thread its own.
 
-    With ``q_top`` unset (the default) every polynomial is kept in full
-    and each g_n is checked for nonnegative coefficients summing to n!.
-    This full table backs ``gpoly``, ``distribution``, ``average``, the
-    ``verify`` suites and any ``Pipeline`` given a table explicitly.
+    With ``q_top`` unset (the default) every polynomial is kept in full,
+    each g_n is the b-sum over the column below it, and each g_n is
+    checked for nonnegative coefficients summing to n!.  No row vanishes
+    in full, so the column is not taken as the row sum, which would build
+    every row through k = n.  This full table backs ``gpoly``,
+    ``distribution``, ``average``, the ``verify`` suites and any
+    ``Pipeline`` given a table explicitly.
 
     With ``q_top`` set, the table holds ``XSeries`` in q of order q_top:
-    every g_n, g_n(1k) and (q-1)^e power is such a series, and each b_{m,j}
-    row is formed only through q^q_top.  The products are the same ``*``
-    as in full mode, with the series on the left, so they are cut at
-    q^q_top; that is all a kernel pipeline through r_max = q_top reads, and
-    ``Pipeline`` builds such a table for itself when it is given none.
-    Nonnegativity is checked on the kept coefficients; the n! mass needs
-    the whole polynomial and is checked in full mode only.  ``coeff``
-    raises IndexError for a power above q_top.
+    every g_n and g_n(1k) is such a series, and the products are the same
+    ``*`` as in full mode, with the series on the left, so they are cut at
+    q^q_top.  Each g_n is the sum of its rows g_n(1k) for k <= q_top + 2:
+    q^(k-2) divides g_n(1k) (see the module docstring), so the later rows
+    are zero through q^q_top.  No b_{n,j} is formed.  That is all a kernel
+    pipeline through r_max = q_top reads, and ``Pipeline`` builds such a
+    table for itself when it is given none.  Nonnegativity is checked on
+    the kept coefficients; the n! mass needs the whole polynomial and is
+    checked in full mode only.  ``coeff`` raises IndexError for a power
+    above q_top.
     """
 
     def __init__(self, n_max: int = 2, q_top: int | None = None):
@@ -180,8 +189,13 @@ class GTable:
         while self.n_max < n:
             m = self.n_max + 1
             total = self._zero
-            for j in range(1, m):
-                total = total + self._qm1(j - 1) * b_poly(m, j, self.q_top) * self._g[m - j]
+            if self.q_top is None:
+                for j in range(1, m):
+                    total = total + self._qm1(j - 1) * b_poly(m, j) * self._g[m - j]
+            else:
+                # q^(k-2) divides g_m(1k), so the rows past k = q_top + 2 vanish.
+                for k in range(2, min(m, self.q_top + 2) + 1):
+                    total = total + self.g1k(m, k)
             if any(c < 0 for c in total.coeffs):
                 raise ConsistencyError(f"g_{m} has a negative coefficient")
             if self.q_top is None and sum(total.coeffs) != math.factorial(m):
@@ -262,7 +276,10 @@ def harmonic(n: int) -> Fraction:
 def average_occurrences(n: int, table: GTable | None = None) -> Fraction:
     """Mean number of 13-2 occurrences over flattenings of S_n, computed
     as g_n'(1)/n! from the given full table (or a new one) and asserted
-    equal to (n^2 + 3n + 8)/12 - H_n."""
+    equal to (n^2 + 3n + 8)/12 - H_n.  A table cut at q^q_top lacks the
+    higher coefficients g_n'(1) needs and is rejected with ValueError."""
+    if table is not None and table.q_top is not None:
+        raise ValueError(f"average needs a full table, not one cut at q_top={table.q_top}")
     g = (table or GTable(n)).g(n)
     mean = Fraction(g.derivative().eval_at(1), math.factorial(n))
     closed = Fraction(n * n + 3 * n + 8, 12) - harmonic(n)

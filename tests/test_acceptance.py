@@ -7,6 +7,9 @@ line per criterion.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -14,6 +17,7 @@ from fractions import Fraction
 from flatperm import perms
 from flatperm._reference import REFERENCE_CTABLES
 from flatperm.algebra import IntPoly
+from flatperm.cli import EXIT_OK, main
 from flatperm.genfun import Pipeline
 from flatperm.recurrence import (
     avoider_count,
@@ -202,3 +206,22 @@ def test_14_identity_suite(pipeline6, table):
         if not pipeline6.check_functional_equation(r):
             ok = False
     _report(14, "prefix recurrence holds (3 <= i <= n <= 12); functional equation holds (r <= 4)", ok)
+
+
+#: SHA-256 of the stdout of two deep-r commands, recorded when the cut
+#: table still grew its column by the b-sum.
+DEEP_R_DIGESTS = {
+    "ctable --r 20": "036c02d7a1102e21e8d8c6d5e53f9d066fe88216fc1a6ab6117454d5408f1546",
+    "rational --r 20": "846857e200d76584e5c83c569e5cb67d6cb913244bcdc6d85dd1da629e7f6ca2",
+}
+
+
+def test_15_deep_r_outputs():
+    ok = True
+    for argv, digest in DEEP_R_DIGESTS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv.split())
+        if code != EXIT_OK or hashlib.sha256(out.getvalue().encode()).hexdigest() != digest:
+            ok = False
+    _report(15, "ctable and rational at r = 20 print the recorded output", ok)

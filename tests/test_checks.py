@@ -8,7 +8,7 @@ import pytest
 from flatperm import checks, perms
 from flatperm.algebra import IntPoly
 from flatperm.checks import constructions_suite, genfun_suite
-from flatperm.cli import EXIT_CHECK_FAILED, main
+from flatperm.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from flatperm.recurrence import GTable
 
 BOUNDARY = "boundary data matches enumeration (r = 3)"
@@ -117,3 +117,18 @@ def test_doubling_check_sees_a_corrupted_column(capsys, monkeypatch):
     assert main(["verify", "--suite", "recurrence", "--n", "3"]) == EXIT_CHECK_FAILED
     (line,) = [line for line in capsys.readouterr().out.splitlines() if DOUBLING in line]
     assert line.startswith("FAIL  ") and line.endswith("[n=6]")
+
+
+def test_verify_walks_each_oracle_case_once(capsys, monkeypatch):
+    """Checks that compare with the same (n, prefix) share one walk."""
+    real, walks = perms.distribution, []
+
+    def counted(n, prefix=()):
+        walks.append((n, tuple(prefix)))
+        return real(n, prefix)
+
+    checks._oracle.cache_clear()
+    monkeypatch.setattr(perms, "distribution", counted)
+    assert main(["verify", "--suite", "all", "--n", "7", "--rmax", "4"]) == EXIT_OK
+    assert walks and len(walks) == len(set(walks))
+    assert capsys.readouterr().out.endswith("OK: 28/28 checks passed\n")

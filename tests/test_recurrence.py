@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatperm import perms
+from flatperm import perms, recurrence
 from flatperm.algebra import ConsistencyError, IntPoly, XSeries
 from flatperm.checks import a_sum
 from flatperm.recurrence import (
@@ -180,10 +180,11 @@ class TestCoefficients:
         assert table.coeff(6, 0) == 32
 
     def test_vanishing_for_large_prefix_letter(self, table):
-        for n in range(3, 11):
-            for r in range(0, 5):
-                for k in range(r + 3, n + 1):
-                    assert table.coeff(n, r, k) == 0, (n, r, k)
+        """q^(k-2) divides the full g_n(1k): the cut table's column sums
+        only the rows k <= q_top + 2 on this fact."""
+        for n in range(3, 31):
+            for k in range(3, n + 1):
+                assert all(table.coeff(n, r, k) == 0 for r in range(k - 2)), (n, k)
 
     def test_k_beyond_n_is_zero(self, table):
         assert table.coeff(4, 1, 9) == 0
@@ -211,6 +212,22 @@ class TestTruncatedTable:
         with pytest.raises(IndexError):
             cut.coeff(4, 4, 9)
 
+    @pytest.mark.parametrize("top", [0, 1, 2, 5, 12, 40])
+    def test_column_matches_b_sum(self, top):
+        """The row sum through k = q_top + 2 against the b-sum on cut
+        series; q_top = 40 drops no row for n <= 40."""
+        cut, want = GTable(60, q_top=top), _cut_b_sum_column(60, top)
+        for n in range(1, 61):
+            assert cut.g(n) == want[n], n
+
+    def test_cut_column_forms_no_b_row(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("b_poly called by a cut table")
+
+        monkeypatch.setattr(recurrence, "b_poly", refuse)
+        cut = GTable(60, q_top=12)
+        assert cut.n_max == 60 and cut.g(60).order == 12
+
     def test_rejects_negative_q_top(self):
         with pytest.raises(ValueError):
             GTable(2, q_top=-1)
@@ -219,6 +236,20 @@ class TestTruncatedTable:
         for n in range(2, 15):
             for j in range(1, n):
                 assert b_poly(n, j, 2) == IntPoly(b_poly(n, j).coeffs[:3]), (n, j)
+
+
+def _cut_b_sum_column(n_max: int, top: int) -> list[XSeries]:
+    """g_1 .. g_n_max by the b-sum g_m = sum_j b_{m,j} (q-1)^(j-1) g_(m-j)
+    on series cut at q^top: the reference for the cut table's row sum."""
+    one = XSeries.one(top)
+    g, qm1 = [XSeries.zero(top), one], [one]
+    for m in range(2, n_max + 1):
+        qm1.append(qm1[-1] * IntPoly([-1, 1]))
+        total = XSeries.zero(top)
+        for j in range(1, m):
+            total = total + qm1[j - 1] * b_poly(m, j, top) * g[m - j]
+        g.append(total)
+    return g
 
 
 class TestAvoiders:
@@ -261,6 +292,12 @@ class TestAverage:
         for n in range(1, 21):
             value = average_occurrences(n, table)
             assert value == Fraction(n * n + 3 * n + 8, 12) - harmonic(n)
+
+    def test_rejects_a_cut_table_before_work(self):
+        cut = GTable(2, q_top=3)
+        with pytest.raises(ValueError, match="q_top=3"):
+            average_occurrences(20, cut)
+        assert cut.n_max == 2
 
     def test_oracle_agreement(self, table):
         for n in range(1, 8):
