@@ -22,6 +22,9 @@ constant, and ``[]`` coefficient access.  Mixing the two gives an
 ``XSeries`` accepts an ``IntPoly`` in ``+``, ``-`` and ``*``, and
 ``IntPoly``'s binary operators return ``NotImplemented`` for an
 ``XSeries``, so Python hands the operation to the series.
+``packed_dot`` sums products of three integer polynomials as one
+Kronecker-packed integer dot product; the recurrence table's full b-sum
+is its one user.
 
 >>> IntPoly([1, 2]) * XSeries([1, 1, 1], 2)
 XSeries([1, 3, 3], order=2)
@@ -29,7 +32,7 @@ XSeries([1, 3, 3], order=2)
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Union
 
@@ -45,11 +48,15 @@ class InexactDivisionError(ConsistencyError):
 
 def _convolve(a, b, top: int | None = None, zero=0) -> list:
     """The schoolbook product of the coefficient sequences a and b, formed
-    only through index top (the whole product when top is None).  Zero
-    entries of a are skipped.  ``zero`` is the coefficient ring's zero:
-    0 for integers, or a zero series or polynomial for polynomials in v."""
+    only through index top (the whole product when top is None).  The
+    outer loop runs over the shorter operand, whose zero entries are
+    skipped; every coefficient ring here is commutative, so either order
+    gives the same product.  ``zero`` is the coefficient ring's zero: 0
+    for integers, or a zero series or polynomial for polynomials in v."""
     if not a or not b:
         return []
+    if len(a) > len(b):
+        a, b = b, a
     if top is None:
         top = len(a) + len(b) - 2
     out = [zero] * min(len(a) + len(b) - 1, top + 1)
@@ -58,6 +65,66 @@ def _convolve(a, b, top: int | None = None, zero=0) -> list:
             for j, d in enumerate(b[: top + 1 - i], i):
                 out[j] += c * d
     return out
+
+
+def _pack(coeffs, width: int) -> int:
+    """The signed coefficients evaluated at 2^(8 width): each one in a slot
+    of ``width`` bytes, which must hold its magnitude."""
+    if min(coeffs) >= 0:
+        slots = map(int.to_bytes, coeffs, repeat(width), repeat("little"))
+        return int.from_bytes(b"".join(slots), "little")
+    pos = b"".join(max(c, 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join(max(-c, 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def packed_dot(terms: Iterable[tuple[IntPoly, IntPoly, IntPoly]]) -> IntPoly:
+    """The sum of the products a*b*c over the triples (a, b, c), formed as
+    one integer dot product (Kronecker substitution): each factor is
+    evaluated at 2^w, the products of those integers are summed, and the
+    sum is unpacked once, with signed digits.
+
+    Every coefficient of the sum is at most B = sum ||a||_1 ||b||_1
+    ||c||_inf in magnitude (put the long factor last), and, once the
+    terms with a zero factor are dropped, so is every coefficient of a
+    factor.  With w >= bits(B) + 2, rounded up to whole
+    bytes, each slot of the sum plus 2^(w-1) lies strictly inside
+    [0, 2^w), so no slot borrows from or carries into the next and the
+    unpacking is exact; a packed value outside the slots raises
+    ConsistencyError.
+
+    >>> packed_dot([(IntPoly([-1, 1]), IntPoly([2]), IntPoly([1, 1]))])
+    IntPoly([-2, 0, 2])
+    """
+    terms = [t for t in terms if t[0] and t[1] and t[2]]
+    if not terms:
+        return IntPoly()
+    bound = sum(
+        sum(map(abs, a.coeffs)) * sum(map(abs, b.coeffs)) * max(map(abs, c.coeffs))
+        for a, b, c in terms
+    )
+    width = (bound.bit_length() + 2 + 7) // 8
+    length = max(len(a.coeffs) + len(b.coeffs) + len(c.coeffs) - 2 for a, b, c in terms)
+    total = 0
+    for a, b, c in terms:
+        total += _pack(a.coeffs, width) * _pack(b.coeffs, width) * _pack(c.coeffs, width)
+    return IntPoly(_unpack(total, width, length))
+
+
+def _unpack(total: int, width: int, length: int) -> list[int]:
+    """The signed digits of ``total`` in ``length`` slots of ``width``
+    bytes, each in [-2^(w-1), 2^(w-1)) for w = 8 width: 2^(w-1) is added to
+    every slot, and the shifted slots are read as unsigned.  Raises
+    ConsistencyError when the shifted value does not fit the slots."""
+    half = 1 << (8 * width - 1)
+    total += int.from_bytes(half.to_bytes(width, "little") * length, "little")
+    if not 0 <= total < 1 << (8 * width * length):
+        raise ConsistencyError(f"packed sum falls outside its {length} slots of {8 * width} bits")
+    data = total.to_bytes(width * length, "little")
+    return [
+        int.from_bytes(data[i: i + width], "little") - half
+        for i in range(0, width * length, width)
+    ]
 
 
 # ---------------------------------------------------------------------------

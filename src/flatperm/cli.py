@@ -34,7 +34,7 @@ from .recurrence import GTable, avoider_count, average_occurrences, harmonic
 
 RECURRENCE_NMAX = 30
 #: Largest --limit for ``distribution``: the walk over the (n-1)! flattened
-#: words takes 13-20 s at n = 11.
+#: words takes about 5.5 s at n = 11.
 ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
@@ -42,10 +42,14 @@ AVOIDERS_NMAX = 500
 #: Largest r for ``ctable`` and ``rational``: r = 40 takes 4-4.5 s on a
 #: shared 2-vCPU Xeon (Python 3.11), about 0.6 s of it growing the table.
 PIPELINE_RMAX = 40
+#: Largest --order for ``ctable`` and ``rational``: the default order 4r + 10
+#: at r = PIPELINE_RMAX, so no default run is refused.  At the cap, r = 40
+#: takes 4-4.5 s (as by default) and r = 1 about 0.15 s.
+ORDER_MAX = 4 * PIPELINE_RMAX + 10
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
 WITNESS_MAX = 2000
-#: Largest --rmax for ``verify``: --rmax 12 takes about 2.5 s.  Its --n is
+#: Largest --rmax for ``verify``: --rmax 12 takes about 1.2 s.  Its --n is
 #: capped by the enumeration limit ``perms.DEFAULT_ENUM_LIMIT``.
 VERIFY_RMAX = 12
 
@@ -68,8 +72,11 @@ def _parse_prefix(text: str) -> tuple[int, ...]:
 
 
 def _pipeline(r_max: int, order: int | None) -> Pipeline:
-    """A Pipeline through r_max.  Its constructor checks the order before
-    any work, so a ValueError from it is a usage error."""
+    """A Pipeline through r_max.  The order is checked against ORDER_MAX
+    here and against its lower bound by the constructor, before any work,
+    so a ValueError from it is a usage error."""
+    if order is not None and order > ORDER_MAX:
+        raise UsageError(f"--order {order} exceeds the order cap {ORDER_MAX}")
     try:
         return Pipeline(r_max=r_max, order=order)
     except ValueError as exc:
@@ -99,6 +106,8 @@ def _cmd_distribution(args) -> int:
     prefix = _parse_prefix(args.prefix)
     if n < 1:
         raise UsageError("--n must be >= 1")
+    if args.limit < 0:
+        raise UsageError(f"--limit must be >= 0, not {args.limit}")
     if args.limit > ENUM_LIMIT_MAX:
         raise UsageError(f"--limit {args.limit} exceeds the enumeration cap {ENUM_LIMIT_MAX}")
     try:
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--prefix", default="", help="comma-separated flattened-word prefix, e.g. 1,3")
     p.add_argument("--limit", type=int, default=perms.DEFAULT_ENUM_LIMIT,
-                   help=f"largest n enumerated exhaustively, at most {ENUM_LIMIT_MAX}")
+                   help=f"largest n enumerated exhaustively, 0 to {ENUM_LIMIT_MAX}")
     common(p, with_csv=True)
     p.set_defaults(fn=_cmd_distribution)
 
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help=r_help)
     p.add_argument("--order", type=int,
                    help="x-order through which G_r is compared with the recurrence tables "
-                        "(default 4r + 10), at least 4r + 3")
+                        f"(default 4r + 10), at least 4r + 3 and at most {ORDER_MAX}")
     common(p)
     p.set_defaults(fn=_cmd_ctable)
 
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help=r_help)
     p.add_argument("--order", type=int,
                    help="x-order through which G_r is compared with the recurrence tables "
-                        "(default 4r + 10), at least 4r + 3 (7 for r = 0)")
+                        f"(default 4r + 10), at least 4r + 3 (7 for r = 0) and at most {ORDER_MAX}")
     common(p)
     p.set_defaults(fn=_cmd_rational)
 

@@ -15,15 +15,17 @@ come from a depth-first walk over the (n-1)! flattened words rather than
 the n! permutations: a word starting with 1 is the flattening of exactly
 2^(rho-1) permutations, rho being its number of right-to-left minima,
 because the cycle starts may be any subset of those minima that contains
-position 1.
+position 1.  The walk is plain recursion that adds each word's weight
+into a list of counts; its leaf places the last two letters a < b in one
+frame and counts both words ..., a, b and ..., b, a, so every word is
+still counted one by one.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_ENUM_LIMIT = 10
 
@@ -159,41 +161,41 @@ def check_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
     return pre
 
 
-def _flattened_words(n: int, pre: tuple[int, ...]) -> Iterator[tuple[Perm, int, int]]:
-    """Depth-first walk over the flattened words of length n that start
-    with the checked prefix ``pre``.  Yields (word, 13-2 occurrences,
-    number of permutations flattening to word = 2^(rho-1)).
+def _walk(counts: list[int], n: int, pre: tuple[int, ...]) -> None:
+    """Add the weight of every flattened word of length n >= 3 that starts
+    with the checked prefix ``pre`` to ``counts[occurrences]``, walking the
+    words depth first from the letter 1.
 
     A letter is a right-to-left minimum exactly when it is the smallest
     letter not yet placed; ``rho`` counts those placed so far.  ``gaps[i]``
     counts the adjacent ascents placed so far whose gap contains
     ``unused[i]``: the occurrences that letter adds when it is placed.
+    The last two letters a < b end two words in one frame: ..., a, b has
+    two more minima and adds both gaps; ..., b, a has one more minimum,
+    and placing b after ``prev`` opens one more ascent whose gap holds a
+    exactly when prev < a.
     """
+    fixed = len(pre)
 
-    def extend(word, unused, gaps, occ, rho):
-        if len(unused) == 1:
-            # The last letter is one more right-to-left minimum, so the
-            # word has rho + 1 of them; it is also the letter a full-length
-            # prefix that agreed so far still asks for.
-            yield word + unused, occ + gaps[0], 1 << rho
+    def extend(d, prev, unused, gaps, occ, rho):
+        if len(unused) == 2:
+            (a, b), (ga, gb) = unused, gaps
+            occ += ga + gb
+            if d >= fixed or pre[d] == a and (d + 1 == fixed or pre[d + 1] == b):
+                counts[occ] += 2 << rho
+            if d >= fixed or pre[d] == b and (d + 1 == fixed or pre[d + 1] == a):
+                counts[occ + (prev < a)] += 1 << rho
             return
-        d = len(word)
-        prev = word[-1]
         for i, c in enumerate(unused):
-            if d < len(pre) and c != pre[d]:
+            if d < fixed and c != pre[d]:
                 continue
             rest = unused[:i] + unused[i + 1:]
             g = gaps[:i] + gaps[i + 1:]
             if prev < c:
-                g = tuple(x + (prev < u < c) for u, x in zip(rest, g))
-            yield from extend(word + (c,), rest, g, occ + gaps[i], rho + (i == 0))
+                g = [x + (prev < u < c) for u, x in zip(rest, g)]
+            extend(d + 1, c, rest, g, occ + gaps[i], rho + (i == 0))
 
-    if pre[:1] not in ((), (1,)):
-        return
-    if n == 1:
-        yield (1,), 0, 1
-    else:
-        yield from extend((1,), tuple(range(2, n + 1)), (0,) * (n - 1), 0, 1)
+    extend(1, 1, list(range(2, n + 1)), [0] * (n - 1), 0, 1)
 
 
 def distribution(
@@ -216,10 +218,13 @@ def distribution(
             f"exhaustive enumeration of S_{n} exceeds the limit {limit}"
         )
     pre = check_prefix(n, prefix)
-    counts: Counter[int] = Counter()
-    for _, occ, weight in _flattened_words(n, pre):
-        counts[occ] += weight
-    return OccurrenceTable(n, dict(sorted(counts.items())), pre)
+    counts = [0] * (max_occurrences(n) + 1)
+    if pre[:1] in ((), (1,)):
+        if n <= 2:
+            counts[0] = n  # the word 1 or 1, 2, flattened from 1 or 2 permutations
+        else:
+            _walk(counts, n, pre)
+    return OccurrenceTable(n, {r: c for r, c in enumerate(counts) if c}, pre)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,14 @@ the paper's short rules
 
 and the column g_n, for full polynomials, by the b-sum
 
-    g_n = sum_{j=1}^{n-1} b_{n,j} (q-1)^{j-1} g_{n-j}.
+    g_n = sum_{j=1}^{n-1} b_{n,j} (q-1)^{j-1} g_{n-j},
+
+formed as one Kronecker-packed integer dot product (``packed_dot``):
+each factor is evaluated at 2^w, the n - 1 triple products of those
+integers are summed, and the sum is unpacked once with signed digits.
+The slot width w >= bits(sum_j 2^(j-1) ||b_{n,j}||_1 ||g_{n-j}||_inf) + 2
+bounds every coefficient of the sum, whatever its sign, so the digits
+are the coefficients exactly.
 
 For polynomials cut at q^q_top the column is the row sum through
 k = q_top + 2 instead: the letters 2..k-1 of a flattening that starts
@@ -39,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import ConsistencyError, IntPoly, XSeries
+from .algebra import ConsistencyError, IntPoly, XSeries, packed_dot
 
 #: q, q - 1, 1 + q and 1 - q as polynomials.
 Q = IntPoly([0, 1])
@@ -143,10 +150,12 @@ class GTable:
     2.  A table grows as it is read, so give each thread its own.
 
     With ``q_top`` unset (the default) every polynomial is kept in full,
-    each g_n is the b-sum over the column below it, and each g_n is
-    checked for nonnegative coefficients summing to n!.  No row vanishes
-    in full, so the column is not taken as the row sum, which would build
-    every row through k = n.  This full table backs ``gpoly``,
+    each g_n is the b-sum over the column below it, formed as one packed
+    integer dot product whose slot width bounds every coefficient (see
+    the module docstring), and each g_n is checked for nonnegative
+    coefficients summing to n!.  No row vanishes in full, so the column
+    is not taken as the row sum, which would build every row through
+    k = n.  This full table backs ``gpoly``,
     ``distribution``, ``average``, the ``verify`` suites and any
     ``Pipeline`` given a table explicitly.
 
@@ -188,12 +197,13 @@ class GTable:
     def ensure(self, n: int) -> None:
         while self.n_max < n:
             m = self.n_max + 1
-            total = self._zero
             if self.q_top is None:
-                for j in range(1, m):
-                    total = total + self._qm1(j - 1) * b_poly(m, j) * self._g[m - j]
+                total = packed_dot(
+                    (self._qm1(j - 1), b_poly(m, j), self._g[m - j]) for j in range(1, m)
+                )
             else:
                 # q^(k-2) divides g_m(1k), so the rows past k = q_top + 2 vanish.
+                total = self._zero
                 for k in range(2, min(m, self.q_top + 2) + 1):
                     total = total + self.g1k(m, k)
             if any(c < 0 for c in total.coeffs):

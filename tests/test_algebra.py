@@ -16,6 +16,7 @@ from flatperm.algebra import (
     VPoly,
     XSeries,
     XVPoly,
+    packed_dot,
     poly_json,
     vpoly_div_kernel,
     xvpoly_extract_from_series,
@@ -307,6 +308,52 @@ class TestRationalGF:
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             RationalGF(XVPoly([[1]]), -1, 0)
+
+
+#: Signed polynomials whose coefficients span one to eleven bytes.
+wide_polys = st.lists(
+    st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)), max_size=6
+).map(IntPoly)
+
+
+class TestPackedDot:
+    @given(st.lists(st.tuples(wide_polys, wide_polys, wide_polys), max_size=5))
+    def test_matches_convolve_sums(self, triples):
+        want = IntPoly()
+        for a, b, c in triples:
+            want = want + IntPoly(algebra._convolve(algebra._convolve(a.coeffs, b.coeffs), c.coeffs))
+        assert packed_dot(triples) == want
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_single_coefficients_fill_their_slot(self, sign):
+        """With one coefficient per operand the width bound is attained, so
+        every magnitude 2^e - 1 and 2^e is at the edge of some width."""
+        for e in range(70):
+            for value in (2**e - 1, 2**e):
+                for a, b in ((1, value), (value, 1), (-1, -value)):
+                    got = packed_dot([(IntPoly([a]), IntPoly([sign * b]), IntPoly([1]))])
+                    assert got == IntPoly([sign * a * b]), (e, value, a)
+
+    def test_negative_and_cancelling_sums(self):
+        q_minus_1, two, one_plus_q = IntPoly([-1, 1]), IntPoly([2]), IntPoly([1, 1])
+        assert packed_dot([(q_minus_1, two, one_plus_q)]) == IntPoly([-2, 0, 2])
+        assert packed_dot([(q_minus_1, two, one_plus_q), (-q_minus_1, two, one_plus_q)]) == IntPoly()
+        big = IntPoly([2**64, -(2**64)])
+        assert packed_dot([(big, big, big)]) == big * big * big
+
+    def test_zero_operand_drops_its_term(self):
+        a, b, g = IntPoly([3, -1]), IntPoly([2]), IntPoly([1, 5, 7])
+        assert packed_dot([]) == packed_dot([(a, b, IntPoly())]) == IntPoly()
+        assert packed_dot([(a, b, IntPoly()), (a, b, g), (IntPoly(), b, g)]) == a * b * g
+
+    def test_unpack_rejects_a_value_outside_its_slots(self):
+        # Two one-byte slots hold d0 + 256 d1 for digits in [-128, 128).
+        assert algebra._unpack(-1, 1, 2) == [-1, 0]
+        assert algebra._unpack(127 + 256 * 127, 1, 2) == [127, 127]
+        assert algebra._unpack(-128 - 256 * 128, 1, 2) == [-128, -128]
+        for total in (128 + 256 * 127, -129 - 256 * 128):
+            with pytest.raises(ConsistencyError, match="outside its 2 slots"):
+                algebra._unpack(total, 1, 2)
 
 
 def _double_loop_product(a, b) -> list[int]:

@@ -13,6 +13,7 @@ from flatperm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    ORDER_MAX,
     PIPELINE_RMAX,
     RECURRENCE_NMAX,
     VERIFY_RMAX,
@@ -65,6 +66,11 @@ class TestDistribution:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "r,count"
         assert out.splitlines()[1:] == ["0,4", "1,2"]
+
+    def test_limit_zero_takes_the_recurrence(self, capsys):
+        code, out, _ = run(capsys, "distribution", "--n", "3", "--limit", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["source"] == "recurrence"
 
     def test_limit_error(self, capsys):
         code, _, err = run(capsys, "distribution", "--n", "40")
@@ -251,12 +257,15 @@ class TestVerify:
     (["verify", "--n", str(DEFAULT_ENUM_LIMIT + 1)], DEFAULT_ENUM_LIMIT),
     (["verify", "--rmax", str(VERIFY_RMAX + 1)], VERIFY_RMAX),
     (["distribution", "--n", "3", "--limit", str(ENUM_LIMIT_MAX + 1)], ENUM_LIMIT_MAX),
+    (["distribution", "--n", "3", "--limit", "-3"], "--limit must be >= 0"),
+    (["ctable", "--r", "1", "--order", str(ORDER_MAX + 1)], ORDER_MAX),
+    (["rational", "--r", "0", "--order", str(ORDER_MAX + 1)], ORDER_MAX),
 ])
 def test_cap_checked_before_work(capsys, monkeypatch, argv, cap):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the cap was checked")
 
-    for name in ("Pipeline", "run_suite"):
+    for name in ("Pipeline", "run_suite", "GTable"):
         monkeypatch.setattr(cli, name, no_work)
     for name in ("distribution", "max_pattern_perm", "witness_perm"):
         monkeypatch.setattr(cli.perms, name, no_work)

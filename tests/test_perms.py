@@ -174,6 +174,46 @@ def test_distribution_matches_brute_force(n):
         assert distribution(n, (2,)).counts == {}
 
 
+def flattened_words(n):
+    """Reference for the counting walk in ``perms``: a generator walk over
+    the flattened words of length n, one letter per frame, yielding each
+    word with its 13-2 count and its weight 2^(rho-1).  ``gaps[i]`` counts
+    the adjacent ascents placed so far whose gap contains ``unused[i]``;
+    ``rho`` counts the right-to-left minima (each the smallest letter not
+    yet placed) placed so far."""
+
+    def extend(word, unused, gaps, occ, rho):
+        if len(unused) == 1:
+            yield word + unused, occ + gaps[0], 1 << rho
+            return
+        prev = word[-1]
+        for i, c in enumerate(unused):
+            rest = unused[:i] + unused[i + 1:]
+            g = gaps[:i] + gaps[i + 1:]
+            if prev < c:
+                g = tuple(x + (prev < u < c) for u, x in zip(rest, g))
+            yield from extend(word + (c,), rest, g, occ + gaps[i], rho + (i == 0))
+
+    if n == 1:
+        yield (1,), 0, 1
+    else:
+        yield from extend((1,), tuple(range(2, n + 1)), (0,) * (n - 1), 0, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_distribution_matches_word_walk(n):
+    """Every prefix of length <= 3, including those no word starts with."""
+    words = list(flattened_words(n))
+    letters = range(1, n + 1)
+    prefixes = [p for size in range(4) for p in itertools.permutations(letters, size)]
+    for prefix in prefixes:
+        want = Counter()
+        for word, occ, weight in words:
+            if word[: len(prefix)] == prefix:
+                want[occ] += weight
+        assert distribution(n, prefix).counts == dict(sorted(want.items())), prefix
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_word_multiplicity_is_two_to_the_minima(n):
     multiplicity = Counter(flatten(p) for p in itertools.permutations(range(1, n + 1)))
@@ -181,7 +221,7 @@ def test_word_multiplicity_is_two_to_the_minima(n):
     assert set(multiplicity) == arrangements
     assert len(arrangements) == math.factorial(n - 1)
     walked = {}
-    for word, occ, weight in perms._flattened_words(n, ()):
+    for word, occ, weight in flattened_words(n):
         assert occ == count_13_2(word)
         walked[word] = weight
     assert walked == multiplicity

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,28 @@ class TestGTable:
         assert table.g1k(3, 2) == IntPoly([4])
         assert table.g1k(3, 3) == IntPoly([0, 2])
         assert table.g1k(4, 3) == IntPoly([0, 6])
+
+    def test_column_matches_schoolbook_b_sum(self):
+        full, want = GTable(60), _b_sum_column(60)
+        for n in range(1, 61):
+            assert full.g(n) == want[n], n
+
+    @pytest.mark.parametrize("b_71, message", [
+        (IntPoly([-7]), "g_7 has a negative coefficient"),
+        (IntPoly([8]), "g_7(1) != 7!"),
+    ])
+    def test_corrupted_b_row_is_caught(self, monkeypatch, b_71, message):
+        """b_{7,1} = -7 makes g_7 = true g_7 - 14 g_6, whose constant term
+        64 - 14*32 is negative; b_{7,1} = 8 adds g_6, which keeps every
+        coefficient nonnegative but adds 6! to the mass."""
+        real = recurrence.b_poly
+
+        def corrupted(n, j, top=None):
+            return b_71 if (n, j) == (7, 1) else real(n, j, top)
+
+        monkeypatch.setattr(recurrence, "b_poly", corrupted)
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            GTable(9)
 
     def test_mass_and_nonnegativity(self, table):
         for n in range(1, 13):
@@ -216,7 +239,7 @@ class TestTruncatedTable:
     def test_column_matches_b_sum(self, top):
         """The row sum through k = q_top + 2 against the b-sum on cut
         series; q_top = 40 drops no row for n <= 40."""
-        cut, want = GTable(60, q_top=top), _cut_b_sum_column(60, top)
+        cut, want = GTable(60, q_top=top), _b_sum_column(60, top)
         for n in range(1, 61):
             assert cut.g(n) == want[n], n
 
@@ -238,14 +261,19 @@ class TestTruncatedTable:
                 assert b_poly(n, j, 2) == IntPoly(b_poly(n, j).coeffs[:3]), (n, j)
 
 
-def _cut_b_sum_column(n_max: int, top: int) -> list[XSeries]:
-    """g_1 .. g_n_max by the b-sum g_m = sum_j b_{m,j} (q-1)^(j-1) g_(m-j)
-    on series cut at q^top: the reference for the cut table's row sum."""
-    one = XSeries.one(top)
-    g, qm1 = [XSeries.zero(top), one], [one]
+def _b_sum_column(n_max: int, top: int | None = None) -> list[IntPoly | XSeries]:
+    """g_1 .. g_n_max by the schoolbook b-sum g_m = sum_j b_{m,j}
+    (q-1)^(j-1) g_(m-j), on full polynomials or on series cut at q^top:
+    the reference for the full table's packed b-sum and for the cut
+    table's row sum."""
+    if top is None:
+        zero, one = IntPoly(), IntPoly([1])
+    else:
+        zero, one = XSeries.zero(top), XSeries.one(top)
+    g, qm1 = [zero, one], [one]
     for m in range(2, n_max + 1):
         qm1.append(qm1[-1] * IntPoly([-1, 1]))
-        total = XSeries.zero(top)
+        total = zero
         for j in range(1, m):
             total = total + qm1[j - 1] * b_poly(m, j, top) * g[m - j]
         g.append(total)
