@@ -9,90 +9,74 @@ Three independent routes to one family of numbers:
   g_n(1k), avoider counts and harmonic-number averages;
 * :mod:`flatperm.genfun` - the kernel-method pipeline producing G_r(x, v),
   the certified integer polynomials P_r and c_{r,l}, and the rational
-  closed forms.
+  closed form.
 
 Everything is integer/rational exact; any violated structural identity
 raises :class:`flatperm.algebra.ConsistencyError` instead of degrading.
+
+``import flatperm`` loads none of these layers.  Each public name is
+imported from its home module on first access (PEP 562) and then kept in
+this namespace, so ``flatperm.distribution`` loads only ``perms`` and a
+CLI command loads only the layers it runs.
 """
 
-from .algebra import (
-    ConsistencyError,
-    InexactDivisionError,
-    IntPoly,
-    RationalGF,
-    VPoly,
-    XSeries,
-    XVPoly,
-    vpoly_div_kernel,
-    xvpoly_extract_from_series,
-)
-from .genfun import (
-    BoundaryData,
-    CTable,
-    Pipeline,
-    t_poly,
-)
-from .perms import (
-    DEFAULT_ENUM_LIMIT,
-    EnumerationLimitError,
-    OccurrenceTable,
-    count_13_2,
-    cycles_to_permutation,
-    distribution,
-    doubling_pair,
-    flatten,
-    max_occurrences,
-    max_pattern_perm,
-    min_length_for,
-    standard_cycle_form,
-    witness_perm,
-)
-from .recurrence import (
-    GTable,
-    a_poly,
-    avoider_count,
-    average_occurrences,
-    b_poly,
-    b_poly_alt,
-    harmonic,
-    verify_a_closed_form,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryData",
-    "CTable",
-    "ConsistencyError",
-    "DEFAULT_ENUM_LIMIT",
-    "EnumerationLimitError",
-    "GTable",
-    "InexactDivisionError",
-    "IntPoly",
-    "OccurrenceTable",
-    "Pipeline",
-    "RationalGF",
-    "VPoly",
-    "XSeries",
-    "XVPoly",
-    "a_poly",
-    "avoider_count",
-    "average_occurrences",
-    "b_poly",
-    "b_poly_alt",
-    "count_13_2",
-    "cycles_to_permutation",
-    "distribution",
-    "doubling_pair",
-    "flatten",
-    "harmonic",
-    "max_occurrences",
-    "max_pattern_perm",
-    "min_length_for",
-    "standard_cycle_form",
-    "t_poly",
-    "verify_a_closed_form",
-    "vpoly_div_kernel",
-    "witness_perm",
-    "xvpoly_extract_from_series",
-]
+#: Each public name and the module that defines it.
+_HOME = {
+    "ConsistencyError": "_common",
+    "InexactDivisionError": "_common",
+    "IntPoly": "algebra",
+    "RationalGF": "algebra",
+    "VPoly": "algebra",
+    "XSeries": "algebra",
+    "XVPoly": "algebra",
+    "vpoly_div_kernel": "algebra",
+    "xvpoly_extract_from_series": "algebra",
+    "BoundaryData": "genfun",
+    "CTable": "genfun",
+    "Pipeline": "genfun",
+    "t_poly": "genfun",
+    "DEFAULT_ENUM_LIMIT": "perms",
+    "EnumerationLimitError": "perms",
+    "OccurrenceTable": "perms",
+    "count_13_2": "perms",
+    "cycles_to_permutation": "perms",
+    "distribution": "perms",
+    "doubling_pair": "perms",
+    "flatten": "perms",
+    "max_occurrences": "perms",
+    "max_pattern_perm": "perms",
+    "min_length_for": "perms",
+    "standard_cycle_form": "perms",
+    "witness_perm": "perms",
+    "GTable": "recurrence",
+    "a_poly": "recurrence",
+    "avoider_count": "recurrence",
+    "average_occurrences": "recurrence",
+    "b_poly": "recurrence",
+    "b_poly_alt": "recurrence",
+    "harmonic": "recurrence",
+    "verify_a_closed_form": "recurrence",
+}
+
+#: The submodules that ``flatperm.<name>`` imports on first access.
+_MODULES = ("algebra", "checks", "cli", "genfun", "perms", "recurrence")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -36,14 +36,8 @@ from itertools import accumulate, chain, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Union
 
-
-class ConsistencyError(ArithmeticError):
-    """An exact structural check failed (divisibility, vanishing tail,
-    nonzero remainder, or a mismatch between two routes to one value)."""
-
-
-class InexactDivisionError(ConsistencyError):
-    """A division that was required to be exact left a remainder."""
+# Defined in _common, so the CLI can catch them without loading this module.
+from ._common import ConsistencyError, InexactDivisionError
 
 
 def _convolve(a, b, top: int | None = None, zero=0) -> list:

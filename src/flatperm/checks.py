@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import perms
+from ._common import SUITE_NAMES
 from ._reference import REFERENCE_CTABLES
 from .algebra import ConsistencyError, IntPoly
 from .genfun import Pipeline
@@ -26,8 +27,6 @@ from .recurrence import (
     b_poly,
     verify_a_closed_form,
 )
-
-SUITE_NAMES = ("all", "recurrence", "genfun", "constructions")
 
 #: Fixed bounds of the suites' identity checks; they appear in the check
 #: names.  IDENTITY_RMAX caps the genfun suite's r_max for its identities.

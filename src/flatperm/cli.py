@@ -13,8 +13,16 @@ verify         run a named verification suite
 
 All big integers are emitted as decimal strings.  JSON output is
 deterministic (sorted keys).  Exit status: 0 success, 1 a verification
-failure, 2 usage or limit errors (checked before any work); any other
-exception is a bug and ends with a traceback.
+failure, 2 usage or limit errors, an unwritable ``--out`` among them
+(checked before any work); any other exception is a bug and ends with a
+traceback.
+
+Each command loads only the layers it runs: this module imports ``perms``
+and the stdlib-only ``_common`` (the error classes and the suite names),
+and each ``_cmd_*`` imports ``recurrence``, ``genfun``, ``checks`` and
+``algebra``'s JSON helpers in its own body.  ``distribution`` by
+enumeration thus compiles and imports neither the recurrences nor the
+kernel pipeline.
 """
 
 from __future__ import annotations
@@ -23,14 +31,12 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Sequence
 
 from . import perms
-from .algebra import ConsistencyError, poly_json, xvpoly_json
-from .checks import SUITE_NAMES, run_suite
-from .genfun import Pipeline
-from .recurrence import GTable, avoider_count, average_occurrences, harmonic
+from ._common import SUITE_NAMES, ConsistencyError
 
 RECURRENCE_NMAX = 30
 #: Largest --limit for ``distribution``: the walk over the (n-1)! flattened
@@ -71,10 +77,22 @@ def _parse_prefix(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad prefix {text!r}: expected comma-separated integers") from exc
 
 
-def _pipeline(r_max: int, order: int | None) -> Pipeline:
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written before any work, rather
+    than fail with a traceback once the output is ready."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {path}: no directory {parent}")
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise UsageError(f"--out {path}: not a writable file")
+
+
+def _pipeline(r_max: int, order: int | None):
     """A Pipeline through r_max.  The order is checked against ORDER_MAX
     here and against its lower bound by the constructor, before any work,
     so a ValueError from it is a usage error."""
+    from .genfun import Pipeline
+
     if order is not None and order > ORDER_MAX:
         raise UsageError(f"--order {order} exceeds the order cap {ORDER_MAX}")
     try:
@@ -118,6 +136,8 @@ def _cmd_distribution(args) -> int:
         source = "oracle"
         counts = perms.distribution(n, prefix, args.limit).counts
     elif n <= RECURRENCE_NMAX:
+        from .recurrence import GTable
+
         source = "recurrence"
         t = GTable(n)
         if prefix in ((), (1,)):
@@ -145,6 +165,9 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_gpoly(args) -> int:
+    from .algebra import poly_json
+    from .recurrence import GTable
+
     n = args.n
     if n < 1:
         raise UsageError("--n must be >= 1")
@@ -163,6 +186,8 @@ def _cmd_gpoly(args) -> int:
 
 
 def _cmd_ctable(args) -> int:
+    from .algebra import poly_json
+
     r = args.r
     if r < 1:
         raise UsageError("--r must be >= 1")
@@ -180,6 +205,8 @@ def _cmd_ctable(args) -> int:
 
 
 def _cmd_rational(args) -> int:
+    from .algebra import xvpoly_json
+
     r = args.r
     if r < 0:
         raise UsageError("--r must be >= 0")
@@ -241,6 +268,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_average(args) -> int:
+    from .recurrence import GTable, average_occurrences, harmonic
+
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     if args.n > RECURRENCE_NMAX:
@@ -257,6 +286,8 @@ def _cmd_average(args) -> int:
 
 
 def _cmd_avoiders(args) -> int:
+    from .recurrence import avoider_count
+
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     if args.n > AVOIDERS_NMAX:
@@ -268,6 +299,8 @@ def _cmd_avoiders(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import run_suite
+
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     if args.rmax < 1:
@@ -373,6 +406,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (UsageError, perms.EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,7 @@ still counted one by one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 DEFAULT_ENUM_LIMIT = 10
 
@@ -121,18 +120,18 @@ def count_13_2(word: Sequence[int]) -> int:
 # Exhaustive distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OccurrenceTable:
+class OccurrenceTable(NamedTuple):
     """Distribution of 13-2 occurrence counts over the permutations whose
     flattening starts with ``prefix`` (empty prefix means all of S_n).
 
     counts maps an occurrence count r to the number of such permutations;
-    only nonzero entries are stored.
+    only nonzero entries are stored.  A named tuple rather than a frozen
+    dataclass, so that the walk's import path loads no ``dataclasses``.
     """
 
     n: int
     counts: dict[int, int]
-    prefix: tuple[int, ...] = field(default=())
+    prefix: tuple[int, ...] = ()
 
     def total(self) -> int:
         return sum(self.counts.values())

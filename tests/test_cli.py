@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from flatperm import cli, genfun, perms
+from flatperm import checks, cli, genfun, perms, recurrence
 from flatperm.cli import (
     AVOIDERS_NMAX,
     ENUM_LIMIT_MAX,
@@ -22,6 +25,22 @@ from flatperm.cli import (
 )
 from flatperm.genfun import Pipeline
 from flatperm.perms import DEFAULT_ENUM_LIMIT
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def forbid_work(monkeypatch, message):
+    """Make every entry point of a command's work fail with message.  The
+    CLI imports the layers in each command's body, so patching a layer's
+    own global reaches it."""
+    def no_work(*args, **kwargs):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(genfun, "Pipeline", no_work)
+    monkeypatch.setattr(recurrence, "GTable", no_work)
+    monkeypatch.setattr(checks, "run_suite", no_work)
+    for name in ("distribution", "max_pattern_perm", "witness_perm"):
+        monkeypatch.setattr(cli.perms, name, no_work)
 
 
 def run(capsys, *argv):
@@ -144,10 +163,7 @@ class TestCTable:
             assert polys == REFERENCE_CTABLES[3]
 
     def test_csv_rejected_before_work(self, capsys, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before --format was checked")
-
-        monkeypatch.setattr(cli, "Pipeline", no_work)
+        forbid_work(monkeypatch, "work started before --format was checked")
         with pytest.raises(SystemExit) as exc:
             run(capsys, "ctable", "--r", "12", "--format", "csv")
         assert exc.value.code == EXIT_USAGE
@@ -262,16 +278,28 @@ class TestVerify:
     (["rational", "--r", "0", "--order", str(ORDER_MAX + 1)], ORDER_MAX),
 ])
 def test_cap_checked_before_work(capsys, monkeypatch, argv, cap):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the cap was checked")
-
-    for name in ("Pipeline", "run_suite", "GTable"):
-        monkeypatch.setattr(cli, name, no_work)
-    for name in ("distribution", "max_pattern_perm", "witness_perm"):
-        monkeypatch.setattr(cli.perms, name, no_work)
+    forbid_work(monkeypatch, "work started before the cap was checked")
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert str(cap) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctable", "--r", "3"],
+    ["distribution", "--n", "6"],
+    ["distribution", "--n", "12", "--prefix", "1,3"],
+    ["verify", "--n", "5", "--rmax", "2"],
+])
+@pytest.mark.parametrize("missing_dir", [True, False])
+def test_out_checked_before_work(capsys, monkeypatch, tmp_path, argv, missing_dir):
+    """An --out that cannot be written is a usage error, found before any
+    work: a missing directory, or a path that is itself a directory."""
+    target = tmp_path / "missing" / "x.json" if missing_dir else tmp_path
+    forbid_work(monkeypatch, "work started before --out was checked")
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == EXIT_USAGE and out == ""
+    assert f"--out {target}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -279,10 +307,7 @@ def test_cap_checked_before_work(capsys, monkeypatch, argv, cap):
     (["verify", "--suite", "genfun", "--rmax", "0"], "--rmax must be >= 1"),
 ])
 def test_verify_lower_bounds(capsys, monkeypatch, argv, message):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the bound was checked")
-
-    monkeypatch.setattr(cli, "run_suite", no_work)
+    forbid_work(monkeypatch, "work started before the bound was checked")
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert message in err
@@ -342,3 +367,36 @@ def test_readme_cli_examples_run(capsys):
     for argv in examples:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_OK, (argv, err)
+
+
+#: The modules a command must not load unless it runs them.
+HEAVY = ("flatperm.algebra", "flatperm.recurrence", "flatperm.genfun", "flatperm.checks",
+         "dataclasses")
+
+LOADED_BY = """
+import contextlib, io, sys
+import flatperm.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = flatperm.cli.main(sys.argv[2:])
+print(code, *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
+"""
+
+
+def modules_loaded_by(*argv):
+    """The exit code of a fresh interpreter running the command, and which
+    of HEAVY it loaded by then."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", LOADED_BY, ",".join(HEAVY), *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    code, *loaded = done.stdout.split()
+    return int(code), loaded
+
+
+def test_enumeration_loads_only_perms():
+    assert modules_loaded_by("distribution", "--n", "6") == (EXIT_OK, [])
+
+
+def test_ctable_loads_no_checks():
+    code, loaded = modules_loaded_by("ctable", "--r", "3")
+    assert code == EXIT_OK
+    assert "flatperm.checks" not in loaded and "flatperm.genfun" in loaded

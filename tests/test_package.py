@@ -1,4 +1,7 @@
+import importlib
 from pathlib import Path
+
+import pytest
 
 import flatperm
 
@@ -8,6 +11,41 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_all_names_resolve():
     missing = [name for name in flatperm.__all__ if not hasattr(flatperm, name)]
     assert missing == []
+
+
+def test_names_are_their_home_modules_objects():
+    for name in flatperm.__all__:
+        home = importlib.import_module(f"flatperm.{flatperm._HOME[name]}")
+        assert getattr(flatperm, name) is getattr(home, name), name
+
+
+def test_error_classes_are_shared_with_algebra():
+    from flatperm import algebra
+
+    assert flatperm.ConsistencyError is algebra.ConsistencyError
+    assert flatperm.InexactDivisionError is algebra.InexactDivisionError
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from flatperm import *", namespace)
+    assert set(flatperm.__all__) <= set(namespace)
+    for name in flatperm.__all__:
+        assert namespace[name] is getattr(flatperm, name), name
+
+
+def test_dir_lists_every_name():
+    assert set(flatperm.__all__) | {"perms", "checks"} <= set(dir(flatperm))
+
+
+def test_submodules_are_attributes():
+    assert flatperm.checks is importlib.import_module("flatperm.checks")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flatperm.no_such_name
+    assert not hasattr(flatperm, "_walk")
 
 
 def test_readme_library_sketch_runs():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from flatperm import perms
 from flatperm.perms import (
     EnumerationLimitError,
+    OccurrenceTable,
     count_13_2,
     cycles_to_permutation,
     distribution,
@@ -114,6 +115,18 @@ class TestDistribution:
 
     def test_s1(self):
         assert distribution(1).counts == {0: 1}
+
+    def test_table_is_an_immutable_value(self):
+        table = distribution(4, (1, 3))
+        assert table == OccurrenceTable(4, {1: 6}, (1, 3))
+        assert table != OccurrenceTable(4, {1: 6})
+        assert OccurrenceTable(4, {}).prefix == ()
+        with pytest.raises(AttributeError):
+            table.n = 5
+        with pytest.raises(AttributeError):
+            table.extra = 1
+        assert (table.total(), table.count(1), table.count(7)) == (6, 6, 0)
+        assert (table.max_occurrences(), table.coeff_list()) == (1, [0, 6])
 
     def test_totals_are_factorials(self):
         for n in range(1, 7):
