@@ -36,7 +36,6 @@ _HOME = {
     "vpoly_div_kernel": "algebra",
     "xvpoly_extract_from_series": "algebra",
     "BoundaryData": "genfun",
-    "CTable": "genfun",
     "Pipeline": "genfun",
     "t_poly": "genfun",
     "DEFAULT_ENUM_LIMIT": "perms",
@@ -53,7 +52,6 @@ _HOME = {
     "standard_cycle_form": "perms",
     "witness_perm": "perms",
     "GTable": "recurrence",
-    "a_poly": "recurrence",
     "avoider_count": "recurrence",
     "average_occurrences": "recurrence",
     "b_poly": "recurrence",

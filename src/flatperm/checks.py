@@ -2,8 +2,9 @@
 
 Each suite runs a batch of exact identity checks across the independent
 computation routes (brute-force enumeration, q-polynomial recurrences,
-kernel pipeline) and returns one CheckResult per claim.  The CLI's
-``verify`` command is a thin wrapper over these.
+kernel pipeline) and returns one ``CheckResult`` per claim: a plain
+record of the check's name, whether it passed, and on failure a detail
+naming where.  The CLI's ``verify`` command is a thin wrapper over these.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import perms
 from ._common import SUITE_NAMES
@@ -37,8 +38,7 @@ A_FORM_KMAX = 15
 IDENTITY_RMAX = 4
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -190,8 +190,8 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
     _check(out, f"average occurrences equal (n^2+3n+8)/12 - H_n for n <= {AVERAGE_NMAX}", averages)
 
     def closed_form():
-        rep = verify_a_closed_form(A_FORM_KMAX, A_FORM_KMAX)
-        return rep.passed, "; ".join(rep.mismatches[:3])
+        mismatches = verify_a_closed_form(A_FORM_KMAX, A_FORM_KMAX)
+        return not mismatches, "; ".join(mismatches[:3])
     _check(out, f"closed form of A(x,y) matches a- and b-tables through {A_FORM_KMAX}", closed_form)
 
     def b_constants():
@@ -233,7 +233,7 @@ def genfun_suite(
         for r in range(1, min(r_max, 5) + 1):
             ct = pl.c_table(r)
             want = [IntPoly(cs) for cs in REFERENCE_CTABLES[r]]
-            if list(ct.polys) != want:
+            if list(ct) != want:
                 return False, f"r={r}"
         return True, ""
     _check(out, f"c tables match the reference coefficients for r <= {min(r_max, 5)}", reference_tables)
@@ -370,8 +370,9 @@ def constructions_suite(
     _check(out, f"witness words have exactly r occurrences, 4 <= r <= {witness_rmax}", witnesses)
 
     def dual_route():
+        pl = Pipeline(r_max=dual_route_rmax, table=table)
         for r in range(0, dual_route_rmax + 1):
-            Pipeline(r_max=r, table=table).htilde_over_kernel(r)  # raises on mismatch
+            pl.htilde_over_kernel(r)  # raises on mismatch
         return True, ""
     _check(out, f"both routes to H~_r/(1-sv) agree for r <= {dual_route_rmax}", dual_route)
 
@@ -393,11 +394,10 @@ def run_suite(
     suite: str,
     oracle_nmax: int = 7,
     r_max: int = 4,
-    table: GTable | None = None,
 ) -> list[CheckResult]:
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    table = table or GTable()
+    table = GTable()
     out: list[CheckResult] = []
     if suite in ("all", "recurrence"):
         out.extend(recurrence_suite(oracle_nmax=oracle_nmax, table=table))

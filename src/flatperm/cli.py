@@ -198,7 +198,7 @@ def _cmd_ctable(args) -> int:
     payload = {
         "command": "ctable",
         "r": r,
-        "polys": [poly_json(p, "x") for p in ct.polys],
+        "polys": [poly_json(p, "x") for p in ct],
     }
     _emit(payload, args)
     return EXIT_OK

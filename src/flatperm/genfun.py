@@ -33,8 +33,8 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import ConsistencyError, IntPoly, RationalGF, VPoly, XVPoly
 from .recurrence import GTable
@@ -78,34 +78,16 @@ def t_poly(h: int) -> XVPoly:
     return XVPoly([IntPoly([1])]) - geo * ONE_MINUS_V * XVPoly([T_POLY])
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(NamedTuple):
     """Finite boundary data feeding the recurrence for G_r: the top row
     g_{r+2,r}(1i) for 2 <= i <= r+2, and the inner values g_{n+3,j}(1k)
     for 0 <= j <= n <= r-2, 2 <= k <= j+2."""
 
-    r: int
     top_row: tuple[int, ...]
     inner: dict[tuple[int, int, int], int]
 
     def top(self, i: int) -> int:
         return self.top_row[i - 2]
-
-    def top_poly(self) -> XVPoly:
-        """sum_i g_{r+2,r}(1i) v^{i-2} as a polynomial in v alone."""
-        return XVPoly([IntPoly([c]) for c in self.top_row])
-
-
-@dataclass(frozen=True)
-class CTable:
-    """The polynomials c_{r,0}, ..., c_{r,r} of the structured expansion
-    of P_r(x, v)."""
-
-    r: int
-    polys: tuple[IntPoly, ...]
-
-    def __getitem__(self, ell: int) -> IntPoly:
-        return self.polys[ell]
 
 
 class Pipeline:
@@ -153,7 +135,7 @@ class Pipeline:
         # next r to derive.
         self._v_sum = self._k_sum = RationalGF(XVPoly())
         self._p: dict[int, XVPoly] = {}
-        self._c: dict[int, CTable] = {}
+        self._c: dict[int, tuple[IntPoly, ...]] = {}
 
     def _check_r(self, r: int) -> None:
         if not 0 <= r <= self.r_max:
@@ -178,7 +160,7 @@ class Pipeline:
             raise ConsistencyError(f"odd inner boundary entry for r={r}")
         if r >= 4 and any(c < 1 for c in top):
             raise ConsistencyError(f"non-positive top boundary entry for r={r}")
-        data = BoundaryData(r, top, inner)
+        data = BoundaryData(top, inner)
         self._boundary[r] = data
         return data
 
@@ -191,7 +173,7 @@ class Pipeline:
               - x (1-v) sum_{n=0}^{r-2} sum_{j=0}^{n} v^{r-j} G_{n+3,j}(v) x^n.
         """
         bd = self.boundary(r)
-        top = bd.top_poly()
+        top = XVPoly([IntPoly([c]) for c in bd.top_row])  # sum_i g_{r+2,r}(1i) v^{i-2}
         top_at_1 = sum(bd.top_row)
         h = (TWO_MINUS_V * top_at_1).shift_x(r) - top.shift_v(1).shift_x(r)
         inner_sum = [[0] * max(r - 1, 0) for _ in range(r + 1)]  # [v-power][x-power]
@@ -348,8 +330,10 @@ class Pipeline:
         self._p[r] = p
         return p
 
-    def c_table(self, r: int) -> CTable:
-        """Decompose P_r as 2c_{r,0} + sum_l c_{r,l} s^{l-1} t^l v^l by
+    def c_table(self, r: int) -> tuple[IntPoly, ...]:
+        """The polynomials c_{r,0}, ..., c_{r,r} of P_r.
+
+        Decompose P_r as 2c_{r,0} + sum_l c_{r,l} s^{l-1} t^l v^l by
         checked-exact divisions, then re-verify the decomposition, the
         value c_{r,0}(1/2) = 2^{1-r}, and the degree pattern."""
         self._check_r(r)
@@ -359,7 +343,6 @@ class Pipeline:
         polys = [p.coeff(0).divexact_const(2)]
         for ell in range(1, r + 1):
             polys.append(p.coeff(ell).divexact(S_POLY ** (ell - 1) * T_POLY**ell))
-        ct = CTable(r, tuple(polys))
 
         rebuilt = XVPoly([polys[0] * 2]) + XVPoly(
             [IntPoly()]
@@ -376,8 +359,8 @@ class Pipeline:
                 raise ConsistencyError(
                     f"deg c({r},{ell}) = {deg}, bound {bound} (exact for r >= 4)"
                 )
-        self._c[r] = ct
-        return ct
+        self._c[r] = tuple(polys)
+        return self._c[r]
 
     def rational_gf(self, r: int) -> RationalGF:
         """G_r as the closed form 2 x^{r+3} P_r / (s^{2r-1} t^{r+1})

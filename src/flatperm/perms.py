@@ -125,8 +125,8 @@ class OccurrenceTable(NamedTuple):
     flattening starts with ``prefix`` (empty prefix means all of S_n).
 
     counts maps an occurrence count r to the number of such permutations;
-    only nonzero entries are stored.  A named tuple rather than a frozen
-    dataclass, so that the walk's import path loads no ``dataclasses``.
+    only nonzero entries are stored.  A named tuple, like every record in
+    the package, so that no command loads ``dataclasses``.
     """
 
     n: int

@@ -43,7 +43,6 @@ identities and asserted, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ConsistencyError, IntPoly, XSeries, packed_dot
@@ -107,14 +106,6 @@ def a_rows(k_max: int) -> list[list[IntPoly]]:
             for i in range(k - 1)
         ])
     return rows[: k_max + 1]
-
-
-def a_poly(k: int, j: int) -> IntPoly:
-    """a_{k,j} for k >= 2; zero outside 1 <= j <= k-1.  Each call grows
-    the rows of ``a_rows`` through k afresh."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return a_rows(k)[k][j - 1] if 1 <= j < k else IntPoly()
 
 
 def b_poly_alt(n: int, j: int) -> IntPoly:
@@ -302,24 +293,6 @@ def average_occurrences(n: int, table: GTable | None = None) -> Fraction:
 # Closed form for the a and b tables
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClosedFormReport:
-    """Outcome of checking the rational closed form
-
-        A(x, y) = (1 - qx + xy) / ((1 - x)(1 - qx) - xy)
-
-    against the recurrence tables: [x^{k-2} y^{j-1}] A = a_{k,j}, and the
-    column sums over k <= n reproduce b_{n,j} for j >= 2."""
-
-    k_max: int
-    n_max: int
-    mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-
 def _a_series(x_top: int, y_top: int) -> list[list[IntPoly]]:
     """Taylor coefficients of A(x, y) as IntPoly-in-q entries A[i][j]."""
     zero = IntPoly()
@@ -351,23 +324,28 @@ def _a_series(x_top: int, y_top: int) -> list[list[IntPoly]]:
     return A
 
 
-def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> ClosedFormReport:
-    """Expand the closed form of A(x, y) and compare every coefficient
-    with the a recurrence, then compare the partial column sums with
-    b_poly (and its alternative form).  Returns a report listing the first
-    mismatching indices, if any."""
+def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> list[str]:
+    """Check the rational closed form
+
+        A(x, y) = (1 - qx + xy) / ((1 - x)(1 - qx) - xy)
+
+    against the recurrence tables: expand it and compare every
+    coefficient [x^{k-2} y^{j-1}] A with a_{k,j}, then compare the column
+    sums over k <= n with b_{n,j} (and its alternative form) for j >= 2.
+    Returns one line per mismatching index; an empty list means the
+    closed form matches."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     top = max(k_max, n_max)
     A = _a_series(top - 2, top - 2)
     rows = a_rows(k_max)
-    report = ClosedFormReport(k_max, n_max)
+    mismatches = []
     for k in range(2, k_max + 1):
         for j in range(1, top - 1 + 1):
             want = rows[k][j - 1] if j < k else IntPoly()
             got = A[k - 2][j - 1] if j - 1 <= top - 2 else IntPoly()
             if want != got:
-                report.mismatches.append(f"a({k},{j}): series {got!r} != recurrence {want!r}")
+                mismatches.append(f"a({k},{j}): series {got!r} != recurrence {want!r}")
     for n in range(3, n_max + 1):
         for j in range(2, n):
             total = IntPoly()
@@ -375,5 +353,5 @@ def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> ClosedFormReport:
                 total = total + A[k - 2][j - 1]
             want = b_poly(n, j)
             if total != want or want != b_poly_alt(n, j):
-                report.mismatches.append(f"b({n},{j}): column sum {total!r} != {want!r}")
-    return report
+                mismatches.append(f"b({n},{j}): column sum {total!r} != {want!r}")
+    return mismatches

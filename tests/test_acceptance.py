@@ -73,15 +73,15 @@ def test_04_average(table):
 
 
 def test_05_a_closed_form():
-    report = verify_a_closed_form(15, 15)
+    mismatches = verify_a_closed_form(15, 15)
     _report(5, "closed form of A(x,y) matches a_{k,j} (k <= 15) and b sums (n <= 15)",
-            report.passed)
+            not mismatches)
 
 
 def test_06_reference_c_tables(pipeline6):
     ok = True
     for r in range(1, 6):
-        got = [list(p.coeffs) for p in pipeline6.c_table(r).polys]
+        got = [list(p.coeffs) for p in pipeline6.c_table(r)]
         if got != REFERENCE_CTABLES[r]:
             ok = False
     _report(6, "c tables for r = 1..5 match the reference coefficients", ok)

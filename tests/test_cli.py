@@ -371,7 +371,7 @@ def test_readme_cli_examples_run(capsys):
 
 #: The modules a command must not load unless it runs them.
 HEAVY = ("flatperm.algebra", "flatperm.recurrence", "flatperm.genfun", "flatperm.checks",
-         "dataclasses")
+         "dataclasses", "inspect")
 
 LOADED_BY = """
 import contextlib, io, sys
@@ -400,3 +400,16 @@ def test_ctable_loads_no_checks():
     code, loaded = modules_loaded_by("ctable", "--r", "3")
     assert code == EXIT_OK
     assert "flatperm.checks" not in loaded and "flatperm.genfun" in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("ctable", "--r", "3"),
+    ("rational", "--r", "3"),
+    ("verify", "--suite", "all", "--n", "3", "--rmax", "1"),
+])
+def test_pipeline_commands_load_no_dataclasses(argv):
+    """Every record is a NamedTuple, so no command pays for importing
+    ``dataclasses`` and the ``inspect`` it pulls in."""
+    code, loaded = modules_loaded_by(*argv)
+    assert code == EXIT_OK
+    assert "dataclasses" not in loaded and "inspect" not in loaded

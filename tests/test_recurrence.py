@@ -11,7 +11,6 @@ from flatperm.algebra import ConsistencyError, IntPoly, XSeries
 from flatperm.checks import a_sum
 from flatperm.recurrence import (
     GTable,
-    a_poly,
     a_rows,
     avoider_count,
     average_occurrences,
@@ -49,31 +48,23 @@ class TestBTable:
 
 class TestATable:
     def test_first_rows(self):
-        assert a_poly(2, 1) == IntPoly([1])
-        assert a_poly(3, 1) == IntPoly([1])
-        assert a_poly(3, 2) == IntPoly([2])
-        assert a_poly(4, 2) == IntPoly([3, 2])
-        assert a_poly(4, 3) == IntPoly([2])
-
-    def test_vanishes_outside_range(self):
-        for k in range(2, 10):
-            assert a_poly(k, 0) == IntPoly()
-            assert a_poly(k, k) == IntPoly()
-            assert a_poly(k, k + 3) == IntPoly()
+        rows = a_rows(4)
+        assert rows[2] == [IntPoly([1])]
+        assert rows[3] == [IntPoly([1]), IntPoly([2])]
+        assert rows[4][1] == IntPoly([3, 2])
+        assert rows[4][2] == IntPoly([2])
 
     def test_first_column_is_one(self):
+        rows = a_rows(12)
         for k in range(2, 13):
-            assert a_poly(k, 1) == IntPoly([1])
+            assert rows[k][0] == IntPoly([1])
 
     def test_rows_hold_every_entry(self):
         rows = a_rows(12)
         assert rows[:2] == [[], []]
         for k in range(2, 13):
-            assert rows[k] == [a_poly(k, j) for j in range(1, k)]
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            a_poly(1, 1)
+            assert len(rows[k]) == k - 1
+            assert a_rows(k) == rows[: k + 1]
 
 
 class TestGTable:
@@ -338,14 +329,12 @@ class TestAverage:
 
 class TestClosedForm:
     def test_matches_through_12(self, table):
-        report = verify_a_closed_form(12, 12)
-        assert report.passed, report.mismatches[:3]
+        mismatches = verify_a_closed_form(12, 12)
+        assert not mismatches, mismatches[:3]
 
     def test_b_column_sum_example(self):
         # b(7,6) as a column sum over the a-table equals the direct value.
-        total = IntPoly()
-        for k in range(2, 8):
-            total = total + a_poly(k, 6)
+        total = sum((row[5] for row in a_rows(7) if len(row) > 5), IntPoly())
         assert total == b_poly(7, 6) == IntPoly([2])
 
 
