@@ -40,7 +40,7 @@ from ._common import SUITE_NAMES, ConsistencyError
 
 RECURRENCE_NMAX = 30
 #: Largest --limit for ``distribution``: the walk over the (n-1)! flattened
-#: words takes about 5.5 s at n = 11.
+#: words takes about 2.5 s at n = 11.
 ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
@@ -55,8 +55,9 @@ ORDER_MAX = 4 * PIPELINE_RMAX + 10
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
 WITNESS_MAX = 2000
-#: Largest --rmax for ``verify``: --rmax 12 takes about 1.2 s.  Its --n is
-#: capped by the enumeration limit ``perms.DEFAULT_ENUM_LIMIT``.
+#: Largest --rmax for ``verify``: --rmax 12 takes about 1.3 s, and with
+#: --n 10 about 1.5 s.  Its --n is capped by the enumeration limit
+#: ``perms.DEFAULT_ENUM_LIMIT``.
 VERIFY_RMAX = 12
 
 EXIT_OK = 0
@@ -136,19 +137,19 @@ def _cmd_distribution(args) -> int:
         source = "oracle"
         counts = perms.distribution(n, prefix, args.limit).counts
     elif n <= RECURRENCE_NMAX:
-        from .recurrence import GTable
-
         source = "recurrence"
-        t = GTable(n)
-        if prefix in ((), (1,)):
-            poly = t.g(n)
-        elif len(prefix) == 2 and prefix[0] == 1 and 2 <= prefix[1] <= n:
-            poly = t.g1k(n, prefix[1])
-        else:
+        if prefix[:1] not in ((), (1,)):
+            counts = {}  # every flattened word starts with 1
+        elif len(prefix) > 2:
             raise UsageError(
                 f"prefix {list(prefix)} needs enumeration, but n={n} exceeds the limit {args.limit}"
             )
-        counts = {r: c for r, c in enumerate(poly.coeffs) if c}
+        else:
+            from .recurrence import GTable
+
+            t = GTable(n)
+            poly = t.g1k(n, prefix[1]) if len(prefix) == 2 else t.g(n)
+            counts = {r: c for r, c in enumerate(poly.coeffs) if c}
     else:
         raise UsageError(f"n={n} exceeds both the enumeration limit and the recurrence cap {RECURRENCE_NMAX}")
     payload = {

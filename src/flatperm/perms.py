@@ -16,9 +16,11 @@ the n! permutations: a word starting with 1 is the flattening of exactly
 2^(rho-1) permutations, rho being its number of right-to-left minima,
 because the cycle starts may be any subset of those minima that contains
 position 1.  The walk is plain recursion that adds each word's weight
-into a list of counts; its leaf places the last two letters a < b in one
-frame and counts both words ..., a, b and ..., b, a, so every word is
-still counted one by one.
+into a list of counts.  Its leaf places the last three letters a < b < c
+in one frame and counts the six words that end in them one by one,
+reading what each order adds from a small table, ``_TAIL``, that is
+built at import from ``count_13_2``.  No count of a subtree is stored or
+reused: every word still adds its own weight.
 """
 
 from __future__ import annotations
@@ -160,30 +162,51 @@ def check_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
     return pre
 
 
+#: ``_TAIL[below]`` lists one pair (extra, minima) for each of the six
+#: orders x, y, z of the last three letters a < b < c of a word, when
+#: ``below`` of them lie below the letter placed before them.  ``extra``
+#: counts the 13-2 occurrences in that standardized four-letter word and
+#: ``minima`` the right-to-left minima among x, y, z.
+_TAIL = tuple(
+    tuple(
+        (
+            count_13_2((below + 1,) + tuple(t + (t > below) for t in tail)),
+            sum(all(t < u for u in tail[i + 1:]) for i, t in enumerate(tail)),
+        )
+        for tail in itertools.permutations((1, 2, 3))
+    )
+    for below in range(4)
+)
+
+
 def _walk(counts: list[int], n: int, pre: tuple[int, ...]) -> None:
-    """Add the weight of every flattened word of length n >= 3 that starts
-    with the checked prefix ``pre`` to ``counts[occurrences]``, walking the
-    words depth first from the letter 1.
+    """Add the weight of every flattened word of length n that starts
+    with the checked prefix ``pre`` (empty or led by 1) to
+    ``counts[occurrences]``, walking the words depth first from the
+    letter 1.
 
     A letter is a right-to-left minimum exactly when it is the smallest
     letter not yet placed; ``rho`` counts those placed so far.  ``gaps[i]``
     counts the adjacent ascents placed so far whose gap contains
     ``unused[i]``: the occurrences that letter adds when it is placed.
-    The last two letters a < b end two words in one frame: ..., a, b has
-    two more minima and adds both gaps; ..., b, a has one more minimum,
-    and placing b after ``prev`` opens one more ascent whose gap holds a
-    exactly when prev < a.
+    Once the prefix is placed, the last three letters a < b < c end six
+    words in one frame.  Each letter of the tail adds its gap count, plus
+    one for each ascent inside (prev, x, y, z) whose gap holds it, so a
+    word adds ga + gb + gc and the ``extra`` of its row in
+    ``_TAIL[below]``, ``below`` being how many of a, b, c lie below prev.
     """
     fixed = len(pre)
 
     def extend(d, prev, unused, gaps, occ, rho):
-        if len(unused) == 2:
-            (a, b), (ga, gb) = unused, gaps
-            occ += ga + gb
-            if d >= fixed or pre[d] == a and (d + 1 == fixed or pre[d + 1] == b):
-                counts[occ] += 2 << rho
-            if d >= fixed or pre[d] == b and (d + 1 == fixed or pre[d + 1] == a):
-                counts[occ + (prev < a)] += 1 << rho
+        if len(unused) == 3 and d >= fixed:
+            (a, b, c), (ga, gb, gc) = unused, gaps
+            occ += ga + gb + gc
+            weight = 1 << (rho - 1)
+            for extra, minima in _TAIL[(a < prev) + (b < prev) + (c < prev)]:
+                counts[occ + extra] += weight << minima
+            return
+        if not unused:
+            counts[occ] += 1 << (rho - 1)
             return
         for i, c in enumerate(unused):
             if d < fixed and c != pre[d]:
@@ -219,10 +242,7 @@ def distribution(
     pre = check_prefix(n, prefix)
     counts = [0] * (max_occurrences(n) + 1)
     if pre[:1] in ((), (1,)):
-        if n <= 2:
-            counts[0] = n  # the word 1 or 1, 2, flattened from 1 or 2 permutations
-        else:
-            _walk(counts, n, pre)
+        _walk(counts, n, pre)
     return OccurrenceTable(n, {r: c for r, c in enumerate(counts) if c}, pre)
 
 

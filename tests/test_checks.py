@@ -120,7 +120,9 @@ def test_doubling_check_sees_a_corrupted_column(capsys, monkeypatch):
 
 
 def test_verify_walks_each_oracle_case_once(capsys, monkeypatch):
-    """Checks that compare with the same (n, prefix) share one walk."""
+    """Checks that compare with the same (n, prefix) share one walk, and
+    a full distribution of S_n, n >= 2, is summed from its cases (1, k)
+    rather than walked again."""
     real, walks = perms.distribution, []
 
     def counted(n, prefix=()):
@@ -131,4 +133,6 @@ def test_verify_walks_each_oracle_case_once(capsys, monkeypatch):
     monkeypatch.setattr(perms, "distribution", counted)
     assert main(["verify", "--suite", "all", "--n", "7", "--rmax", "4"]) == EXIT_OK
     assert walks and len(walks) == len(set(walks))
+    assert not [(n, prefix) for n, prefix in walks if n >= 2 and not prefix]
+    assert {(n, (1, k)) for n in range(2, 8) for k in range(2, n + 1)} <= set(walks)
     assert capsys.readouterr().out.endswith("OK: 28/28 checks passed\n")

@@ -100,6 +100,15 @@ class TestDistribution:
         code, _, _ = run(capsys, "distribution", "--n", "12", "--prefix", "1,3,2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_prefix_without_leading_one_is_empty(self, capsys, n):
+        """No flattened word starts with a letter other than 1, on either route."""
+        code, out, _ = run(capsys, "distribution", "--n", str(n), "--prefix", "2")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["source"] == ("oracle" if n <= 10 else "recurrence")
+        assert (payload["counts"], payload["total"]) == ({}, "0")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "dist.json"
         code, out, _ = run(capsys, "distribution", "--n", "4", "--out", str(target))

@@ -215,16 +215,50 @@ def flattened_words(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_distribution_matches_word_walk(n):
-    """Every prefix of length <= 3, including those no word starts with."""
+    """Every prefix of length <= 3, including those no word starts with,
+    and every prefix of length n - 2 or n - 1 that a word starts with, so
+    that the walk also meets its last three letters inside the prefix."""
     words = list(flattened_words(n))
     letters = range(1, n + 1)
-    prefixes = [p for size in range(4) for p in itertools.permutations(letters, size)]
+    prefixes = {p for size in range(4) for p in itertools.permutations(letters, size)}
+    prefixes |= {word[:size] for word, _, _ in words for size in (n - 2, n - 1) if size >= 0}
+    want = {prefix: Counter() for prefix in prefixes}
+    for word, occ, weight in words:
+        for size in range(n + 1):
+            if word[:size] in want:
+                want[word[:size]][occ] += weight
     for prefix in prefixes:
-        want = Counter()
-        for word, occ, weight in words:
-            if word[: len(prefix)] == prefix:
-                want[occ] += weight
-        assert distribution(n, prefix).counts == dict(sorted(want.items())), prefix
+        assert distribution(n, prefix).counts == dict(sorted(want[prefix].items())), prefix
+
+
+def test_tail_table_matches_naive_scan():
+    """Row ``below`` of ``perms._TAIL`` holds, for each order x, y, z of
+    three letters after a letter that ``below`` of them lie under, the
+    13-2 occurrences of the four-letter word and the right-to-left minima
+    among x, y, z."""
+    for below in range(4):
+        rows = []
+        for tail in itertools.permutations((1, 2, 3)):
+            w = (below + 0.5,) + tail
+            extra = sum(1 for i in range(1, 4) for j in range(i + 1, 4) if w[i - 1] < w[j] < w[i])
+            rows.append((extra, right_to_left_minima(tail)))
+        assert sorted(perms._TAIL[below]) == sorted(rows), below
+
+
+@pytest.mark.parametrize("below, order, field", itertools.product(range(4), range(6), range(2)))
+def test_patched_tail_entry_changes_distribution(monkeypatch, below, order, field):
+    """Every entry of ``_TAIL`` is read at n = 6: one extra or minima one
+    too large moves or doubles the weight of some words, or pushes their
+    count past max_occurrences(6) out of the list of counts."""
+    want = Counter(occ for _, occ in brute_force_words(6))
+    assert distribution(6).counts == want
+    rows = [list(map(list, row)) for row in perms._TAIL]
+    rows[below][order][field] += 1
+    monkeypatch.setattr(perms, "_TAIL", tuple(tuple(map(tuple, row)) for row in rows))
+    try:
+        assert distribution(6).counts != want
+    except IndexError:
+        assert field == 0
 
 
 @pytest.mark.parametrize("n", range(1, 8))
