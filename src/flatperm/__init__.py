@@ -28,6 +28,8 @@ __version__ = "0.1.0"
 _HOME = {
     "ConsistencyError": "_common",
     "InexactDivisionError": "_common",
+    "DEFAULT_ENUM_LIMIT": "_common",
+    "EnumerationLimitError": "_common",
     "IntPoly": "algebra",
     "RationalGF": "algebra",
     "VPoly": "algebra",
@@ -38,8 +40,6 @@ _HOME = {
     "BoundaryData": "genfun",
     "Pipeline": "genfun",
     "t_poly": "genfun",
-    "DEFAULT_ENUM_LIMIT": "perms",
-    "EnumerationLimitError": "perms",
     "OccurrenceTable": "perms",
     "count_13_2": "perms",
     "cycles_to_permutation": "perms",

@@ -17,26 +17,24 @@ failure, 2 usage or limit errors, an unwritable ``--out`` among them
 (checked before any work); any other exception is a bug and ends with a
 traceback.
 
-Each command loads only the layers it runs: this module imports ``perms``
-and the stdlib-only ``_common`` (the error classes and the suite names),
-and each ``_cmd_*`` imports ``recurrence``, ``genfun``, ``checks`` and
-``algebra``'s JSON helpers in its own body.  ``distribution`` by
-enumeration thus compiles and imports neither the recurrences nor the
-kernel pipeline.
+Each command loads only the layers it runs: this module imports only the
+stdlib-only ``_common`` (the error classes, the default enumeration limit
+and the suite names), and each ``_cmd_*`` imports ``perms``,
+``recurrence``, ``genfun``, ``checks`` and ``algebra``'s JSON helpers in
+its own body, as ``_emit`` imports ``csv`` for ``--format csv`` alone.
+``distribution`` by enumeration thus compiles and imports neither the
+recurrences nor the kernel pipeline, and ``ctable`` no enumeration.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from typing import Sequence
 
-from . import perms
-from ._common import SUITE_NAMES, ConsistencyError
+from ._common import DEFAULT_ENUM_LIMIT, SUITE_NAMES, ConsistencyError, EnumerationLimitError
 
 RECURRENCE_NMAX = 30
 #: Largest --limit for ``distribution``: the walk over the (n-1)! flattened
@@ -45,19 +43,19 @@ ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
 AVOIDERS_NMAX = 500
-#: Largest r for ``ctable`` and ``rational``: r = 40 takes 4-4.5 s on a
-#: shared 2-vCPU Xeon (Python 3.11), about 0.6 s of it growing the table.
+#: Largest r for ``ctable`` and ``rational``: r = 40 takes 2.6-2.8 s on a
+#: shared 2-vCPU Xeon (Python 3.11), about 0.15 s of it growing the table.
 PIPELINE_RMAX = 40
 #: Largest --order for ``ctable`` and ``rational``: the default order 4r + 10
 #: at r = PIPELINE_RMAX, so no default run is refused.  At the cap, r = 40
-#: takes 4-4.5 s (as by default) and r = 1 about 0.15 s.
+#: takes 2.6-2.8 s (as by default) and r = 1 about 0.15 s.
 ORDER_MAX = 4 * PIPELINE_RMAX + 10
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
 WITNESS_MAX = 2000
 #: Largest --rmax for ``verify``: --rmax 12 takes about 1.3 s, and with
 #: --n 10 about 1.5 s.  Its --n is capped by the enumeration limit
-#: ``perms.DEFAULT_ENUM_LIMIT``.
+#: ``DEFAULT_ENUM_LIMIT``.
 VERIFY_RMAX = 12
 
 EXIT_OK = 0
@@ -106,6 +104,9 @@ def _emit(payload, args, csv_rows=None) -> None:
     """Write the payload as JSON, or csv_rows as CSV for the commands that
     offer ``--format csv``."""
     if args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in csv_rows:
@@ -121,6 +122,8 @@ def _emit(payload, args, csv_rows=None) -> None:
 
 
 def _cmd_distribution(args) -> int:
+    from . import perms
+
     n = args.n
     prefix = _parse_prefix(args.prefix)
     if n < 1:
@@ -230,6 +233,8 @@ def _cmd_rational(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import perms
+
     if (args.n is None) == (args.r is None):
         raise UsageError("give exactly one of --n (extremal word) or --r [--i] (witness word)")
     if args.n is not None and args.i is not None:
@@ -306,8 +311,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("--n must be >= 1")
     if args.rmax < 1:
         raise UsageError("--rmax must be >= 1")
-    if args.n > perms.DEFAULT_ENUM_LIMIT:
-        raise UsageError(f"--n {args.n} exceeds the enumeration limit {perms.DEFAULT_ENUM_LIMIT}")
+    if args.n > DEFAULT_ENUM_LIMIT:
+        raise UsageError(f"--n {args.n} exceeds the enumeration limit {DEFAULT_ENUM_LIMIT}")
     if args.rmax > VERIFY_RMAX:
         raise UsageError(f"--rmax {args.rmax} exceeds the verify cap {VERIFY_RMAX}")
     results = run_suite(args.suite, oracle_nmax=args.n, r_max=args.rmax)
@@ -347,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distribution", help="occurrence distribution over S_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--prefix", default="", help="comma-separated flattened-word prefix, e.g. 1,3")
-    p.add_argument("--limit", type=int, default=perms.DEFAULT_ENUM_LIMIT,
+    p.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT,
                    help=f"largest n enumerated exhaustively, 0 to {ENUM_LIMIT_MAX}")
     common(p, with_csv=True)
     p.set_defaults(fn=_cmd_distribution)
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_gpoly)
 
-    r_help = f"at most {PIPELINE_RMAX} (4-4.5 s at the cap)"
+    r_help = f"at most {PIPELINE_RMAX} (2.6-2.8 s at the cap)"
     p = sub.add_parser("ctable", help="the polynomials c_{r,0..r}")
     p.add_argument("--r", type=int, required=True, help=r_help)
     p.add_argument("--order", type=int,
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--n", type=int, default=7,
-                   help=f"bound for enumeration-backed checks, 1 to {perms.DEFAULT_ENUM_LIMIT}")
+                   help=f"bound for enumeration-backed checks, 1 to {DEFAULT_ENUM_LIMIT}")
     p.add_argument("--rmax", type=int, default=4, help=f"bound for pipeline checks, 1 to {VERIFY_RMAX}")
     common(p, with_csv=True)
     p.set_defaults(fn=_cmd_verify)
@@ -410,7 +415,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out:
             _check_out(args.out)
         return args.fn(args)
-    except (UsageError, perms.EnumerationLimitError) as exc:
+    except (UsageError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:

@@ -33,10 +33,9 @@ tables.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import ConsistencyError, IntPoly, RationalGF, VPoly, XVPoly
+from .algebra import ConsistencyError, InexactDivisionError, IntPoly, RationalGF, VPoly, XVPoly
 from .recurrence import GTable
 
 S_POLY = IntPoly([1, -1])   # s = 1 - x
@@ -69,9 +68,9 @@ def t_poly(h: int) -> XVPoly:
 
         T_h(x, v) = 1 - (1 - 2x)(1 - v) sum_{k=0}^{h-1} (1 - x)^k v^k,
 
-    an integer polynomial of v-degree h.  Route one of
-    ``Pipeline.htilde_over_kernel`` forms each product T_h X_h from this
-    definition directly."""
+    an integer polynomial of v-degree h.  The per-cell reference for
+    route one of ``Pipeline.htilde_over_kernel`` in the tests multiplies
+    by it once per inner boundary cell."""
     if h < 1:
         raise ValueError("h must be >= 1")
     geo = XVPoly([S_POLY**k for k in range(h)])
@@ -98,8 +97,9 @@ class Pipeline:
 
     Every stage re-verifies itself: the two independent routes to
     H~_r/(1 - sv) must agree exactly, kernel divisions must leave no
-    remainder, each G_r must divide down exactly to the denominator
-    s^(2r-1) t^(r+1), extracted polynomials must be divisible and of
+    remainder, each G_{r-1}(x, 1/s) must divide down exactly to
+    s^(2r-2) t^r, so that G_r lands on the denominator s^(2r-1) t^(r+1),
+    extracted polynomials must be divisible and of
     bounded degree exactly where claimed, and every coefficient of G_r
     through the order is compared with the q-polynomial recurrence tables.
 
@@ -131,8 +131,8 @@ class Pipeline:
         self.table = table if table is not None else GTable(2, q_top=r_max)
         self._boundary: dict[int, BoundaryData] = {}
         self._g: list[RationalGF] = []
-        # The running sums V_r and K_r of the recurrence for G_r, for the
-        # next r to derive.
+        # The running sums V_r (over s^(2r-3) t^r) and K_r (over
+        # s^(2r-1) t^r) of the recurrence for G_r, for the next r to derive.
         self._v_sum = self._k_sum = RationalGF(XVPoly())
         self._p: dict[int, XVPoly] = {}
         self._c: dict[int, tuple[IntPoly, ...]] = {}
@@ -191,11 +191,19 @@ class Pipeline:
 
         The inner cells depend on (j, k) only through h = r-j+k-2, which
         takes at most r - 1 values, so their x^{n+1} terms are summed into
-        one polynomial X_h per h.  Each T_h X_h is formed from the
-        definition of T_h as X_h - (1-v) sum_{k<h} v^k s^k t X_h, one
-        product by s per power.  The terms are summed in ascending powers
-        of s, so each addition lifts the running sum by one pass per new
-        power.
+        one polynomial X_h per h (the sign of the cells included).  Route
+        one builds the numerator over the single denominator s^(r+1) t
+        column by column, with O(r) passes in all:
+
+        - top row: D_0 = sum_i g_{r+2,r}(1i) s^(r+2-i) by Horner, and
+          D_k = s (D_{k-1} - g_{r+2,r}(1,k+1) s^r); column k gets
+          x^r t D_k and column 0 gets 2 x^r s D_0 (1 + t = 2s);
+        - inner cells: E = sum_h s^(r+1-h) X_h by Horner, F_1 = E - s^r X_1
+          and F_k = s F_{k-1} - s^r X_k; column k gets t (x F_k + s^r X_k)
+          and column 0 gets 2x E (1 - t = 2x).
+
+        The tests keep the per-cell sum of T_h X_h, with T_h from
+        ``t_poly``, as the reference for this form.
 
         Route two forms H~_r = H_r(x,v) - (2-v)(s/t) H_r(x, 1/s) and divides
         out the kernel factor exactly.  The two must be equal as exact
@@ -203,30 +211,24 @@ class Pipeline:
         """
         self._check_r(r)
         bd = self.boundary(r)
-
-        terms = []
-        vpart = [IntPoly([2, -2])]  # v^0 of 1 + t*sum: 1 + t = 2 - 2x
-        ts = T_POLY
+        s_r = S_POLY**r
+        d = IntPoly()
         for i in range(2, r + 3):
-            if i > 2:
-                ts = ts * S_POLY  # t s^(i-2), the v^(i-2) part of 1 + t*sum
-                vpart.append(ts)
-            gi = bd.top(i)
-            if gi:
-                terms.append(RationalGF(XVPoly(vpart).shift_x(r) * gi, i - 1, 1))
-        by_h: dict[int, list[int]] = {}
+            d = d * S_POLY + IntPoly([bd.top(i)])  # D_0 by Horner
+        xh = [[0] * r for _ in range(r + 1)]  # [h][x-power] of X_h
         for (m, j, k), val in bd.inner.items():
-            if val:
-                by_h.setdefault(r - j + k - 2, [0] * r)[m + 1] -= val
-        for h, xpoly in by_h.items():
-            geo = [IntPoly(xpoly) * T_POLY]
-            for _ in range(h - 1):
-                geo.append(geo[-1] * S_POLY)
-            th_x = XVPoly([xpoly]) - XVPoly(geo) + XVPoly(geo).shift_v(1)
-            terms.append(RationalGF(th_x, h, 1))
-        expanded = RationalGF(XVPoly())
-        for term in sorted(terms, key=lambda gf: gf.s_power):
-            expanded = expanded + term
+            xh[r - j + k - 2][m + 1] -= val
+        xh = [IntPoly(cs) for cs in xh]
+        f = IntPoly()
+        for x_h in xh:
+            f = f * S_POLY + x_h  # E / s by Horner
+        cols = [((d * S_POLY).shift(r) + (f * S_POLY).shift(1)) * 2]
+        for k in range(1, r + 1):
+            d = (d - s_r * bd.top(k + 1)) * S_POLY
+            s_x = s_r * xh[k]
+            f = f * S_POLY - s_x
+            cols.append((d.shift(r) + f.shift(1) + s_x) * T_POLY)
+        expanded = RationalGF(XVPoly(cols), r + 1, 1)
 
         hv = RationalGF(self.h_poly(r))
         divided = (hv - (hv.at_v_sinv() * TWO_MINUS_V).over(-1, 1)).div_kernel()
@@ -249,9 +251,12 @@ class Pipeline:
         where the bracket is divided by the kernel exactly.  The sums are
         kept Horner style, V_r = v (V_{r-1} + G_{r-1}) and
         K_r = (K_{r-1} + G_{r-1}(x, 1/s))/s, so each r adds one term to
-        each.  G_r is then divided exactly down to s^(2r-1) t^(r+1), and its
-        expansion through the order is compared with the q-polynomial
-        recurrence: [x^n v^{i-2}] G_r = g_{n,r}(1i).
+        each.  G_{r-1}(x, 1/s) is first divided exactly down to
+        s^(2r-2) t^r, so K_r stays over s^(2r-1) t^r, the denominator the
+        kernel-root identity gives it, and the bracket's quotient lands on
+        G_r's own denominator s^(2r-1) t^(r+1).  The expansion of G_r
+        through the order is compared with the q-polynomial recurrence:
+        [x^n v^{i-2}] G_r = g_{n,r}(1i).
         """
         self._check_r(r)
         while len(self._g) <= r:
@@ -266,11 +271,18 @@ class Pipeline:
         else:
             prev = self._g[-1]
             v_sum = (v_sum + prev).shift(v=1)
-            k_sum = (k_sum + prev.at_v_sinv()).over(1)
+            try:
+                at_root = prev.at_v_sinv().with_denominator(2 * r - 2, r)
+            except InexactDivisionError as exc:
+                raise ConsistencyError(
+                    f"G_{r - 1}(x, 1/s) does not divide down to s^{2 * r - 2} t^{r}: {exc}"
+                ) from exc
+            k_sum = (k_sum + at_root).over(1)
             bracket = (v_sum * ONE_MINUS_V).shift(x=1) + (k_sum * TWO_MINUS_V).over(0, 1).shift(x=2)
-            # The bracket's quotient divides down on its own; the sum needs
-            # the second step only at r = 1, where H~_1 carries s^2.
-            g = bracket.div_kernel().with_denominator(2 * r - 1, r + 1)
+            # With K_r over s^(2r-1) t^r, the bracket and its quotient are
+            # over G_r's own denominator; the sum with H~_r (over s^(r+1) t)
+            # lowers only at r = 1, where H~_1 carries s^2.
+            g = bracket.div_kernel()
             g = (g + self.htilde_over_kernel(r).shift(x=3)).with_denominator(2 * r - 1, r + 1)
         if g.vdegree > r:
             raise ConsistencyError(f"G_{r} has v-degree {g.vdegree} > {r}")
@@ -350,7 +362,11 @@ class Pipeline:
         )
         if rebuilt != p:
             raise ConsistencyError(f"c-decomposition of P_{r} failed to rebuild P_{r}")
-        if polys[0].eval_at(Fraction(1, 2)) != Fraction(2) ** (1 - r):
+        # c_{r,0}(1/2) = 2^(1-r), both sides times 2^top: integers for
+        # top >= deg c_{r,0} and top >= r - 1.
+        c0 = polys[0].coeffs
+        top = max(len(c0) - 1, r - 1)
+        if sum(c << (top - k) for k, c in enumerate(c0)) != 1 << (top + 1 - r):
             raise ConsistencyError(f"c({r},0)(1/2) != 2^(1-{r})")
         for ell in range(r + 1):
             bound = 3 * r - 1 if ell == 0 else 3 * r - 2 * ell

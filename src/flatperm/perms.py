@@ -28,12 +28,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
-DEFAULT_ENUM_LIMIT = 10
-
-
-class EnumerationLimitError(ValueError):
-    """Raised when an exhaustive enumeration is requested beyond the
-    configured limit (a hard error, never a silent slow path)."""
+# Defined in _common, so the CLI can use them without loading this module.
+from ._common import DEFAULT_ENUM_LIMIT, EnumerationLimitError
 
 
 Perm = tuple[int, ...]

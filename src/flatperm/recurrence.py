@@ -43,15 +43,19 @@ identities and asserted, never assumed.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from itertools import chain
+from operator import add, sub
+from typing import TYPE_CHECKING, Iterator
 
 from .algebra import ConsistencyError, IntPoly, XSeries, packed_dot
 
-#: q, q - 1, 1 + q and 1 - q as polynomials.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+#: q, q - 1 and 1 + q as polynomials.
 Q = IntPoly([0, 1])
 Q_MINUS_1 = IntPoly([-1, 1])
 ONE_PLUS_Q = IntPoly([1, 1])
-ONE_MINUS_Q = IntPoly([1, -1])
 
 
 def _binom(m: int, k: int) -> int:
@@ -83,6 +87,8 @@ def b_poly(n: int, j: int, top: int | None = None) -> IntPoly:
         num = (n - 1 + j - k) * _binom(j + k - 2, j - 2) * _binom(n - 2 - k, j - 1)
         c, rem = divmod(num, j)
         if rem:
+            from fractions import Fraction
+
             raise ConsistencyError(
                 f"b({n},{j}) coefficient of q^{k} is not an integer: {Fraction(num, j)}"
             )
@@ -124,6 +130,18 @@ def b_poly_alt(n: int, j: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def _aligned(*polys: IntPoly | XSeries) -> list[tuple[int, ...]]:
+    """The coefficient tuples of polys, padded with zeros to one length."""
+    m = max(len(p.coeffs) for p in polys)
+    return [p.coeffs + (0,) * (m - len(p.coeffs)) for p in polys]
+
+
+def _plus_q(lo, hi) -> Iterator[int]:
+    """The coefficients of lo + q hi, for coefficient iterables of one
+    length: one fused pass."""
+    return map(add, chain(lo, (0,)), chain((0,), hi))
+
+
 class GTable:
     """Bottom-up tables of g_n and g_n(1k), growable on demand.
 
@@ -137,8 +155,10 @@ class GTable:
         g_n(1k) = (1+q) g_n(1,k-1) - q g_n(1,k-2) - (1-q) g_{n-1}(1,k-1)
                                                               (k >= 5),
 
-    so each entry costs a few products by a polynomial of degree at most
-    2.  A table grows as it is read, so give each thread its own.
+    each formed on the coefficient tuples in one fused pass, the last as
+    a - c + q(a - b + c) for a = g_n(1,k-1), b = g_n(1,k-2) and
+    c = g_{n-1}(1,k-1).  A table grows as it is read, so give each thread
+    its own.
 
     With ``q_top`` unset (the default) every polynomial is kept in full,
     each g_n is the b-sum over the column below it, formed as one packed
@@ -151,9 +171,9 @@ class GTable:
     ``Pipeline`` given a table explicitly.
 
     With ``q_top`` set, the table holds ``XSeries`` in q of order q_top:
-    every g_n and g_n(1k) is such a series, and the products are the same
-    ``*`` as in full mode, with the series on the left, so they are cut at
-    q^q_top.  Each g_n is the sum of its rows g_n(1k) for k <= q_top + 2:
+    every g_n and g_n(1k) is such a series, and each short rule's pass is
+    cut at q^q_top.  Each g_n is the sum of its rows g_n(1k) for
+    k <= q_top + 2, taken in one pass over the rows' coefficients:
     q^(k-2) divides g_n(1k) (see the module docstring), so the later rows
     are zero through q^q_top.  No b_{n,j} is formed.  That is all a kernel
     pipeline through r_max = q_top reads, and ``Pipeline`` builds such a
@@ -194,9 +214,9 @@ class GTable:
                 )
             else:
                 # q^(k-2) divides g_m(1k), so the rows past k = q_top + 2 vanish.
-                total = self._zero
-                for k in range(2, min(m, self.q_top + 2) + 1):
-                    total = total + self.g1k(m, k)
+                k_top = min(m, self.q_top + 2)
+                self.g1k(m, k_top)
+                total = XSeries(map(sum, zip(*self._rows[m][: k_top - 1])), self.q_top)
             if any(c < 0 for c in total.coeffs):
                 raise ConsistencyError(f"g_{m} has a negative coefficient")
             if self.q_top is None and sum(total.coeffs) != math.factorial(m):
@@ -217,18 +237,26 @@ class GTable:
         while len(row) < k - 1:
             j = len(row) + 2
             if j == 2:
-                val = self.g(n - 1) * 2
+                a = self.g(n - 1).coeffs
+                val = map(add, a, a)
             elif j == 3:
-                val = self.g(n - 1) - self.g(n - 2) * (ONE_MINUS_Q * 2)
+                # g_{n-1} - 2(1-q) g_{n-2} = (a - 2b) + q 2b
+                a, b = _aligned(self.g(n - 1), self.g(n - 2))
+                b2 = list(map(add, b, b))
+                val = _plus_q(map(sub, a, b2), b2)
             elif j == 4:
-                val = (
-                    self.g(n - 1)
-                    - self.g(n - 2) * (ONE_MINUS_Q * IntPoly([3, 2]))
-                    + self.g(n - 3) * (ONE_MINUS_Q * ONE_MINUS_Q * 2)
-                )
+                # g_{n-1} - (1-q)(3+2q) g_{n-2} + 2(1-q)^2 g_{n-3}
+                #   = (a - 3b + 2c) + q (b - 4c) + q^2 (2b + 2c)
+                a, b, c = _aligned(self.g(n - 1), self.g(n - 2), self.g(n - 3))
+                lo = [x - 3 * y + 2 * z for x, y, z in zip(a, b, c)]
+                mid = [y - 4 * z for y, z in zip(b, c)]
+                hi = [2 * (y + z) for y, z in zip(b, c)]
+                val = _plus_q(chain(lo, (0,)), _plus_q(mid, hi))
             else:
-                val = row[-1] * ONE_PLUS_Q - row[-2] * Q - self.g1k(n - 1, j - 1) * ONE_MINUS_Q
-            row.append(val)
+                # (1+q)a - qb - (1-q)c = a - c + q(a - b + c)
+                a, b, c = _aligned(row[-1], row[-2], self.g1k(n - 1, j - 1))
+                val = _plus_q(map(sub, a, c), map(sub, map(add, a, c), b))
+            row.append(self._zero._with(val))
         return row[k - 2]
 
     def coeff(self, n: int, r: int, k: int | None = None) -> int:
@@ -271,6 +299,8 @@ def avoider_count(n: int) -> int:
 
 
 def harmonic(n: int) -> Fraction:
+    from fractions import Fraction
+
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
@@ -279,6 +309,8 @@ def average_occurrences(n: int, table: GTable | None = None) -> Fraction:
     as g_n'(1)/n! from the given full table (or a new one) and asserted
     equal to (n^2 + 3n + 8)/12 - H_n.  A table cut at q^q_top lacks the
     higher coefficients g_n'(1) needs and is rejected with ValueError."""
+    from fractions import Fraction
+
     if table is not None and table.q_top is not None:
         raise ValueError(f"average needs a full table, not one cut at q_top={table.q_top}")
     g = (table or GTable(n)).g(n)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flatperm import checks, cli, genfun, perms, recurrence
+from flatperm import checks, genfun, perms, recurrence
 from flatperm.cli import (
     AVOIDERS_NMAX,
     ENUM_LIMIT_MAX,
@@ -40,7 +40,7 @@ def forbid_work(monkeypatch, message):
     monkeypatch.setattr(recurrence, "GTable", no_work)
     monkeypatch.setattr(checks, "run_suite", no_work)
     for name in ("distribution", "max_pattern_perm", "witness_perm"):
-        monkeypatch.setattr(cli.perms, name, no_work)
+        monkeypatch.setattr(perms, name, no_work)
 
 
 def run(capsys, *argv):
@@ -222,7 +222,7 @@ class TestWitness:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before --i was checked")
 
-        monkeypatch.setattr(cli.perms, "max_pattern_perm", no_work)
+        monkeypatch.setattr(perms, "max_pattern_perm", no_work)
         code, out, err = run(capsys, "witness", "--n", "5", "--i", "2")
         assert code == EXIT_USAGE and out == ""
         assert "--i" in err
@@ -348,7 +348,7 @@ def test_library_rejections_are_usage_errors(capsys, monkeypatch, command):
     for name in ("c_table", "rational_gf"):
         monkeypatch.setattr(Pipeline, name, no_work)
     for name in ("distribution", "max_pattern_perm", "witness_perm"):
-        monkeypatch.setattr(cli.perms, name, no_work)
+        monkeypatch.setattr(perms, name, no_work)
     code, out, err = run(capsys, *command.split())
     assert code == EXIT_USAGE and out == ""
     assert f"error: {rejected.value}" in err
@@ -380,7 +380,7 @@ def test_readme_cli_examples_run(capsys):
 
 #: The modules a command must not load unless it runs them.
 HEAVY = ("flatperm.algebra", "flatperm.recurrence", "flatperm.genfun", "flatperm.checks",
-         "dataclasses", "inspect")
+         "dataclasses", "inspect", "fractions", "csv")
 
 LOADED_BY = """
 import contextlib, io, sys
@@ -391,11 +391,11 @@ print(code, *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
 """
 
 
-def modules_loaded_by(*argv):
+def modules_loaded_by(*argv, modules=HEAVY):
     """The exit code of a fresh interpreter running the command, and which
-    of HEAVY it loaded by then."""
+    of modules (HEAVY by default) it loaded by then."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", LOADED_BY, ",".join(HEAVY), *argv],
+    done = subprocess.run([sys.executable, "-c", LOADED_BY, ",".join(modules), *argv],
                           env=env, capture_output=True, text=True, check=True)
     code, *loaded = done.stdout.split()
     return int(code), loaded
@@ -422,3 +422,15 @@ def test_pipeline_commands_load_no_dataclasses(argv):
     code, loaded = modules_loaded_by(*argv)
     assert code == EXIT_OK
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("ctable", "--r", "3"),
+    ("rational", "--r", "3"),
+    ("gpoly", "--n", "5"),
+])
+def test_table_commands_load_no_enumeration_fractions_or_csv(argv):
+    """The pipeline checks c_{r,0}(1/2) in integers and the CLI imports
+    ``csv`` and ``perms`` only for the commands that use them."""
+    modules = ("flatperm.perms", "fractions", "csv")
+    assert modules_loaded_by(*argv, modules=modules) == (EXIT_OK, [])

@@ -81,9 +81,10 @@ class TestHLayer:
     def test_dual_routes_never_disagree(self, pipeline6, r):
         pipeline6.htilde_over_kernel(r)  # raises on mismatch
 
-    @pytest.mark.parametrize("r", range(0, 7))
-    def test_route_one_grouped_by_h_matches_per_cell(self, pipeline6, r):
-        assert pipeline6.htilde_over_kernel(r) == _route_one_per_cell(pipeline6, r)
+    @pytest.mark.parametrize("r", range(0, 13))
+    def test_route_one_grouped_by_h_matches_per_cell(self, table, r):
+        pl = Pipeline(r_max=r, table=table)
+        assert pl.htilde_over_kernel(r) == _route_one_per_cell(pl, r)
 
     def test_corrupted_top_row_makes_routes_disagree(self, table, monkeypatch):
         # Route one reads the top row entry by entry; route two reads it
@@ -96,8 +97,8 @@ class TestHLayer:
 
 def _route_one_per_cell(pl: Pipeline, r: int) -> RationalGF:
     """Route one to H~_r/(1 - sv) with one T_h multiply per inner boundary
-    cell, summed in cell order: the reference for the grouped form in
-    Pipeline.htilde_over_kernel."""
+    cell, summed in cell order: the reference for the column-by-column
+    form in Pipeline.htilde_over_kernel."""
     bd = pl.boundary(r)
     total = RationalGF(XVPoly())
     for i in range(2, r + 3):
@@ -107,6 +108,45 @@ def _route_one_per_cell(pl: Pipeline, r: int) -> RationalGF:
         h = r - j + k - 2
         total = total - RationalGF(t_poly(h) * IntPoly.term(val, m + 1), h, 1)
     return total
+
+
+class TestKernelStep:
+    """Each step keeps K_r over s^(2r-1) t^r, and divides the kernel out
+    of a bracket already over G_r's denominator s^(2r-1) t^(r+1)."""
+
+    def test_denominators_stay_reduced(self, table, monkeypatch):
+        divided = []
+        real = RationalGF.div_kernel
+
+        def spy(self):
+            divided.append((self.s_power, self.t_power))
+            return real(self)
+
+        monkeypatch.setattr(RationalGF, "div_kernel", spy)
+        pl = Pipeline(r_max=10, table=table)
+        for r in range(1, 11):
+            divided.clear()
+            pl.g_exact(r)
+            k_sum = pl._k_sum
+            assert (k_sum.s_power, k_sum.t_power) == (2 * r - 1, r)
+            direct = RationalGF(XVPoly())
+            for j in range(r):
+                direct = direct + pl.g_exact(j).at_v_sinv().over(r - j)
+            assert k_sum == direct
+            assert (2 * r - 1, r + 1) in divided
+            assert max(s for s, _ in divided) == 2 * r - 1
+            g = pl.g_exact(r)
+            assert (g.s_power, g.t_power) == (2 * r - 1, r + 1)
+
+    @pytest.mark.parametrize("r", [3, 4, 6])
+    def test_perturbed_numerator_fails_the_k_division(self, table, r):
+        pl = Pipeline(r_max=r, table=table)
+        prev = pl.g_exact(r - 1)
+        cols = list(prev.numerator.vcoeffs)
+        cols[-1] = cols[-1] + IntPoly.term(2, r + 3)
+        pl._g[-1] = RationalGF(XVPoly(cols), prev.s_power, prev.t_power)
+        with pytest.raises(ConsistencyError, match=rf"G_{r - 1}\(x, 1/s\) does not divide down"):
+            pl.g_exact(r)
 
 
 class TestGSeries:

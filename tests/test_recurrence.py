@@ -126,26 +126,31 @@ class TestGTable:
                     table.g1k(n, k).coeffs
                 )
 
+    # The short rules as products of polynomials (or, on a table cut at
+    # q^5, of series cut there), against the table's fused passes.
+
     def test_three_term_recurrence(self, table):
-        for n in range(5, 13):
-            for k in range(5, n + 1):
-                rhs = (
-                    IntPoly([1, 1]) * table.g1k(n, k - 1)
-                    - Q * table.g1k(n, k - 2)
-                    - ONE_MINUS_Q * table.g1k(n - 1, k - 1)
-                )
-                assert table.g1k(n, k) == rhs, (n, k)
+        for t in (table, GTable(2, q_top=5)):
+            for n in range(5, 13):
+                for k in range(5, n + 1):
+                    rhs = (
+                        IntPoly([1, 1]) * t.g1k(n, k - 1)
+                        - Q * t.g1k(n, k - 2)
+                        - ONE_MINUS_Q * t.g1k(n - 1, k - 1)
+                    )
+                    assert t.g1k(n, k) == rhs, (t.q_top, n, k)
 
     def test_initial_forms(self, table):
-        for n in range(3, 13):
-            assert table.g1k(n, 3) == table.g(n - 1) - 2 * ONE_MINUS_Q * table.g(n - 2)
-        for n in range(4, 13):
-            want = (
-                table.g(n - 1)
-                - ONE_MINUS_Q * IntPoly([3, 2]) * table.g(n - 2)
-                + 2 * ONE_MINUS_Q * ONE_MINUS_Q * table.g(n - 3)
-            )
-            assert table.g1k(n, 4) == want
+        for t in (table, GTable(2, q_top=5)):
+            for n in range(3, 13):
+                assert t.g1k(n, 3) == t.g(n - 1) - 2 * ONE_MINUS_Q * t.g(n - 2), (t.q_top, n)
+            for n in range(4, 13):
+                want = (
+                    t.g(n - 1)
+                    - ONE_MINUS_Q * IntPoly([3, 2]) * t.g(n - 2)
+                    + 2 * ONE_MINUS_Q * ONE_MINUS_Q * t.g(n - 3)
+                )
+                assert t.g1k(n, 4) == want, (t.q_top, n)
 
     def test_prefix_recurrence(self, table):
         for n in range(3, 13):
