@@ -1,6 +1,6 @@
 """Exact enumeration of the vincular pattern 13-2 in flattened permutations.
 
-Three independent routes to one family of numbers:
+Independent routes to one family of numbers:
 
 * :mod:`flatperm.perms` - brute-force enumeration over S_n (the oracle),
   plus the explicit constructions (cycle form, flattening, extremal and
@@ -9,7 +9,9 @@ Three independent routes to one family of numbers:
   g_n(1k), avoider counts and harmonic-number averages;
 * :mod:`flatperm.genfun` - the kernel-method pipeline producing G_r(x, v),
   the certified integer polynomials P_r and c_{r,l}, and the rational
-  closed form.
+  closed form;
+* :mod:`flatperm.insertion` - the insertion count on (unused letters, rank
+  of the last letter), cut at q^top, that the pipeline is checked against.
 
 Everything is integer/rational exact; any violated structural identity
 raises :class:`flatperm.algebra.ConsistencyError` instead of degrading.
@@ -40,6 +42,7 @@ _HOME = {
     "BoundaryData": "genfun",
     "Pipeline": "genfun",
     "t_poly": "genfun",
+    "InsertionCount": "insertion",
     "OccurrenceTable": "perms",
     "count_13_2": "perms",
     "cycles_to_permutation": "perms",
@@ -61,7 +64,7 @@ _HOME = {
 }
 
 #: The submodules that ``flatperm.<name>`` imports on first access.
-_MODULES = ("algebra", "checks", "cli", "genfun", "perms", "recurrence")
+_MODULES = ("algebra", "checks", "cli", "genfun", "insertion", "perms", "recurrence")
 
 __all__ = sorted(_HOME)
 

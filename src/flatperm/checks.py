@@ -23,7 +23,7 @@ from .recurrence import (
     Q_MINUS_1,
     GTable,
     a_rows,
-    avoider_count,
+    avoider_counts,
     average_occurrences,
     b_poly,
     verify_a_closed_form,
@@ -76,16 +76,25 @@ def _poly_matches_distribution(table: GTable, n: int, k: int | None) -> bool:
     return dist.coeff_list() == list(poly.coeffs)
 
 
-def a_sum(table: GTable, n: int, a_row: list[IntPoly]):
+def a_factors(k_max: int) -> list[list[IntPoly]]:
+    """The factors a_{k,j} (q-1)^(j-1) of the a-sum, row k for
+    2 <= k <= k_max (rows 0 and 1 are empty), each formed once."""
+    qm1 = [IntPoly([1])]
+    for _ in range(k_max):
+        qm1.append(qm1[-1] * Q_MINUS_1)
+    return [[a * qm1[j] for j, a in enumerate(row)] for row in a_rows(k_max)]
+
+
+def a_sum(table: GTable, n: int, factors: list[IntPoly]):
     """g_n(1k) for 3 <= k <= n as the a-sum over the table's g column,
 
         sum_{j=1}^{k-1} a_{k,j} (q-1)^{j-1} g_{n-j},
 
-    given a_row = [a_{k,1}, ..., a_{k,k-1}]: the reference the table's
+    given factors = ``a_factors(..)[k]``: the reference the table's
     short-rule rows are compared with."""
     total = IntPoly()
-    for j, a in enumerate(a_row, 1):
-        total = total + table.g(n - j) * (a * Q_MINUS_1 ** (j - 1))
+    for j, f in enumerate(factors, 1):
+        total = total + table.g(n - j) * f
     return total
 
 
@@ -133,7 +142,7 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
     # The table grows g_n(1k) by its short rules, g_n(12) = 2 g_(n-1)
     # among them, so the next three lines compare it with the a-sum; the
     # doubling line takes g_n(12) as the b-sum column minus the a-sum rows.
-    a = a_rows(IDENTITY_NMAX)
+    a = a_factors(IDENTITY_NMAX)
 
     def doubling_identity():
         for n in range(2, IDENTITY_NMAX + 1):
@@ -183,8 +192,8 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
     _check(out, f"g_(n,r)(1k) is even for r >= 1, n <= {IDENTITY_NMAX}", parity)
 
     def avoiders():
-        for n in range(1, AVOIDER_NMAX + 1):
-            if avoider_count(n) != 2 ** (n - 1):
+        for n, count in enumerate(avoider_counts(AVOIDER_NMAX), 1):
+            if count != 2 ** (n - 1):
                 return False, f"n={n}"
         for n in range(1, oracle_nmax + 1):
             if _oracle(n).count(0) != 2 ** (n - 1):

@@ -43,12 +43,14 @@ ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
 AVOIDERS_NMAX = 500
-#: Largest r for ``ctable`` and ``rational``: r = 40 takes 2.6-2.8 s on a
-#: shared 2-vCPU Xeon (Python 3.11), about 0.15 s of it growing the table.
+#: Largest r for ``ctable`` and ``rational``: r = 40 takes 2.3-2.9 s on a
+#: shared 2-vCPU Xeon (Python 3.11).  About 0.12 s of it grows the boundary
+#: table GTable(42), and about 0.25 s builds and reads the insertion count
+#: through n = 170; the process peaks at about 64 MB.
 PIPELINE_RMAX = 40
 #: Largest --order for ``ctable`` and ``rational``: the default order 4r + 10
 #: at r = PIPELINE_RMAX, so no default run is refused.  At the cap, r = 40
-#: takes 2.6-2.8 s (as by default) and r = 1 about 0.15 s.
+#: takes 2.3-2.9 s (as by default) and r = 1 about 0.07 s.
 ORDER_MAX = 4 * PIPELINE_RMAX + 10
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
@@ -363,11 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_gpoly)
 
-    r_help = f"at most {PIPELINE_RMAX} (2.6-2.8 s at the cap)"
+    r_help = f"at most {PIPELINE_RMAX} (2.3-2.9 s at the cap)"
     p = sub.add_parser("ctable", help="the polynomials c_{r,0..r}")
     p.add_argument("--r", type=int, required=True, help=r_help)
     p.add_argument("--order", type=int,
-                   help="x-order through which G_r is compared with the recurrence tables "
+                   help="x-order through which G_r is compared with the insertion count "
                         f"(default 4r + 10), at least 4r + 3 and at most {ORDER_MAX}")
     common(p)
     p.set_defaults(fn=_cmd_ctable)
@@ -375,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rational", help="rational closed form of G_r")
     p.add_argument("--r", type=int, required=True, help=r_help)
     p.add_argument("--order", type=int,
-                   help="x-order through which G_r is compared with the recurrence tables "
+                   help="x-order through which G_r is compared with the insertion count "
                         f"(default 4r + 10), at least 4r + 3 (7 for r = 0) and at most {ORDER_MAX}")
     common(p)
     p.set_defaults(fn=_cmd_rational)

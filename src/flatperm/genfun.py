@@ -27,8 +27,9 @@ its structured decomposition
 
 and the rational closed form G_r = 2 x^{r+3} P_r / (s^{2r-1} t^{r+1}).
 Each G_r and each closed form is expanded through the pipeline's order
-and compared, coefficient by coefficient, with the independent recurrence
-tables.
+and compared, coefficient by coefficient, with the insertion count
+(``flatperm.insertion``), a route independent of the recurrence tables
+that feed the boundary data.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import ConsistencyError, InexactDivisionError, IntPoly, RationalGF, VPoly, XVPoly
+from .insertion import InsertionCount
 from .recurrence import GTable
 
 S_POLY = IntPoly([1, -1])   # s = 1 - x
@@ -49,14 +51,14 @@ DEFAULT_R_MAX = 6
 
 
 def default_order(r: int) -> int:
-    """Default order 4r + 10 of the table cross-check: the numerator
+    """Default order 4r + 10 of the count cross-check: the numerator
     2x^(r+3) P_r of G_r has x-degree at most 4r + 2, and eight more
     coefficients are compared past it."""
     return 4 * r + 10
 
 
 def min_order(r: int) -> int:
-    """Smallest order 4r + 3 accepted for the table cross-check: the
+    """Smallest order 4r + 3 accepted for the count cross-check: the
     coefficients x^0 .. x^(4r+3) of G_r outnumber those of its numerator
     2x^(r+3) P_r (x-degree at most 4r + 2), so over the known denominator
     s^(2r-1) t^(r+1) the compared coefficients alone determine G_r."""
@@ -92,7 +94,7 @@ class BoundaryData(NamedTuple):
 class Pipeline:
     """Memoized exact computation of G_r, P_r, the c tables and the
     rational closed forms for all r up to r_max, each G_r cross-checked
-    against the recurrence tables through one order (default
+    against the insertion count through one order (default
     4 * r_max + 10, at least 4 * r_max + 3).
 
     Every stage re-verifies itself: the two independent routes to
@@ -101,13 +103,16 @@ class Pipeline:
     s^(2r-2) t^r, so that G_r lands on the denominator s^(2r-1) t^(r+1),
     extracted polynomials must be divisible and of
     bounded degree exactly where claimed, and every coefficient of G_r
-    through the order is compared with the q-polynomial recurrence tables.
+    through the order is compared with the insertion count
+    ``InsertionCount(r_max, order)``, cut at q^r_max.  The count is built
+    at the first comparison, so a pipeline that only reads boundary data
+    never builds it.
 
-    The tables are read only at q^r with r <= r_max.  Given no ``table``
-    (as for the ``ctable`` and ``rational`` commands), the pipeline builds
-    its own ``GTable(2, q_top=r_max)``, kept only through q^r_max.  A
-    caller that passes a table (the ``verify`` suites pass one full
-    table) has the pipeline checked against full q-polynomials.
+    The boundary data (n <= r_max + 2) come from a ``GTable``: the one
+    passed as ``table`` (the ``verify`` suites pass their shared table),
+    or else a full ``GTable(r_max + 2)`` of the pipeline's own (as for the
+    ``ctable`` and ``rational`` commands).  So the boundary data and the
+    values they are checked against come from different routes.
 
     The pipeline never calls the enumeration oracle: comparisons of its
     values with ``perms.distribution`` live in ``flatperm.checks``.
@@ -126,9 +131,10 @@ class Pipeline:
         if self.order < min_order(r_max):
             raise ValueError(
                 f"order {self.order} too small for r_max {r_max}: need at least "
-                f"{min_order(r_max)} so that the table cross-check covers the numerator of G_r"
+                f"{min_order(r_max)} so that the count cross-check covers the numerator of G_r"
             )
-        self.table = table if table is not None else GTable(2, q_top=r_max)
+        self.table = table if table is not None else GTable(r_max + 2)
+        self._count: InsertionCount | None = None
         self._boundary: dict[int, BoundaryData] = {}
         self._g: list[RationalGF] = []
         # The running sums V_r (over s^(2r-3) t^r) and K_r (over
@@ -255,7 +261,7 @@ class Pipeline:
         s^(2r-2) t^r, so K_r stays over s^(2r-1) t^r, the denominator the
         kernel-root identity gives it, and the bracket's quotient lands on
         G_r's own denominator s^(2r-1) t^(r+1).  The expansion of G_r
-        through the order is compared with the q-polynomial recurrence:
+        through the order is compared with the insertion count:
         [x^n v^{i-2}] G_r = g_{n,r}(1i).
         """
         self._check_r(r)
@@ -286,11 +292,13 @@ class Pipeline:
             g = (g + self.htilde_over_kernel(r).shift(x=3)).with_denominator(2 * r - 1, r + 1)
         if g.vdegree > r:
             raise ConsistencyError(f"G_{r} has v-degree {g.vdegree} > {r}")
-        self._verify_against_table(r, g)
+        self._verify_against_count(r, g)
         self._v_sum, self._k_sum = v_sum, k_sum
         self._g.append(g)
 
-    def _verify_against_table(self, r: int, g: RationalGF) -> None:
+    def _verify_against_count(self, r: int, g: RationalGF) -> None:
+        if self._count is None:
+            self._count = InsertionCount(self.r_max, self.order)
         series = g.expand(self.order)
         for i in range(2, r + 3):
             coeffs = series.coeff(i - 2).coeffs
@@ -300,10 +308,10 @@ class Pipeline:
                         f"G_{r} has a nonzero coefficient at x^{m} below x^{r + 3}"
                     )
             for m in range(r + 3, self.order + 1):
-                want = self.table.coeff(m, r, i)
+                want = self._count.coeff(m, r, i)
                 if coeffs[m] != want:
                     raise ConsistencyError(
-                        f"[x^{m} v^{i - 2}] G_{r} = {coeffs[m]} but the recurrence "
+                        f"[x^{m} v^{i - 2}] G_{r} = {coeffs[m]} but the insertion count "
                         f"gives {want} (n={m}, r={r}, i={i})"
                     )
 
@@ -381,13 +389,13 @@ class Pipeline:
     def rational_gf(self, r: int) -> RationalGF:
         """G_r as the closed form 2 x^{r+3} P_r / (s^{2r-1} t^{r+1})
         (4x^3/t for r = 0), re-expanded through the order and compared
-        with the recurrence tables."""
+        with the insertion count."""
         self._check_r(r)
         if r == 0:
             gf = G_0
         else:
             gf = RationalGF(self.p_poly(r).shift_x(r + 3) * 2, 2 * r - 1, r + 1)
-        self._verify_against_table(r, gf)
+        self._verify_against_count(r, gf)
         return gf
 
     # -- identity checks ------------------------------------------------------

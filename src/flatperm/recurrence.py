@@ -12,7 +12,7 @@ the paper's short rules
     g_n(14) = g_{n-1} - (1-q)(3+2q) g_{n-2} + 2(1-q)^2 g_{n-3},
     g_n(1k) = (1+q) g_n(1,k-1) - q g_n(1,k-2) - (1-q) g_{n-1}(1,k-1)   (k >= 5),
 
-and the column g_n, for full polynomials, by the b-sum
+and the column g_n by the b-sum
 
     g_n = sum_{j=1}^{n-1} b_{n,j} (q-1)^{j-1} g_{n-j},
 
@@ -22,12 +22,6 @@ integers are summed, and the sum is unpacked once with signed digits.
 The slot width w >= bits(sum_j 2^(j-1) ||b_{n,j}||_1 ||g_{n-j}||_inf) + 2
 bounds every coefficient of the sum, whatever its sign, so the digits
 are the coefficients exactly.
-
-For polynomials cut at q^q_top the column is the row sum through
-k = q_top + 2 instead: the letters 2..k-1 of a flattening that starts
-1, k all fall in the gap of the ascent 1 < k, so it has at least k - 2
-occurrences and q^(k-2) divides g_n(1k).  The rows past q_top + 2 vanish
-below the cut, and the sum of the others is exact there.
 
 The integer-polynomial coefficients b_{n,j} (a closed form) and a_{k,j}
 (a recurrence) are module functions.  The a-sum
@@ -47,7 +41,7 @@ from itertools import chain
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterator
 
-from .algebra import ConsistencyError, IntPoly, XSeries, packed_dot
+from .algebra import ConsistencyError, IntPoly, packed_dot
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -130,7 +124,7 @@ def b_poly_alt(n: int, j: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _aligned(*polys: IntPoly | XSeries) -> list[tuple[int, ...]]:
+def _aligned(*polys: IntPoly) -> list[tuple[int, ...]]:
     """The coefficient tuples of polys, padded with zeros to one length."""
     m = max(len(p.coeffs) for p in polys)
     return [p.coeffs + (0,) * (m - len(p.coeffs)) for p in polys]
@@ -160,47 +154,28 @@ class GTable:
     c = g_{n-1}(1,k-1).  A table grows as it is read, so give each thread
     its own.
 
-    With ``q_top`` unset (the default) every polynomial is kept in full,
-    each g_n is the b-sum over the column below it, formed as one packed
-    integer dot product whose slot width bounds every coefficient (see
-    the module docstring), and each g_n is checked for nonnegative
-    coefficients summing to n!.  No row vanishes in full, so the column
-    is not taken as the row sum, which would build every row through
-    k = n.  This full table backs ``gpoly``,
-    ``distribution``, ``average``, the ``verify`` suites and any
-    ``Pipeline`` given a table explicitly.
-
-    With ``q_top`` set, the table holds ``XSeries`` in q of order q_top:
-    every g_n and g_n(1k) is such a series, and each short rule's pass is
-    cut at q^q_top.  Each g_n is the sum of its rows g_n(1k) for
-    k <= q_top + 2, taken in one pass over the rows' coefficients:
-    q^(k-2) divides g_n(1k) (see the module docstring), so the later rows
-    are zero through q^q_top.  No b_{n,j} is formed.  That is all a kernel
-    pipeline through r_max = q_top reads, and ``Pipeline`` builds such a
-    table for itself when it is given none.  Nonnegativity is checked on
-    the kept coefficients; the n! mass needs the whole polynomial and is
-    checked in full mode only.  ``coeff`` raises IndexError for a power
-    above q_top.
+    Every polynomial is kept in full.  Each g_n is the b-sum over the
+    column below it, formed as one packed integer dot product whose slot
+    width bounds every coefficient (see the module docstring), and is
+    checked for nonnegative coefficients summing to n!.  No row vanishes,
+    so the column is not taken as the row sum, which would build every
+    row through k = n.  The table backs ``gpoly``, ``distribution`` past
+    the enumeration limit, ``average``, the ``verify`` suites and the
+    boundary data of every ``Pipeline``; a pipeline's cross-check reads
+    the independent insertion count (``flatperm.insertion``) instead.
     """
 
-    def __init__(self, n_max: int = 2, q_top: int | None = None):
-        if q_top is not None and q_top < 0:
-            raise ValueError("q_top must be >= 0")
-        self.q_top = q_top
-        if q_top is None:
-            self._zero, one = IntPoly(), IntPoly([1])
-        else:
-            self._zero, one = XSeries.zero(q_top), XSeries.one(q_top)
-        self._g = [self._zero, one]  # index 0 unused
-        self._rows: dict[int, list[IntPoly | XSeries]] = {}  # n -> [g_n(12), g_n(13), ...]
-        self._qm1_pows = [one]
+    def __init__(self, n_max: int = 2):
+        self._g = [IntPoly(), IntPoly([1])]  # index 0 unused
+        self._rows: dict[int, list[IntPoly]] = {}  # n -> [g_n(12), g_n(13), ...]
+        self._qm1_pows = [IntPoly([1])]
         self.ensure(n_max)
 
     @property
     def n_max(self) -> int:
         return len(self._g) - 1
 
-    def _qm1(self, e: int) -> IntPoly | XSeries:
+    def _qm1(self, e: int) -> IntPoly:
         while len(self._qm1_pows) <= e:
             self._qm1_pows.append(self._qm1_pows[-1] * Q_MINUS_1)
         return self._qm1_pows[e]
@@ -208,28 +183,22 @@ class GTable:
     def ensure(self, n: int) -> None:
         while self.n_max < n:
             m = self.n_max + 1
-            if self.q_top is None:
-                total = packed_dot(
-                    (self._qm1(j - 1), b_poly(m, j), self._g[m - j]) for j in range(1, m)
-                )
-            else:
-                # q^(k-2) divides g_m(1k), so the rows past k = q_top + 2 vanish.
-                k_top = min(m, self.q_top + 2)
-                self.g1k(m, k_top)
-                total = XSeries(map(sum, zip(*self._rows[m][: k_top - 1])), self.q_top)
+            total = packed_dot(
+                (self._qm1(j - 1), b_poly(m, j), self._g[m - j]) for j in range(1, m)
+            )
             if any(c < 0 for c in total.coeffs):
                 raise ConsistencyError(f"g_{m} has a negative coefficient")
-            if self.q_top is None and sum(total.coeffs) != math.factorial(m):
+            if sum(total.coeffs) != math.factorial(m):
                 raise ConsistencyError(f"g_{m}(1) != {m}!")
             self._g.append(total)
 
-    def g(self, n: int) -> IntPoly | XSeries:
+    def g(self, n: int) -> IntPoly:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.ensure(n)
         return self._g[n]
 
-    def g1k(self, n: int, k: int) -> IntPoly | XSeries:
+    def g1k(self, n: int, k: int) -> IntPoly:
         """g_n(1k) for 2 <= k <= n."""
         if not 2 <= k <= n:
             raise ValueError(f"k must lie in [2, {n}]")
@@ -256,17 +225,14 @@ class GTable:
                 # (1+q)a - qb - (1-q)c = a - c + q(a - b + c)
                 a, b, c = _aligned(row[-1], row[-2], self.g1k(n - 1, j - 1))
                 val = _plus_q(map(sub, a, c), map(sub, map(add, a, c), b))
-            row.append(self._zero._with(val))
+            row.append(IntPoly(val))
         return row[k - 2]
 
     def coeff(self, n: int, r: int, k: int | None = None) -> int:
         """[q^r] g_n, or [q^r] g_n(1k) when k is given.  Returns 0 for any
-        k beyond n (no flattening of length n starts 1, k then); raises
-        IndexError when r lies above the table's q_top."""
+        k beyond n (no flattening of length n starts 1, k then)."""
         if r < 0:
             raise ValueError("r must be >= 0")
-        if self.q_top is not None and r > self.q_top:
-            raise IndexError(f"q^{r} lies above this table's truncation q^{self.q_top}")
         if k is None:
             return self.g(n)[r]
         if k > n:
@@ -274,25 +240,30 @@ class GTable:
         return self.g1k(n, k)[r]
 
 
-def avoider_count(n: int) -> int:
-    """Number of permutations of length n whose flattening avoids 13-2.
-
-    Computed through the q = 0 specialization of the g recurrence,
+def avoider_counts(n_max: int) -> list[int]:
+    """f_1, ..., f_{n_max}, where f_n counts the permutations of length n
+    whose flattening avoids 13-2, by one pass of the q = 0 specialization
+    of the g recurrence,
 
         f_m = sum_{j=1}^{m-1} b_{m,j}(0) (-1)^{j-1} f_{m-j},
 
     with b_{m,j}(0) = ((m-1+j)/j) C(m-2, j-1) taken from ``b_poly``, whose
-    exact integer division raises on a remainder, and asserted against the
-    closed value 2^{n-1}.
-    """
-    if n < 1:
+    exact integer division raises on a remainder.  The values are not
+    checked here; see ``avoider_count``."""
+    if n_max < 1:
         raise ValueError("n must be >= 1")
     f = [1]
-    for m in range(2, n + 1):
+    for m in range(2, n_max + 1):
         f.append(sum(
             b_poly(m, j, 0)[0] * (-1) ** (j - 1) * f[m - 1 - j] for j in range(1, m)
         ))
-    result = f[n - 1]
+    return f
+
+
+def avoider_count(n: int) -> int:
+    """Number of permutations of length n whose flattening avoids 13-2,
+    from ``avoider_counts`` and asserted against the closed value 2^{n-1}."""
+    result = avoider_counts(n)[-1]
     if result != 2 ** (n - 1):
         raise ConsistencyError(f"avoider recurrence gave {result}, expected 2^{n - 1}")
     return result
@@ -306,13 +277,10 @@ def harmonic(n: int) -> Fraction:
 
 def average_occurrences(n: int, table: GTable | None = None) -> Fraction:
     """Mean number of 13-2 occurrences over flattenings of S_n, computed
-    as g_n'(1)/n! from the given full table (or a new one) and asserted
-    equal to (n^2 + 3n + 8)/12 - H_n.  A table cut at q^q_top lacks the
-    higher coefficients g_n'(1) needs and is rejected with ValueError."""
+    as g_n'(1)/n! from the given table (or a new one) and asserted equal
+    to (n^2 + 3n + 8)/12 - H_n."""
     from fractions import Fraction
 
-    if table is not None and table.q_top is not None:
-        raise ValueError(f"average needs a full table, not one cut at q_top={table.q_top}")
     g = (table or GTable(n)).g(n)
     mean = Fraction(g.derivative().eval_at(1), math.factorial(n))
     closed = Fraction(n * n + 3 * n + 8, 12) - harmonic(n)

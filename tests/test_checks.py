@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from flatperm import checks, perms
+from flatperm import checks, genfun, perms
 from flatperm.algebra import IntPoly
 from flatperm.checks import constructions_suite, genfun_suite
 from flatperm.cli import EXIT_CHECK_FAILED, EXIT_OK, main
@@ -52,8 +52,9 @@ def test_boundary_check_fails_on_top_row():
 
 
 def test_structure_check_fails_when_c_table_raises():
-    # [x^8 v^1] G_2 is compared with this cell, so c_table(2) raises.
-    results = genfun_suite(r_max=2, maximal_nmax=3, table=_OffByTwo((8, 2, 3)))
+    # g_{4,2}(13) is in the top boundary row of G_2, so G_2 disagrees with
+    # the insertion count and c_table(2) raises.
+    results = genfun_suite(r_max=2, maximal_nmax=3, table=_OffByTwo((4, 2, 3)))
     res = _result(results, "P_r structure")
     assert not res.passed
     assert "G_2" in res.detail
@@ -136,3 +137,31 @@ def test_verify_walks_each_oracle_case_once(capsys, monkeypatch):
     assert not [(n, prefix) for n, prefix in walks if n >= 2 and not prefix]
     assert {(n, (1, k)) for n in range(2, 8) for k in range(2, n + 1)} <= set(walks)
     assert capsys.readouterr().out.endswith("OK: 28/28 checks passed\n")
+
+
+def test_verify_grows_the_shared_table_only_as_far_as_its_checks(capsys, monkeypatch):
+    """The pipeline's cross-check reads the insertion count, so the shared
+    table grows only to the n = 25 of the ``average`` line, not to the
+    order 4 r_max + 10 = 42 of the pipeline."""
+    tables = []
+
+    class Recorded(GTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(checks, "GTable", Recorded)
+    assert main(["verify", "--suite", "all", "--n", "9", "--rmax", "8"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("OK: 28/28 checks passed\n")
+    (shared,) = tables
+    assert shared.n_max <= checks.AVERAGE_NMAX == 25
+
+
+def test_constructions_build_no_insertion_count(monkeypatch):
+    """The constructions suite's pipelines read boundary data only."""
+
+    def refuse(*args):
+        raise AssertionError("insertion count built")
+
+    monkeypatch.setattr(genfun, "InsertionCount", refuse)
+    assert all(res.passed for res in constructions_suite(doubling_nmax=3, witness_rmax=4, dual_route_rmax=4))

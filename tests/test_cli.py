@@ -171,6 +171,19 @@ class TestCTable:
             polys = [[int(c) for c in p["coeffs"]] for p in json.loads(out)["polys"]]
             assert polys == REFERENCE_CTABLES[3]
 
+    def test_boundary_cell_off_by_two_fails_at_the_cap(self, capsys, monkeypatch):
+        """The pipeline's own table feeds only the boundary data, and the
+        insertion count sees g_{6,4}(13), in the top row of G_4, off by 2."""
+
+        class OffByTwo(recurrence.GTable):
+            def coeff(self, n, r, k=None):
+                return super().coeff(n, r, k) + 2 * ((n, r, k) == (6, 4, 3))
+
+        monkeypatch.setattr(genfun, "GTable", OffByTwo)
+        code, out, err = run(capsys, "ctable", "--r", str(PIPELINE_RMAX))
+        assert (code, out) == (EXIT_CHECK_FAILED, "")
+        assert "G_4" in err and "(n=7, r=4, i=2)" in err
+
     def test_csv_rejected_before_work(self, capsys, monkeypatch):
         forbid_work(monkeypatch, "work started before --format was checked")
         with pytest.raises(SystemExit) as exc:
@@ -380,7 +393,7 @@ def test_readme_cli_examples_run(capsys):
 
 #: The modules a command must not load unless it runs them.
 HEAVY = ("flatperm.algebra", "flatperm.recurrence", "flatperm.genfun", "flatperm.checks",
-         "dataclasses", "inspect", "fractions", "csv")
+         "flatperm.insertion", "dataclasses", "inspect", "fractions", "csv")
 
 LOADED_BY = """
 import contextlib, io, sys

@@ -6,9 +6,10 @@ import pytest
 
 from flatperm import perms
 from flatperm._reference import REFERENCE_CTABLES
-from flatperm import algebra
+from flatperm import algebra, genfun
 from flatperm.algebra import ConsistencyError, IntPoly, RationalGF, VPoly, XSeries, XVPoly
 from flatperm.genfun import S_POLY, T_POLY, BoundaryData, Pipeline, t_poly
+from flatperm.insertion import InsertionCount
 from flatperm.recurrence import GTable
 from series_reference import SeriesPipeline, expand_by_products
 
@@ -325,12 +326,32 @@ def test_fresh_pipeline_needs_no_series_division(monkeypatch):
 
 
 def test_table_off_by_two_names_the_cell():
+    """g_{4,2}(13) is in the top boundary row of G_2; the count then
+    disagrees with the G_2 it feeds at its first coefficient."""
     class OffByTwo(GTable):
+        def coeff(self, n, r, k=None):
+            return super().coeff(n, r, k) + 2 * ((n, r, k) == (4, 2, 3))
+
+    with pytest.raises(ConsistencyError, match=r"G_2 .*\(n=5, r=2, i=2\)"):
+        Pipeline(r_max=2, table=OffByTwo(9)).g_exact(2)
+
+
+def test_count_off_by_two_names_the_cell(monkeypatch):
+    class OffByTwo(InsertionCount):
         def coeff(self, n, r, k=None):
             return super().coeff(n, r, k) + 2 * ((n, r, k) == (10, 2, 3))
 
+    monkeypatch.setattr(genfun, "InsertionCount", OffByTwo)
     with pytest.raises(ConsistencyError, match=r"G_2 .*\(n=10, r=2, i=3\)"):
-        Pipeline(r_max=2, table=OffByTwo(9)).g_exact(2)
+        Pipeline(r_max=2, table=GTable(9)).g_exact(2)
+
+
+def test_count_is_built_at_the_first_cross_check(monkeypatch):
+    pl = Pipeline(r_max=3)
+    pl.htilde_over_kernel(3)  # boundary data and both H~ routes only
+    assert pl._count is None
+    pl.g_exact(0)
+    assert (pl._count.top, pl._count.n_max) == (3, pl.order)
 
 
 class TestStructure:
@@ -361,6 +382,5 @@ class TestPipelineGuards:
 
     def test_table_choice(self, table):
         own = Pipeline(r_max=3)
-        assert own.table.q_top == 3
+        assert type(own.table) is GTable and own.table.n_max >= 3 + 2
         assert Pipeline(r_max=3, table=table).table is table
-        assert table.q_top is None

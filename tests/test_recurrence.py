@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -7,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from flatperm import perms, recurrence
-from flatperm.algebra import ConsistencyError, IntPoly, XSeries
-from flatperm.checks import a_sum
+from flatperm.algebra import ConsistencyError, IntPoly
+from flatperm.checks import a_factors, a_sum
+from flatperm.insertion import InsertionCount
 from flatperm.recurrence import (
     GTable,
     a_rows,
@@ -126,31 +128,29 @@ class TestGTable:
                     table.g1k(n, k).coeffs
                 )
 
-    # The short rules as products of polynomials (or, on a table cut at
-    # q^5, of series cut there), against the table's fused passes.
+    # The short rules as products of polynomials, against the table's
+    # fused passes.
 
     def test_three_term_recurrence(self, table):
-        for t in (table, GTable(2, q_top=5)):
-            for n in range(5, 13):
-                for k in range(5, n + 1):
-                    rhs = (
-                        IntPoly([1, 1]) * t.g1k(n, k - 1)
-                        - Q * t.g1k(n, k - 2)
-                        - ONE_MINUS_Q * t.g1k(n - 1, k - 1)
-                    )
-                    assert t.g1k(n, k) == rhs, (t.q_top, n, k)
+        for n in range(5, 13):
+            for k in range(5, n + 1):
+                rhs = (
+                    IntPoly([1, 1]) * table.g1k(n, k - 1)
+                    - Q * table.g1k(n, k - 2)
+                    - ONE_MINUS_Q * table.g1k(n - 1, k - 1)
+                )
+                assert table.g1k(n, k) == rhs, (n, k)
 
     def test_initial_forms(self, table):
-        for t in (table, GTable(2, q_top=5)):
-            for n in range(3, 13):
-                assert t.g1k(n, 3) == t.g(n - 1) - 2 * ONE_MINUS_Q * t.g(n - 2), (t.q_top, n)
-            for n in range(4, 13):
-                want = (
-                    t.g(n - 1)
-                    - ONE_MINUS_Q * IntPoly([3, 2]) * t.g(n - 2)
-                    + 2 * ONE_MINUS_Q * ONE_MINUS_Q * t.g(n - 3)
-                )
-                assert t.g1k(n, 4) == want, (t.q_top, n)
+        for n in range(3, 13):
+            assert table.g1k(n, 3) == table.g(n - 1) - 2 * ONE_MINUS_Q * table.g(n - 2), n
+        for n in range(4, 13):
+            want = (
+                table.g(n - 1)
+                - ONE_MINUS_Q * IntPoly([3, 2]) * table.g(n - 2)
+                + 2 * ONE_MINUS_Q * ONE_MINUS_Q * table.g(n - 3)
+            )
+            assert table.g1k(n, 4) == want, n
 
     def test_prefix_recurrence(self, table):
         for n in range(3, 13):
@@ -168,28 +168,31 @@ class TestGTable:
 
 
 class TestShortRules:
-    """The rows g_n(12), g_n(13), ... grown by the short rules against the
-    a-sum reference kept in ``checks``."""
+    """The rows g_n(12), g_n(13), ... grown by the short rules, and those
+    of the insertion count cut at q^top, against the a-sum reference
+    kept in ``checks``."""
 
     def test_rows_match_a_sum_in_full(self, table):
-        a = a_rows(30)
+        a = a_factors(30)
         for n in range(3, 31):
             for k in range(3, n + 1):
                 assert table.g1k(n, k) == a_sum(table, n, a[k]), (n, k)
 
     @pytest.mark.parametrize("top", [0, 1, 5, 12])
-    def test_rows_match_a_sum_when_cut(self, top):
-        cut, a = GTable(30, q_top=top), a_rows(30)
+    def test_rows_match_a_sum_when_cut(self, table, top):
+        cut, a = InsertionCount(top, 30), a_factors(30)
         for n in range(3, 31):
             for k in range(3, n + 1):
-                got, want = cut.g1k(n, k), a_sum(cut, n, a[k])
-                assert isinstance(want, XSeries) and got == want, (n, k)
+                want = a_sum(table, n, a[k])
+                assert [cut.coeff(n, r, k) for r in range(top + 1)] == [
+                    want[r] for r in range(top + 1)
+                ], (n, k)
 
     def test_rows_grow_only_as_far_as_asked(self):
         table = GTable(12)
         table.g1k(12, 4)
         assert len(table._rows[12]) == 3
-        assert table.g1k(12, 6) == a_sum(table, 12, a_rows(6)[6])
+        assert table.g1k(12, 6) == a_sum(table, 12, a_factors(6)[6])
         assert len(table._rows[12]) == 5
 
 
@@ -199,8 +202,8 @@ class TestCoefficients:
         assert table.coeff(6, 0) == 32
 
     def test_vanishing_for_large_prefix_letter(self, table):
-        """q^(k-2) divides the full g_n(1k): the cut table's column sums
-        only the rows k <= q_top + 2 on this fact."""
+        """q^(k-2) divides g_n(1k), as the insertion count's
+        g_n(1k) = q^(k-2) f(n-2, k-2) says."""
         for n in range(3, 31):
             for k in range(3, n + 1):
                 assert all(table.coeff(n, r, k) == 0 for r in range(k - 2)), (n, k)
@@ -210,19 +213,22 @@ class TestCoefficients:
 
 
 class TestTruncatedTable:
-    @pytest.mark.parametrize("top", [0, 1, 5, 12])
+    """Counts cut at q^top: the insertion count, which reads g_n and
+    g_n(1k) only through q^top, and the cut rows of b_poly."""
+
+    @pytest.mark.parametrize("top", [0, 1, 5, 12, 40])
     def test_agrees_with_full_table(self, table, top):
-        cut = GTable(30, q_top=top)
-        cases = [((n,), cut.g(n), table.g(n)) for n in range(1, 31)] + [
-            ((n, k), cut.g1k(n, k), table.g1k(n, k)) for n in range(2, 31) for k in range(2, n + 1)
+        cut = InsertionCount(top, 30)
+        cases = [((n, None), table.g(n)) for n in range(1, 31)] + [
+            ((n, k), table.g1k(n, k)) for n in range(2, 31) for k in range(2, n + 1)
         ]
-        for where, got, want in cases:
-            # An XSeries of order top stores exactly q^0 .. q^top.
-            assert isinstance(got, XSeries) and got.order == top, where
-            assert [got[r] for r in range(top + 1)] == [want[r] for r in range(top + 1)], where
+        for (n, k), want in cases:
+            assert [cut.coeff(n, r, k) for r in range(top + 1)] == [
+                want[r] for r in range(top + 1)
+            ], (n, k)
 
     def test_coeff_above_q_top_raises(self):
-        cut = GTable(8, q_top=3)
+        cut = InsertionCount(3, 8)
         assert cut.coeff(8, 3, 5) == GTable(8).coeff(8, 3, 5)
         with pytest.raises(IndexError):
             cut.coeff(8, 4)
@@ -233,23 +239,25 @@ class TestTruncatedTable:
 
     @pytest.mark.parametrize("top", [0, 1, 2, 5, 12, 40])
     def test_column_matches_b_sum(self, top):
-        """The row sum through k = q_top + 2 against the b-sum on cut
-        series; q_top = 40 drops no row for n <= 40."""
-        cut, want = GTable(60, q_top=top), _b_sum_column(60, top)
+        """The count's g_n = f(n-1, 0) against the schoolbook b-sum, cut at
+        q^top; q^40 cuts nothing for n <= 13."""
+        cut, want = InsertionCount(top, 60), _b_sum_column(60)
         for n in range(1, 61):
-            assert cut.g(n) == want[n], n
+            assert [cut.coeff(n, r) for r in range(top + 1)] == [
+                want[n][r] for r in range(top + 1)
+            ], n
 
     def test_cut_column_forms_no_b_row(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("b_poly called by a cut table")
+            raise AssertionError("b_poly called by the insertion count")
 
         monkeypatch.setattr(recurrence, "b_poly", refuse)
-        cut = GTable(60, q_top=12)
-        assert cut.n_max == 60 and cut.g(60).order == 12
+        cut = InsertionCount(12, 60)
+        assert cut.n_max == 60 and cut.coeff(60, 0) == 2**59
 
     def test_rejects_negative_q_top(self):
         with pytest.raises(ValueError):
-            GTable(2, q_top=-1)
+            InsertionCount(-1, 5)
 
     def test_truncated_b_rows(self):
         for n in range(2, 15):
@@ -257,21 +265,18 @@ class TestTruncatedTable:
                 assert b_poly(n, j, 2) == IntPoly(b_poly(n, j).coeffs[:3]), (n, j)
 
 
-def _b_sum_column(n_max: int, top: int | None = None) -> list[IntPoly | XSeries]:
+@functools.lru_cache(maxsize=None)
+def _b_sum_column(n_max: int) -> list[IntPoly]:
     """g_1 .. g_n_max by the schoolbook b-sum g_m = sum_j b_{m,j}
-    (q-1)^(j-1) g_(m-j), on full polynomials or on series cut at q^top:
-    the reference for the full table's packed b-sum and for the cut
-    table's row sum."""
-    if top is None:
-        zero, one = IntPoly(), IntPoly([1])
-    else:
-        zero, one = XSeries.zero(top), XSeries.one(top)
+    (q-1)^(j-1) g_(m-j): the reference for the full table's packed b-sum
+    and for the insertion count's column."""
+    zero, one = IntPoly(), IntPoly([1])
     g, qm1 = [zero, one], [one]
     for m in range(2, n_max + 1):
         qm1.append(qm1[-1] * IntPoly([-1, 1]))
         total = zero
         for j in range(1, m):
-            total = total + qm1[j - 1] * b_poly(m, j, top) * g[m - j]
+            total = total + qm1[j - 1] * b_poly(m, j) * g[m - j]
         g.append(total)
     return g
 
@@ -316,12 +321,6 @@ class TestAverage:
         for n in range(1, 21):
             value = average_occurrences(n, table)
             assert value == Fraction(n * n + 3 * n + 8, 12) - harmonic(n)
-
-    def test_rejects_a_cut_table_before_work(self):
-        cut = GTable(2, q_top=3)
-        with pytest.raises(ValueError, match="q_top=3"):
-            average_occurrences(20, cut)
-        assert cut.n_max == 2
 
     def test_oracle_agreement(self, table):
         for n in range(1, 8):
