@@ -755,16 +755,20 @@ class RationalGF:
             )
         return RationalGF(XVPoly(quot), self.s_power, self.t_power)
 
-    def expand(self, order: int) -> VPoly:
-        """The power series in x through x**order: one prefix-sum pass per
-        power of s and one doubling pass per power of t, per v-power.
+    def expand_coeffs(self, order: int) -> list[list[int]]:
+        """The power series in x through x**order as plain coefficient
+        lists, one per v-power of the numerator: one prefix-sum pass per
+        power of s and one doubling pass per power of t.
 
-        >>> RationalGF(XVPoly([[1]]), 1, 1).expand(4).coeff(0)  # 1/(st)
-        XSeries([1, 3, 7, 15, 31], order=4)
+        >>> RationalGF(XVPoly([[1]]), 1, 1).expand_coeffs(4)  # 1/(st)
+        [[1, 3, 7, 15, 31]]
         """
+        if order < 0:
+            raise ValueError("order must be >= 0")
         out = []
         for p in self.numerator.vcoeffs:
-            cs = XSeries(p.coeffs, order).coeffs
+            cs = list(p.coeffs[: order + 1])
+            cs.extend([0] * (order + 1 - len(cs)))
             if self.t_power:
                 # A doubling pass on c_m is a prefix sum on c_m / 2^m: run
                 # the sums on c_m 2^(order-m) and scale back exactly.
@@ -774,8 +778,16 @@ class RationalGF:
                 cs = [c >> (order - m) for m, c in enumerate(cs)]
             for _ in range(self.s_power):
                 cs = accumulate(cs)
-            out.append(XSeries(cs, order))
-        return VPoly(out, order)
+            out.append(list(cs))
+        return out
+
+    def expand(self, order: int) -> VPoly:
+        """``expand_coeffs`` as a v-polynomial over truncated series.
+
+        >>> RationalGF(XVPoly([[1]]), 1, 1).expand(4).coeff(0)  # 1/(st)
+        XSeries([1, 3, 7, 15, 31], order=4)
+        """
+        return VPoly([XSeries(cs, order) for cs in self.expand_coeffs(order)], order)
 
 
 def xvpoly_extract_from_series(

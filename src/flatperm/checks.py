@@ -24,8 +24,8 @@ from .recurrence import (
     GTable,
     a_rows,
     avoider_counts,
-    average_occurrences,
     b_poly,
+    check_average,
     verify_a_closed_form,
 )
 
@@ -203,7 +203,7 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
 
     def averages():
         for n in range(1, AVERAGE_NMAX + 1):
-            average_occurrences(n, table)  # raises on mismatch
+            check_average(n, table)  # raises on mismatch, in integers
         return True, ""
     _check(out, f"average occurrences equal (n^2+3n+8)/12 - H_n for n <= {AVERAGE_NMAX}", averages)
 
@@ -331,11 +331,19 @@ def constructions_suite(
     witness_rmax: int = 12,
     dual_route_rmax: int = 4,
     table: GTable | None = None,
+    pipeline: Pipeline | None = None,
 ) -> list[CheckResult]:
     """Checks of the explicit constructions: the one-to-two prefix-12 map,
     the avoider doubling, the witness words, and the dual-route boundary
-    consistency of the kernel pipeline."""
+    consistency of the kernel pipeline.
+
+    The last two lines read ``pipeline``, a pipeline over ``table`` with
+    r_max >= dual_route_rmax.  ``run_suite`` passes the one the genfun
+    suite ran, whose H~_r memo then holds every r that the derivation of
+    G_r already compared by both routes.  Without one, the suite builds
+    its own, and both routes run for every r."""
     table = table or GTable()
+    pipeline = pipeline or Pipeline(r_max=dual_route_rmax, table=table)
     out: list[CheckResult] = []
 
     def doubling_bijection():
@@ -388,14 +396,14 @@ def constructions_suite(
     _check(out, f"witness words have exactly r occurrences, 4 <= r <= {witness_rmax}", witnesses)
 
     def dual_route():
-        pl = Pipeline(r_max=dual_route_rmax, table=table)
         for r in range(0, dual_route_rmax + 1):
-            pl.htilde_over_kernel(r)  # raises on mismatch
+            pipeline.htilde_over_kernel(r)  # raises on mismatch
         return True, ""
     _check(out, f"both routes to H~_r/(1-sv) agree for r <= {dual_route_rmax}", dual_route)
 
     def boundary_oracle():
-        bd = Pipeline(r_max=3, table=table).boundary(3)
+        pl = pipeline if pipeline.r_max >= 3 else Pipeline(r_max=3, table=table)
+        bd = pl.boundary(3)
         for i in range(2, 6):
             if _oracle(5, (1, i)).count(3) != bd.top(i):
                 return False, f"top row at i={i}"
@@ -413,20 +421,27 @@ def run_suite(
     oracle_nmax: int = 7,
     r_max: int = 4,
 ) -> list[CheckResult]:
+    """The checks of one suite, or of all three, over one shared
+    ``GTable`` and one shared ``Pipeline(max(r_max, 1))`` on it: each
+    G_r, H~_r and set of boundary data is derived once and read by every
+    suite that checks it, and the enumeration oracle is memoised per
+    process (``_oracle``)."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     table = GTable()
+    pipeline = Pipeline(r_max=max(r_max, 1), table=table)
     out: list[CheckResult] = []
     if suite in ("all", "recurrence"):
         out.extend(recurrence_suite(oracle_nmax=oracle_nmax, table=table))
     if suite in ("all", "genfun"):
-        out.extend(genfun_suite(r_max=r_max, maximal_nmax=oracle_nmax, table=table))
+        out.extend(genfun_suite(r_max=r_max, maximal_nmax=oracle_nmax, table=table, pipeline=pipeline))
     if suite in ("all", "constructions"):
         out.extend(
             constructions_suite(
                 doubling_nmax=min(oracle_nmax, 6),
                 dual_route_rmax=r_max,
                 table=table,
+                pipeline=pipeline,
             )
         )
     return out

@@ -38,7 +38,7 @@ from ._common import DEFAULT_ENUM_LIMIT, SUITE_NAMES, ConsistencyError, Enumerat
 
 RECURRENCE_NMAX = 30
 #: Largest --limit for ``distribution``: the walk over the (n-1)! flattened
-#: words takes about 2.5 s at n = 11.
+#: words takes about 1.2 s at n = 11 (shared 2-vCPU Xeon, Python 3.11).
 ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
@@ -55,9 +55,9 @@ ORDER_MAX = 4 * PIPELINE_RMAX + 10
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
 WITNESS_MAX = 2000
-#: Largest --rmax for ``verify``: --rmax 12 takes about 1.3 s, and with
-#: --n 10 about 1.5 s.  Its --n is capped by the enumeration limit
-#: ``DEFAULT_ENUM_LIMIT``.
+#: Largest --rmax for ``verify``: --rmax 12 takes about 0.23 s, and with
+#: --n 10 about 0.27 s (shared 2-vCPU Xeon, Python 3.11).  Its --n is
+#: capped by the enumeration limit ``DEFAULT_ENUM_LIMIT``.
 VERIFY_RMAX = 12
 
 EXIT_OK = 0

@@ -98,7 +98,10 @@ class Pipeline:
     4 * r_max + 10, at least 4 * r_max + 3).
 
     Every stage re-verifies itself: the two independent routes to
-    H~_r/(1 - sv) must agree exactly, kernel divisions must leave no
+    H~_r/(1 - sv) must agree exactly (H~_r is memoised, like the boundary
+    data, P_r and the c tables, but only once they agree, so a reader
+    after the derivation of G_r, such as the ``verify`` line that compares
+    the routes, finds it compared already), kernel divisions must leave no
     remainder, each G_{r-1}(x, 1/s) must divide down exactly to
     s^(2r-2) t^r, so that G_r lands on the denominator s^(2r-1) t^(r+1),
     extracted polynomials must be divisible and of
@@ -136,6 +139,7 @@ class Pipeline:
         self.table = table if table is not None else GTable(r_max + 2)
         self._count: InsertionCount | None = None
         self._boundary: dict[int, BoundaryData] = {}
+        self._htilde: dict[int, RationalGF] = {}
         self._g: list[RationalGF] = []
         # The running sums V_r (over s^(2r-3) t^r) and K_r (over
         # s^(2r-1) t^r) of the recurrence for G_r, for the next r to derive.
@@ -213,9 +217,12 @@ class Pipeline:
 
         Route two forms H~_r = H_r(x,v) - (2-v)(s/t) H_r(x, 1/s) and divides
         out the kernel factor exactly.  The two must be equal as exact
-        values over one denominator.
+        values over one denominator, and the value is memoised only once
+        they agree, so a disagreement raises on every call.
         """
         self._check_r(r)
+        if r in self._htilde:
+            return self._htilde[r]
         bd = self.boundary(r)
         s_r = S_POLY**r
         d = IntPoly()
@@ -241,6 +248,7 @@ class Pipeline:
 
         if expanded != divided:
             raise ConsistencyError(f"the two routes to H~_{r}/(1-sv) disagree")
+        self._htilde[r] = expanded
         return expanded
 
     # -- G_r ----------------------------------------------------------------
@@ -297,21 +305,28 @@ class Pipeline:
         self._g.append(g)
 
     def _verify_against_count(self, r: int, g: RationalGF) -> None:
+        """Compare [x^m v^(i-2)] G_r with the count's g_{m,r}(1i) for every
+        m through the order, one column (r, i) at a time; the per-cell
+        loop runs only to name the first wrong cell."""
         if self._count is None:
             self._count = InsertionCount(self.r_max, self.order)
-        series = g.expand(self.order)
+        low = r + 3
+        series = g.expand_coeffs(self.order)
+        zero = [0] * (self.order + 1)
         for i in range(2, r + 3):
-            coeffs = series.coeff(i - 2).coeffs
-            for m in range(min(r + 3, self.order + 1)):
-                if coeffs[m] != 0:
+            coeffs = series[i - 2] if i - 2 < len(series) else zero
+            for m, c in enumerate(coeffs[:low]):
+                if c:
                     raise ConsistencyError(
                         f"G_{r} has a nonzero coefficient at x^{m} below x^{r + 3}"
                     )
-            for m in range(r + 3, self.order + 1):
-                want = self._count.coeff(m, r, i)
-                if coeffs[m] != want:
+            column = self._count.column(r, i, low)
+            if coeffs[low:] == column:
+                continue
+            for m, (c, want) in enumerate(zip(coeffs[low:], column), low):
+                if c != want:
                     raise ConsistencyError(
-                        f"[x^{m} v^{i - 2}] G_{r} = {coeffs[m]} but the insertion count "
+                        f"[x^{m} v^{i - 2}] G_{r} = {c} but the insertion count "
                         f"gives {want} (n={m}, r={r}, i={i})"
                     )
 

@@ -77,22 +77,49 @@ class InsertionCount:
     def _bytes(self, p: int, packed: int) -> bytes:
         return packed.to_bytes(self.width * (self.top - p + 1), "little")
 
-    def coeff(self, n: int, r: int, k: int | None = None) -> int:
-        """[q^r] g_n, or [q^r] g_n(1k) when k is given.  Returns 0 for any
-        k beyond n; raises IndexError when r lies above the cut q^top."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n must lie in [1, {self.n_max}]")
+    def _locate(self, r: int, k: int | None) -> tuple[int, int, int, int] | None:
+        """(n - m, p, j, weight) such that [q^r] g_n(1k), or [q^r] g_n
+        when k is None, is weight * [q^j] f(m, p); None when r < k - 2,
+        where it vanishes for every n."""
         if r < 0:
             raise ValueError("r must be >= 0")
         if r > self.top:
             raise IndexError(f"q^{r} lies above this count's cut q^{self.top}")
         if k is None:
-            m, p, j, weight = n - 1, 0, r, 1
-        elif k < 2:
+            return 1, 0, r, 1
+        if k < 2:
             raise ValueError("k must be >= 2")
-        elif k > n or r < k - 2:
+        if r < k - 2:
+            return None
+        return 2, k - 2, r - k + 2, 2 if k == 2 else 1
+
+    def coeff(self, n: int, r: int, k: int | None = None) -> int:
+        """[q^r] g_n, or [q^r] g_n(1k) when k is given.  Returns 0 for any
+        k beyond n; raises IndexError when r lies above the cut q^top."""
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"n must lie in [1, {self.n_max}]")
+        cell = self._locate(r, k)
+        if cell is None or k is not None and k > n:
             return 0
-        else:
-            m, p, j, weight = n - 2, k - 2, r - k + 2, 2 if k == 2 else 1
+        shift, p, j, weight = cell
         w = self.width
-        return weight * int.from_bytes(self._rows[m][p][w * j : w * (j + 1)], "little")
+        return weight * int.from_bytes(self._rows[n - shift][p][w * j : w * (j + 1)], "little")
+
+    def column(self, r: int, k: int | None = None, n_lo: int = 1) -> list[int]:
+        """``coeff(n, r, k)`` for n = n_lo .. n_max, with the arguments
+        checked once and one byte slice per cell."""
+        n_max = self.n_max
+        if not 1 <= n_lo <= n_max + 1:
+            raise ValueError(f"n must lie in [1, {n_max}]")
+        cell = self._locate(r, k)
+        if cell is None:
+            return [0] * (n_max + 1 - n_lo)
+        shift, p, j, weight = cell
+        # Row m = n - shift holds f(m, p) only for p <= m: zero for k > n.
+        first = min(max(n_lo, p + shift), n_max + 1)
+        w, rows = self.width, self._rows
+        a, b = w * j, w * (j + 1)
+        return [0] * (first - n_lo) + [
+            weight * int.from_bytes(rows[m][p][a:b], "little")
+            for m in range(first - shift, n_max + 1 - shift)
+        ]

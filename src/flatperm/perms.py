@@ -16,16 +16,18 @@ the n! permutations: a word starting with 1 is the flattening of exactly
 2^(rho-1) permutations, rho being its number of right-to-left minima,
 because the cycle starts may be any subset of those minima that contains
 position 1.  The walk is plain recursion that adds each word's weight
-into a list of counts.  Its leaf places the last three letters a < b < c
-in one frame and counts the six words that end in them one by one,
-reading what each order adds from a small table, ``_TAIL``, that is
-built at import from ``count_13_2``.  No count of a subtree is stored or
-reused: every word still adds its own weight.
+into a list of counts.  Its last frame places the final four letters:
+each of them in turn, and after it the last three in all six orders,
+counting the 24 words one by one and reading what each order of the
+last three adds from a small table, ``_TAIL``, that is built at import
+from ``count_13_2``.  No count of a subtree is stored or reused: every
+word still adds its own weight.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
 # Defined in _common, so the CLI can use them without loading this module.
@@ -185,20 +187,39 @@ def _walk(counts: list[int], n: int, pre: tuple[int, ...]) -> None:
     letter not yet placed; ``rho`` counts those placed so far.  ``gaps[i]``
     counts the adjacent ascents placed so far whose gap contains
     ``unused[i]``: the occurrences that letter adds when it is placed.
-    Once the prefix is placed, the last three letters a < b < c end six
-    words in one frame.  Each letter of the tail adds its gap count, plus
-    one for each ascent inside (prev, x, y, z) whose gap holds it, so a
-    word adds ga + gb + gc and the ``extra`` of its row in
-    ``_TAIL[below]``, ``below`` being how many of a, b, c lie below prev.
+    ``unused`` is sorted, so placing ``unused[i]`` after ``prev`` bumps
+    the gaps of the run ``unused[lo:i]``, ``lo = bisect_right(unused,
+    prev)``: the letters strictly between the two (none unless lo < i).
+
+    The last three letters a < b < c end six words in one frame.  Each
+    letter of the tail adds its gap count, plus one for each ascent
+    inside (prev, x, y, z) whose gap holds it, so a word adds
+    ga + gb + gc and the ``extra`` of its row in ``_TAIL[below]``,
+    ``below`` being how many of a, b, c lie below prev.  When four
+    letters are left after the prefix, one frame places each of them,
+    ``unused[i]``, in turn and ends its six words the same way: the three
+    letters left below it are exactly ``unused[:i]``, so ``below`` is i,
+    the gaps of the word total sum(gaps) plus the max(0, i - lo) bumps,
+    and its weight gains a factor 2 when i = 0.  So the three-letter
+    frame runs only when the prefix ends three letters from the end, or
+    at n = 4.  Either way every word adds its own weight.
     """
     fixed = len(pre)
 
     def extend(d, prev, unused, gaps, occ, rho):
-        if len(unused) == 3 and d >= fixed:
-            (a, b, c), (ga, gb, gc) = unused, gaps
-            occ += ga + gb + gc
+        lo = bisect_right(unused, prev)
+        if d >= fixed and len(unused) == 4:
+            occ += sum(gaps)
+            for i, tail in enumerate(_TAIL):
+                o = occ + max(0, i - lo)
+                weight = 1 << (rho - 1 + (i == 0))
+                for extra, minima in tail:
+                    counts[o + extra] += weight << minima
+            return
+        if d >= fixed and len(unused) == 3:
+            occ += sum(gaps)
             weight = 1 << (rho - 1)
-            for extra, minima in _TAIL[(a < prev) + (b < prev) + (c < prev)]:
+            for extra, minima in _TAIL[lo]:
                 counts[occ + extra] += weight << minima
             return
         if not unused:
@@ -208,9 +229,10 @@ def _walk(counts: list[int], n: int, pre: tuple[int, ...]) -> None:
             if d < fixed and c != pre[d]:
                 continue
             rest = unused[:i] + unused[i + 1:]
-            g = gaps[:i] + gaps[i + 1:]
-            if prev < c:
-                g = [x + (prev < u < c) for u, x in zip(rest, g)]
+            if lo < i:
+                g = gaps[:lo] + [x + 1 for x in gaps[lo:i]] + gaps[i + 1:]
+            else:
+                g = gaps[:i] + gaps[i + 1:]
             extend(d + 1, c, rest, g, occ + gaps[i], rho + (i == 0))
 
     extend(1, 1, list(range(2, n + 1)), [0] * (n - 1), 0, 1)

@@ -275,18 +275,33 @@ def harmonic(n: int) -> Fraction:
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
+def check_average(n: int, table: GTable | None = None) -> int:
+    """g_n'(1), the total of the 13-2 occurrences over the flattenings of
+    S_n, from the given table (or a new one), asserted equal to
+    n!((n^2 + 3n + 8)/12 - H_n) in integers:
+
+        12 g_n'(1) = n! (n^2 + 3n + 8) - 12 sum_{k<=n} n!/k.
+
+    Only a failure builds the two sides as fractions, for its message."""
+    g = (table or GTable(n)).g(n)
+    total = sum(r * c for r, c in enumerate(g.coeffs))  # g_n'(1)
+    f = math.factorial(n)
+    if 12 * total != f * (n * n + 3 * n + 8) - 12 * sum(f // k for k in range(1, n + 1)):
+        from fractions import Fraction
+
+        mean = Fraction(total, f)
+        closed = Fraction(n * n + 3 * n + 8, 12) - harmonic(n)
+        raise ConsistencyError(f"average for n={n}: table gives {mean}, closed form {closed}")
+    return total
+
+
 def average_occurrences(n: int, table: GTable | None = None) -> Fraction:
-    """Mean number of 13-2 occurrences over flattenings of S_n, computed
-    as g_n'(1)/n! from the given table (or a new one) and asserted equal
-    to (n^2 + 3n + 8)/12 - H_n."""
+    """Mean number of 13-2 occurrences over flattenings of S_n, g_n'(1)/n!
+    from the given table (or a new one), once ``check_average`` has
+    asserted it equal to (n^2 + 3n + 8)/12 - H_n."""
     from fractions import Fraction
 
-    g = (table or GTable(n)).g(n)
-    mean = Fraction(g.derivative().eval_at(1), math.factorial(n))
-    closed = Fraction(n * n + 3 * n + 8, 12) - harmonic(n)
-    if mean != closed:
-        raise ConsistencyError(f"average for n={n}: table gives {mean}, closed form {closed}")
-    return mean
+    return Fraction(check_average(n, table), math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@ raising out of the suite."""
 
 from __future__ import annotations
 
+import math
+import sys
+from collections import Counter
+
 import pytest
 
 from flatperm import checks, genfun, perms
-from flatperm.algebra import IntPoly
+from flatperm.algebra import IntPoly, XVPoly
 from flatperm.checks import constructions_suite, genfun_suite
 from flatperm.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from flatperm.recurrence import GTable
@@ -165,3 +169,81 @@ def test_constructions_build_no_insertion_count(monkeypatch):
 
     monkeypatch.setattr(genfun, "InsertionCount", refuse)
     assert all(res.passed for res in constructions_suite(doubling_nmax=3, witness_rmax=4, dual_route_rmax=4))
+
+
+def _route_two_calls(monkeypatch):
+    """A Counter of r over the calls of ``Pipeline.h_poly`` made by
+    ``htilde_over_kernel`` (its route two)."""
+    real, calls = genfun.Pipeline.h_poly, Counter()
+
+    def counted(self, r):
+        if sys._getframe(1).f_code.co_name == "htilde_over_kernel":
+            calls[r] += 1
+        return real(self, r)
+
+    monkeypatch.setattr(genfun.Pipeline, "h_poly", counted)
+    return calls
+
+
+def test_suites_compare_each_htilde_once(capsys, monkeypatch):
+    """Under ``--suite all`` the dual-route line reads the H~_r that the
+    derivation of G_r already compared by both routes, so route two runs
+    once per r instead of twice for each r >= 1."""
+    calls = _route_two_calls(monkeypatch)
+    assert main(["verify", "--suite", "all", "--n", "5", "--rmax", "4"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("OK: 28/28 checks passed\n")
+    assert calls == {r: 1 for r in range(5)}
+
+
+def test_constructions_alone_run_both_routes_for_every_r(capsys, monkeypatch):
+    """With no genfun suite before it, the dual-route line computes both
+    routes itself for every r <= rmax."""
+    calls = _route_two_calls(monkeypatch)
+    assert main(["verify", "--suite", "constructions", "--n", "5", "--rmax", "4"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("OK: 6/6 checks passed\n")
+    assert calls == {r: 1 for r in range(5)}
+
+
+DUAL_ROUTE = "both routes to H~_r/(1-sv) agree"
+
+
+def test_disagreeing_htilde_routes_fail_every_time(capsys, monkeypatch):
+    """H~_r is memoised only once its routes agree: with route two of
+    H~_2 off by 2x^5 (a change the kernel still divides exactly), the
+    genfun lines that derive G_2 and the dual-route line all FAIL."""
+    real = genfun.Pipeline.h_poly
+
+    def off(self, r):
+        h = real(self, r)
+        return h + XVPoly([IntPoly.term(2, 5)]) if r == 2 else h
+
+    monkeypatch.setattr(genfun.Pipeline, "h_poly", off)
+    assert main(["verify", "--suite", "all", "--n", "5", "--rmax", "4"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    disagree = "the two routes to H~_2/(1-sv) disagree"
+    for name in ("P_r structure", "rational closed form", DUAL_ROUTE):
+        (line,) = [line for line in lines if name in line]
+        assert line.startswith("FAIL  ") and disagree in line, line
+
+
+AVERAGE = "average occurrences equal"
+
+
+def test_average_line_fails_on_a_corrupted_g25(capsys, monkeypatch):
+    """The line compares integers, but its detail is the same pair of
+    fractions as before."""
+    from fractions import Fraction
+
+    class OffByTwo(GTable):
+        def g(self, n):
+            return super().g(n) + (IntPoly.term(2, 7) if n == 25 else IntPoly())
+
+    monkeypatch.setattr(checks, "GTable", OffByTwo)
+    assert main(["verify", "--suite", "recurrence", "--n", "3"]) == EXIT_CHECK_FAILED
+    g = GTable(25).g(25)
+    total = sum(r * c for r, c in enumerate(g.coeffs)) + 2 * 7
+    mean = Fraction(total, math.factorial(25))
+    closed = Fraction(25 * 25 + 3 * 25 + 8, 12) - sum(Fraction(1, k) for k in range(1, 26))
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if AVERAGE in line]
+    assert line.startswith("FAIL  ")
+    assert line.endswith(f"[average for n=25: table gives {mean}, closed form {closed}]")

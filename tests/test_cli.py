@@ -447,3 +447,11 @@ def test_table_commands_load_no_enumeration_fractions_or_csv(argv):
     ``csv`` and ``perms`` only for the commands that use them."""
     modules = ("flatperm.perms", "fractions", "csv")
     assert modules_loaded_by(*argv, modules=modules) == (EXIT_OK, [])
+
+
+def test_verify_loads_no_fractions():
+    """The average line compares integers, and nothing else that
+    ``verify`` runs builds a fraction unless a check fails."""
+    modules = ("fractions", "decimal")
+    assert modules_loaded_by("verify", "--suite", "all", "--n", "5", "--rmax", "2",
+                             modules=modules) == (EXIT_OK, [])

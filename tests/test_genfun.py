@@ -338,8 +338,11 @@ def test_table_off_by_two_names_the_cell():
 
 def test_count_off_by_two_names_the_cell(monkeypatch):
     class OffByTwo(InsertionCount):
-        def coeff(self, n, r, k=None):
-            return super().coeff(n, r, k) + 2 * ((n, r, k) == (10, 2, 3))
+        def column(self, r, k=None, n_lo=1):
+            cells = super().column(r, k, n_lo)
+            if (r, k) == (2, 3) and 0 <= 10 - n_lo < len(cells):
+                cells[10 - n_lo] += 2
+            return cells
 
     monkeypatch.setattr(genfun, "InsertionCount", OffByTwo)
     with pytest.raises(ConsistencyError, match=r"G_2 .*\(n=10, r=2, i=3\)"):

@@ -66,6 +66,25 @@ def test_packed_rows_match_plain_lists(top, n_max):
             assert _read_f(count, m, p) == plain[m][p][: top - p + 1], (m, p)
 
 
+@pytest.mark.parametrize("top", [0, 1, 5, 12])
+@pytest.mark.parametrize("n_max", [1, 2, 5, 12, 30])
+def test_column_reads_match_cell_reads(top, n_max):
+    """Every column read, from every start (n_max + 1 reads nothing),
+    equals ``coeff`` cell by cell, k beyond n and r below k - 2 included."""
+    count = InsertionCount(top, n_max)
+    for r in range(top + 1):
+        for k in [None, *range(2, n_max + 2)]:
+            cells = [count.coeff(n, r, k) for n in range(1, n_max + 1)]
+            for n_lo in range(1, n_max + 2):
+                assert count.column(r, k, n_lo) == cells[n_lo - 1:], (r, k, n_lo)
+
+
+@pytest.mark.parametrize("r, k, n_lo", [(-1, None, 1), (4, None, 1), (0, 1, 1), (0, None, 0), (0, None, 10)])
+def test_bad_column_reads_raise(r, k, n_lo):
+    with pytest.raises((ValueError, IndexError)):
+        InsertionCount(3, 8).column(r, k, n_lo)
+
+
 def test_reads_follow_the_rule_for_each_prefix():
     count = InsertionCount(5, 9)
     assert count.coeff(1, 0) == 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import doctest
 import itertools
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -216,12 +217,13 @@ def flattened_words(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_distribution_matches_word_walk(n):
     """Every prefix of length <= 3, including those no word starts with,
-    and every prefix of length n - 2 or n - 1 that a word starts with, so
-    that the walk also meets its last three letters inside the prefix."""
+    and every prefix of every length 0 .. n - 1 that a word starts with:
+    lengths n - 4 and n - 3 bracket the four-letter frame, and from
+    n - 2 on the walk meets its last three letters inside the prefix."""
     words = list(flattened_words(n))
     letters = range(1, n + 1)
     prefixes = {p for size in range(4) for p in itertools.permutations(letters, size)}
-    prefixes |= {word[:size] for word, _, _ in words for size in (n - 2, n - 1) if size >= 0}
+    prefixes |= {word[:size] for word, _, _ in words for size in range(n)}
     want = {prefix: Counter() for prefix in prefixes}
     for word, occ, weight in words:
         for size in range(n + 1):
@@ -259,6 +261,32 @@ def test_patched_tail_entry_changes_distribution(monkeypatch, below, order, fiel
         assert distribution(6).counts != want
     except IndexError:
         assert field == 0
+
+
+def _frames_walked(n, prefix=()):
+    """How many letters were left unplaced at each call of the walk's
+    frame function while ``distribution(n, prefix)`` ran."""
+    left = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "extend" and frame.f_globals is vars(perms):
+            left[len(frame.f_locals["unused"])] += 1
+
+    sys.setprofile(profile)
+    try:
+        distribution(n, prefix)
+    finally:
+        sys.setprofile(None)
+    return left
+
+
+def test_walk_of_s8_never_reaches_the_three_letter_leaf():
+    """With no prefix, the frame with four letters left ends all 24 of
+    their words, so the walk of S_8 makes 1 + 7 + 42 + 210 calls; a
+    prefix that ends three letters from the end still reaches the leaf."""
+    assert _frames_walked(8) == {7: 1, 6: 7, 5: 42, 4: 210}
+    assert _frames_walked(8, (1, 8, 2, 7, 3)) == {7: 1, 6: 1, 5: 1, 4: 1, 3: 1}
+    assert _frames_walked(4) == {3: 1}
 
 
 @pytest.mark.parametrize("n", range(1, 8))

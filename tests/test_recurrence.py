@@ -330,6 +330,19 @@ class TestAverage:
             )
             assert mean == average_occurrences(n, table)
 
+    def test_integer_check_gives_the_oracle_total(self, table):
+        for n in range(1, 8):
+            d = perms.distribution(n)
+            assert recurrence.check_average(n, table) == sum(r * c for r, c in d.counts.items())
+
+    def test_integer_check_raises_on_an_off_table(self):
+        class OffByTwo(GTable):
+            def g(self, n):
+                return super().g(n) + IntPoly.term(2, 3)
+
+        with pytest.raises(ConsistencyError, match=r"^average for n=9: table gives \d+/\d+, closed form"):
+            recurrence.check_average(9, OffByTwo(9))
+
 
 class TestClosedForm:
     def test_matches_through_12(self, table):
