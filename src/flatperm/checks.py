@@ -337,11 +337,12 @@ def constructions_suite(
     the avoider doubling, the witness words, and the dual-route boundary
     consistency of the kernel pipeline.
 
-    The last two lines read ``pipeline``, a pipeline over ``table`` with
-    r_max >= dual_route_rmax.  ``run_suite`` passes the one the genfun
-    suite ran, whose H~_r memo then holds every r that the derivation of
-    G_r already compared by both routes.  Without one, the suite builds
-    its own, and both routes run for every r."""
+    The dual-route line reads ``pipeline``, a pipeline over ``table``
+    with r_max >= dual_route_rmax.  ``run_suite`` passes the one the
+    genfun suite ran, whose H~_r memo then holds every r that the
+    derivation of G_r already compared by both routes.  Direct library
+    and test callers may leave it out: the suite then builds its own, and
+    both routes run for every r."""
     table = table or GTable()
     pipeline = pipeline or Pipeline(r_max=dual_route_rmax, table=table)
     out: list[CheckResult] = []
@@ -402,8 +403,7 @@ def constructions_suite(
     _check(out, f"both routes to H~_r/(1-sv) agree for r <= {dual_route_rmax}", dual_route)
 
     def boundary_oracle():
-        pl = pipeline if pipeline.r_max >= 3 else Pipeline(r_max=3, table=table)
-        bd = pl.boundary(3)
+        bd = Pipeline(r_max=3, table=table).boundary(3)
         for i in range(2, 6):
             if _oracle(5, (1, i)).count(3) != bd.top(i):
                 return False, f"top row at i={i}"

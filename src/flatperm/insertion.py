@@ -105,7 +105,7 @@ class InsertionCount:
         w = self.width
         return weight * int.from_bytes(self._rows[n - shift][p][w * j : w * (j + 1)], "little")
 
-    def column(self, r: int, k: int | None = None, n_lo: int = 1) -> list[int]:
+    def column(self, r: int, k: int, n_lo: int) -> list[int]:
         """``coeff(n, r, k)`` for n = n_lo .. n_max, with the arguments
         checked once and one byte slice per cell."""
         n_max = self.n_max

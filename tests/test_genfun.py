@@ -338,7 +338,7 @@ def test_table_off_by_two_names_the_cell():
 
 def test_count_off_by_two_names_the_cell(monkeypatch):
     class OffByTwo(InsertionCount):
-        def column(self, r, k=None, n_lo=1):
+        def column(self, r, k, n_lo):
             cells = super().column(r, k, n_lo)
             if (r, k) == (2, 3) and 0 <= 10 - n_lo < len(cells):
                 cells[10 - n_lo] += 2
