@@ -224,32 +224,25 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
     return out
 
 
-def genfun_suite(
-    r_max: int = 4,
-    maximal_nmax: int = 7,
-    table: GTable | None = None,
-    pipeline: Pipeline | None = None,
-) -> list[CheckResult]:
-    """Checks of the kernel pipeline: reference c tables, the structure of
-    P_r, rationality round trips, the functional-equation identities, and
-    the extremal-length facts."""
-    table = table or GTable()
-    pl = pipeline or Pipeline(r_max=max(r_max, 1), table=table)
+def genfun_suite(pipeline: Pipeline, r_max: int = 4, maximal_nmax: int = 7) -> list[CheckResult]:
+    """Checks of ``pipeline`` (r_max >= the suite's r_max): reference c
+    tables, the structure of P_r, rationality round trips, the
+    functional-equation identities, and the extremal-length facts."""
     identity_rmax = min(r_max, IDENTITY_RMAX)
     out: list[CheckResult] = []
 
     def base_series():
-        g0 = pl.g_series(0)
+        g0 = pipeline.g_series(0)
         ok = g0.vdegree == 0 and all(
             g0.coeff(0).coeff(n) == (2 ** (n - 1) if n >= 3 else 0)
-            for n in range(pl.order + 1)
+            for n in range(pipeline.order + 1)
         )
         return ok, ""
     _check(out, "G_0 = 4x^3/(1-2x) coefficient by coefficient", base_series)
 
     def reference_tables():
         for r in range(1, min(r_max, 5) + 1):
-            ct = pl.c_table(r)
+            ct = pipeline.c_table(r)
             want = [IntPoly(cs) for cs in REFERENCE_CTABLES[r]]
             if list(ct) != want:
                 return False, f"r={r}"
@@ -261,7 +254,7 @@ def genfun_suite(
             # Raises on a non-integral division, the v-degree of P_r, the
             # value c_{r,0}(1/2), the degree pattern and, through the
             # boundary data, a non-positive top row for r >= 4.
-            pl.c_table(r)
+            pipeline.c_table(r)
             if r >= 4:
                 for i in range(r + 1):
                     w = perms.witness_perm(r, i)
@@ -272,27 +265,27 @@ def genfun_suite(
 
     def rationality():
         for r in range(0, identity_rmax + 1):
-            pl.rational_gf(r)  # raises if the re-expansion disagrees
+            pipeline.rational_gf(r)  # raises if the re-expansion disagrees
         return True, ""
     _check(out, f"rational closed form re-expands to G_r for r <= {identity_rmax}", rationality)
 
     def functional_equation():
         for r in range(0, identity_rmax + 1):
-            if not pl.check_functional_equation(r):
+            if not pipeline.check_functional_equation(r):
                 return False, f"r={r}"
         return True, ""
     _check(out, f"pre-kernel functional equation holds for r <= {identity_rmax}", functional_equation)
 
     def kernel_root():
         for r in range(0, identity_rmax + 1):
-            if not pl.check_kernel_root(r):
+            if not pipeline.check_kernel_root(r):
                 return False, f"r={r}"
         return True, ""
     _check(out, f"kernel-root identity for G_r(x,1), r <= {identity_rmax}", kernel_root)
 
     def parity_series():
         for r in range(1, identity_rmax + 1):
-            g = pl.g_series(r)
+            g = pipeline.g_series(r)
             for k in range(g.vdegree + 1):
                 if any(c % 2 for c in g.coeff(k).coeffs):
                     return False, f"r={r}, v^{k}"
@@ -327,46 +320,40 @@ def genfun_suite(
 
 
 def constructions_suite(
+    pipeline: Pipeline,
     doubling_nmax: int = 6,
     witness_rmax: int = 12,
     dual_route_rmax: int = 4,
-    table: GTable | None = None,
-    pipeline: Pipeline | None = None,
 ) -> list[CheckResult]:
     """Checks of the explicit constructions: the one-to-two prefix-12 map,
     the avoider doubling, the witness words, and the dual-route boundary
     consistency of the kernel pipeline.
 
-    The dual-route line reads ``pipeline``, a pipeline over ``table``
-    with r_max >= dual_route_rmax.  ``run_suite`` passes the one the
+    The dual-route line reads ``pipeline`` (r_max >= dual_route_rmax), and
+    the boundary line reads its table.  ``run_suite`` passes the one the
     genfun suite ran, whose H~_r memo then holds every r that the
-    derivation of G_r already compared by both routes.  Direct library
-    and test callers may leave it out: the suite then builds its own, and
-    both routes run for every r."""
-    table = table or GTable()
-    pipeline = pipeline or Pipeline(r_max=dual_route_rmax, table=table)
+    derivation of G_r already compared by both routes."""
     out: list[CheckResult] = []
 
     def doubling_bijection():
+        # Each image is checked to lie in the class (a permutation of
+        # 1..n whose flattening starts 1, 2), so distinct images as many
+        # as the class holds cover it.
         for n in range(2, doubling_nmax + 1):
-            images = []
+            images = set()
             for sigma in itertools.permutations(range(1, n)):
                 occ = perms.count_13_2(perms.flatten(sigma))
                 pi, pi_prime = perms.doubling_pair(sigma)
                 for tau in (pi, pi_prime):
                     word = perms.flatten(tau)
-                    if word[:2] != (1, 2) or perms.count_13_2(word) != occ:
+                    if len(word) != n or word[:2] != (1, 2) or perms.count_13_2(word) != occ:
                         return False, f"n={n}, sigma={sigma}"
                 if pi == pi_prime:
                     return False, f"n={n}, collision at sigma={sigma}"
-                images.extend([pi, pi_prime])
-            if len(set(images)) != len(images):
+                images.update((pi, pi_prime))
+            if len(images) != 2 * math.factorial(n - 1):
                 return False, f"n={n}: images not distinct"
-            targets = {
-                p for p in itertools.permutations(range(1, n + 1))
-                if perms.flatten(p)[:2] == (1, 2)
-            }
-            if set(images) != targets:
+            if len(images) != _oracle(n, (1, 2)).total():
                 return False, f"n={n}: images do not cover the prefix-12 class"
         return True, ""
     _check(out, f"one-to-two map is a bijection onto the prefix-12 class, n <= {doubling_nmax}", doubling_bijection)
@@ -403,13 +390,24 @@ def constructions_suite(
     _check(out, f"both routes to H~_r/(1-sv) agree for r <= {dual_route_rmax}", dual_route)
 
     def boundary_oracle():
-        bd = Pipeline(r_max=3, table=table).boundary(3)
-        for i in range(2, 6):
-            if _oracle(5, (1, i)).count(3) != bd.top(i):
+        r, table = 3, pipeline.table
+        bd = Pipeline(r_max=r, table=table).boundary(r)
+        for i in range(2, r + 3):
+            if _oracle(r + 2, (1, i)).count(r) != bd.top(i):
                 return False, f"top row at i={i}"
-        for (n, j, k), v in bd.inner.items():
-            if _oracle(n + 3, (1, k)).count(j) != v:
-                return False, f"inner cell (n, j, k) = ({n}, {j}, {k})"
+        layers = []  # sum_j v^(r-j) G_{n+3,j}(v), as in H_r, for each n
+        for n in range(r - 1):
+            layer = IntPoly()
+            for j in range(n + 1):
+                cells = [table.coeff(n + 3, j, k) for k in range(2, j + 3)]
+                for k, v in enumerate(cells, 2):
+                    if _oracle(n + 3, (1, k)).count(j) != v:
+                        return False, f"inner cell (n, j, k) = ({n}, {j}, {k})"
+                layer = layer + IntPoly(cells).shift(r - j)
+            layers.append(layer)
+        for h, sums in enumerate(bd.inner):
+            if list(sums) != [layer[h] for layer in layers]:
+                return False, f"inner sums at h={h}"
         return True, ""
     _check(out, "boundary data matches enumeration (r = 3)", boundary_oracle)
 
@@ -434,14 +432,7 @@ def run_suite(
     if suite in ("all", "recurrence"):
         out.extend(recurrence_suite(oracle_nmax=oracle_nmax, table=table))
     if suite in ("all", "genfun"):
-        out.extend(genfun_suite(r_max=r_max, maximal_nmax=oracle_nmax, table=table, pipeline=pipeline))
+        out.extend(genfun_suite(pipeline, r_max=r_max, maximal_nmax=oracle_nmax))
     if suite in ("all", "constructions"):
-        out.extend(
-            constructions_suite(
-                doubling_nmax=min(oracle_nmax, 6),
-                dual_route_rmax=r_max,
-                table=table,
-                pipeline=pipeline,
-            )
-        )
+        out.extend(constructions_suite(pipeline, doubling_nmax=min(oracle_nmax, 6), dual_route_rmax=r_max))
     return out

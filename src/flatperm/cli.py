@@ -43,10 +43,11 @@ ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
 AVOIDERS_NMAX = 500
-#: Largest r for ``ctable`` and ``rational``: r = 40 takes 2.3-2.9 s on a
+#: Largest r for ``ctable`` and ``rational``: r = 40 takes 2.2-2.8 s on a
 #: shared 2-vCPU Xeon (Python 3.11).  About 0.12 s of it grows the boundary
-#: table GTable(42), and about 0.25 s builds and reads the insertion count
-#: through n = 170; the process peaks at about 64 MB.
+#: table GTable(42), 0.08-0.12 s reads and sums the boundary cells, and
+#: about 0.25 s builds and reads the insertion count through n = 170; the
+#: process peaks at about 52 MB.
 PIPELINE_RMAX = 40
 #: Largest --order for ``ctable`` and ``rational``: the default order 4r + 10
 #: at r = PIPELINE_RMAX, so no default run is refused.  At the cap, r = 40

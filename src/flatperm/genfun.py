@@ -82,10 +82,12 @@ def t_poly(h: int) -> XVPoly:
 class BoundaryData(NamedTuple):
     """Finite boundary data feeding the recurrence for G_r: the top row
     g_{r+2,r}(1i) for 2 <= i <= r+2, and the inner values g_{n+3,j}(1k)
-    for 0 <= j <= n <= r-2, 2 <= k <= j+2."""
+    for 0 <= j <= n <= r-2, 2 <= k <= j+2, as H_r and route one read them:
+    inner[h][n] = [v^h] sum_{j=0}^{n} v^{r-j} G_{n+3,j}(v) for 0 <= h <= r and
+    0 <= n <= r-2, with G_{n+3,j}(v) = sum_k g_{n+3,j}(1k) v^{k-2}."""
 
     top_row: tuple[int, ...]
-    inner: dict[tuple[int, int, int], int]
+    inner: tuple[tuple[int, ...], ...]
 
     def top(self, i: int) -> int:
         return self.top_row[i - 2]
@@ -115,7 +117,9 @@ class Pipeline:
     passed as ``table`` (the ``verify`` suites pass their shared table),
     or else a full ``GTable(r_max + 2)`` of the pipeline's own (as for the
     ``ctable`` and ``rational`` commands).  So the boundary data and the
-    values they are checked against come from different routes.
+    values they are checked against come from different routes.  Each
+    inner cell is read once, as its layer n joins the sums Y_d[n] over
+    k - j = d; an odd cell (j >= 1) raises before its layer is kept.
 
     The pipeline never calls the enumeration oracle: comparisons of its
     values with ``perms.distribution`` live in ``flatperm.checks``.
@@ -139,6 +143,7 @@ class Pipeline:
         self.table = table if table is not None else GTable(r_max + 2)
         self._count: InsertionCount | None = None
         self._boundary: dict[int, BoundaryData] = {}
+        self._layers: list[list[int]] = []
         self._htilde: dict[int, RationalGF] = {}
         self._g: list[RationalGF] = []
         # The running sums V_r (over s^(2r-3) t^r) and K_r (over
@@ -158,18 +163,27 @@ class Pipeline:
         if r in self._boundary:
             return self._boundary[r]
         top = tuple(self.table.coeff(r + 2, r, i) for i in range(2, r + 3))
-        inner = {
-            (n, j, k): self.table.coeff(n + 3, j, k)
-            for n in range(r - 1)
-            for j in range(n + 1)
-            for k in range(2, j + 3)
-        }
         if r >= 1 and any(c % 2 for c in top):
             raise ConsistencyError(f"odd entry in the top boundary row for r={r}")
-        if any(v % 2 for (n, j, k), v in inner.items() if j >= 1):
-            raise ConsistencyError(f"odd inner boundary entry for r={r}")
+        layers = self._layers
+        while len(layers) < r - 1:
+            n = len(layers)
+            sums = [0] * (n + 1)  # [2 - d] = Y_d[n], the cells with k - j = d
+            for j in range(n + 1):
+                for k in range(2, j + 3):
+                    c = self.table.coeff(n + 3, j, k)
+                    if j and c % 2:
+                        raise ConsistencyError(f"odd inner boundary entry for r={r}")
+                    sums[j - k + 2] += c
+            layers.append(sums)
         if r >= 4 and any(c < 1 for c in top):
             raise ConsistencyError(f"non-positive top boundary entry for r={r}")
+        # h = r - j + k - 2, so inner[h] = Y_(h-r+2), which layer n holds
+        # at index r - h once r - h <= n.
+        inner = tuple(
+            tuple(layers[n][r - h] if r - h <= n else 0 for n in range(r - 1))
+            for h in range(r + 1)
+        )
         data = BoundaryData(top, inner)
         self._boundary[r] = data
         return data
@@ -186,10 +200,7 @@ class Pipeline:
         top = XVPoly([IntPoly([c]) for c in bd.top_row])  # sum_i g_{r+2,r}(1i) v^{i-2}
         top_at_1 = sum(bd.top_row)
         h = (TWO_MINUS_V * top_at_1).shift_x(r) - top.shift_v(1).shift_x(r)
-        inner_sum = [[0] * max(r - 1, 0) for _ in range(r + 1)]  # [v-power][x-power]
-        for (n, j, k), val in bd.inner.items():
-            inner_sum[r - j + k - 2][n] += val
-        return h - (ONE_MINUS_V * XVPoly(inner_sum)).shift_x(1)
+        return h - (ONE_MINUS_V * XVPoly(bd.inner)).shift_x(1)
 
     def htilde_over_kernel(self, r: int) -> RationalGF:
         """H~_r(x, v)/(1 - sv), computed two independent ways.
@@ -197,13 +208,13 @@ class Pipeline:
         Route one assembles the expanded form directly from boundary data:
 
             (x^r/t) sum_{i=2}^{r+2} g_{r+2,r}(1i) s^{1-i} (1 + t sum_{k<=i-2} (sv)^k)
-            - (1/t) sum_h s^{-h} T_h(x, v) sum_{n,j,k: r-j+k-2 = h} g_{n+3,j}(1k) x^{n+1}.
+            - (1/t) sum_h s^{-h} T_h(x, v) sum_n inner[h][n] x^{n+1}.
 
-        The inner cells depend on (j, k) only through h = r-j+k-2, which
-        takes at most r - 1 values, so their x^{n+1} terms are summed into
-        one polynomial X_h per h (the sign of the cells included).  Route
-        one builds the numerator over the single denominator s^(r+1) t
-        column by column, with O(r) passes in all:
+        The inner cells enter only through the boundary data's sums by h
+        (``BoundaryData``), so route one takes X_h = -sum_n inner[h][n] x^{n+1}
+        (the sign of the cells included) as it stands.  Route one builds
+        the numerator over the single denominator s^(r+1) t column by
+        column, with O(r) passes in all:
 
         - top row: D_0 = sum_i g_{r+2,r}(1i) s^(r+2-i) by Horner, and
           D_k = s (D_{k-1} - g_{r+2,r}(1,k+1) s^r); column k gets
@@ -212,8 +223,8 @@ class Pipeline:
           and F_k = s F_{k-1} - s^r X_k; column k gets t (x F_k + s^r X_k)
           and column 0 gets 2x E (1 - t = 2x).
 
-        The tests keep the per-cell sum of T_h X_h, with T_h from
-        ``t_poly``, as the reference for this form.
+        The tests keep a per-cell sum, one T_h (``t_poly``) per inner cell
+        read from the table, as the reference for this form.
 
         Route two forms H~_r = H_r(x,v) - (2-v)(s/t) H_r(x, 1/s) and divides
         out the kernel factor exactly.  The two must be equal as exact
@@ -228,10 +239,7 @@ class Pipeline:
         d = IntPoly()
         for i in range(2, r + 3):
             d = d * S_POLY + IntPoly([bd.top(i)])  # D_0 by Horner
-        xh = [[0] * r for _ in range(r + 1)]  # [h][x-power] of X_h
-        for (m, j, k), val in bd.inner.items():
-            xh[r - j + k - 2][m + 1] -= val
-        xh = [IntPoly(cs) for cs in xh]
+        xh = [-IntPoly(cs).shift(1) for cs in bd.inner]  # X_h
         f = IntPoly()
         for x_h in xh:
             f = f * S_POLY + x_h  # E / s by Horner

@@ -6,8 +6,9 @@ order: 1/s and 1/t are unit-series inverses, v = 1/s is substituted by
 ``VPoly.subst_v``, the kernel is divided out by ``vpoly_div_kernel``, and
 P_r is read off s^(2r-1) t^(r+1) G_r by ``xvpoly_extract_from_series``,
 whose vanishing tail stands in for the exact divisibility of the exact
-route.  It shares only the boundary data, H_r and T_h with the pipeline
-it is compared with.
+route.  It reads the boundary cells from the pipeline's table, one at a
+time, and shares only that table, H_r and T_h with the pipeline it is
+compared with.
 """
 
 from __future__ import annotations
@@ -60,11 +61,10 @@ class SeriesPipeline:
     def htilde_over_kernel(self, r: int) -> VPoly:
         """Route one (per-h groups) and route two (series kernel division),
         which must agree through the order."""
-        bd = self.pl.boundary(r)
         n = self.order
         expanded = VPoly.zero(n)
         for i in range(2, r + 3):
-            gi = bd.top(i)
+            gi = self.pl.table.coeff(r + 2, r, i)
             if gi == 0:
                 continue
             base = (self.t_inv * gi * self.sinv_pow(i - 1)).mul_xpow(r)
@@ -73,10 +73,13 @@ class SeriesPipeline:
                 vpart.append(base * (T_POLY * S_POLY**k))
             expanded = expanded + VPoly(vpart, n)
         by_h: dict[int, IntPoly] = {}
-        for (m, j, k), val in bd.inner.items():
-            if val:
-                h = r - j + k - 2
-                by_h[h] = by_h.get(h, IntPoly()) + IntPoly.term(val, m + 1)
+        for m in range(r - 1):
+            for j in range(m + 1):
+                for k in range(2, j + 3):
+                    val = self.pl.table.coeff(m + 3, j, k)
+                    if val:
+                        h = r - j + k - 2
+                        by_h[h] = by_h.get(h, IntPoly()) + IntPoly.term(val, m + 1)
         for h, xpoly in by_h.items():
             factor = self.t_inv * self.sinv_pow(h) * xpoly
             expanded = expanded - t_poly(h).to_vpoly(n) * factor

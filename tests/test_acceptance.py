@@ -208,11 +208,14 @@ def test_14_identity_suite(pipeline6, table):
     _report(14, "prefix recurrence holds (3 <= i <= n <= 12); functional equation holds (r <= 4)", ok)
 
 
-#: SHA-256 of the stdout of two deep-r commands, recorded when the cut
-#: table still grew its column by the b-sum.
+#: SHA-256 of the stdout of commands past the benchmark's r = 12 goldens:
+#: two deep-r commands, recorded when the cut table still grew its column
+#: by the b-sum, and the largest verify run, recorded before the boundary
+#: data were kept by layer.
 DEEP_R_DIGESTS = {
     "ctable --r 20": "036c02d7a1102e21e8d8c6d5e53f9d066fe88216fc1a6ab6117454d5408f1546",
     "rational --r 20": "846857e200d76584e5c83c569e5cb67d6cb913244bcdc6d85dd1da629e7f6ca2",
+    "verify --suite all --n 10 --rmax 12": "18e609aeba79979ab7ee5e2debf0e0354f02e89b20f58b253cca69034c083564",
 }
 
 
@@ -224,4 +227,4 @@ def test_15_deep_r_outputs():
             code = main(argv.split())
         if code != EXIT_OK or hashlib.sha256(out.getvalue().encode()).hexdigest() != digest:
             ok = False
-    _report(15, "ctable and rational at r = 20 print the recorded output", ok)
+    _report(15, "ctable and rational at r = 20 and verify at --rmax 12 print the recorded output", ok)

@@ -13,6 +13,7 @@ from flatperm import checks, genfun, perms
 from flatperm.algebra import IntPoly, XVPoly
 from flatperm.checks import constructions_suite, genfun_suite
 from flatperm.cli import EXIT_CHECK_FAILED, EXIT_OK, main
+from flatperm.genfun import Pipeline
 from flatperm.recurrence import GTable
 
 BOUNDARY = "boundary data matches enumeration (r = 3)"
@@ -36,7 +37,7 @@ class _OffByTwo(GTable):
 
 
 def _constructions(table):
-    return constructions_suite(doubling_nmax=3, witness_rmax=4, dual_route_rmax=3, table=table)
+    return constructions_suite(Pipeline(3, table=table), doubling_nmax=3, witness_rmax=4, dual_route_rmax=3)
 
 
 def test_boundary_check_passes(table):
@@ -55,10 +56,25 @@ def test_boundary_check_fails_on_top_row():
     assert "i=4" in res.detail
 
 
+def test_boundary_check_fails_on_misbinned_sums(table, monkeypatch):
+    """The line also compares the pipeline's sums by h with the table's
+    cells summed as in H_r: sums moved to the wrong h fail it."""
+    real = genfun.Pipeline.boundary
+
+    def swapped(self, r):
+        bd = real(self, r)
+        return bd._replace(inner=bd.inner[:2] + (bd.inner[3], bd.inner[2])) if r == 3 else bd
+
+    monkeypatch.setattr(genfun.Pipeline, "boundary", swapped)
+    res = _result(_constructions(table), BOUNDARY)
+    assert not res.passed
+    assert res.detail == "inner sums at h=2"
+
+
 def test_structure_check_fails_when_c_table_raises():
     # g_{4,2}(13) is in the top boundary row of G_2, so G_2 disagrees with
     # the insertion count and c_table(2) raises.
-    results = genfun_suite(r_max=2, maximal_nmax=3, table=_OffByTwo((4, 2, 3)))
+    results = genfun_suite(Pipeline(2, table=_OffByTwo((4, 2, 3))), r_max=2, maximal_nmax=3)
     res = _result(results, "P_r structure")
     assert not res.passed
     assert "G_2" in res.detail
@@ -68,11 +84,11 @@ def test_structure_check_fails_when_c_table_raises():
     (1, 5, 6, 2, 4, 3),  # 4 occurrences, but its second letter is 5, not 4
     (1, 4, 6, 2, 3, 5),  # second letter 4, but 3 occurrences
 ])
-def test_structure_check_fails_on_witness(table, pipeline6, monkeypatch, bad_word):
+def test_structure_check_fails_on_witness(pipeline6, monkeypatch, bad_word):
     real = perms.witness_perm
-    assert _result(genfun_suite(r_max=4, table=table, pipeline=pipeline6), "P_r structure").passed
+    assert _result(genfun_suite(pipeline6, r_max=4), "P_r structure").passed
     monkeypatch.setattr(perms, "witness_perm", lambda r, i: bad_word if (r, i) == (4, 2) else real(r, i))
-    res = _result(genfun_suite(r_max=4, table=table, pipeline=pipeline6), "P_r structure")
+    res = _result(genfun_suite(pipeline6, r_max=4), "P_r structure")
     assert not res.passed
     assert "i=2" in res.detail
 
@@ -168,7 +184,8 @@ def test_constructions_build_no_insertion_count(monkeypatch):
         raise AssertionError("insertion count built")
 
     monkeypatch.setattr(genfun, "InsertionCount", refuse)
-    assert all(res.passed for res in constructions_suite(doubling_nmax=3, witness_rmax=4, dual_route_rmax=4))
+    results = constructions_suite(Pipeline(4, table=GTable()), doubling_nmax=3, witness_rmax=4, dual_route_rmax=4)
+    assert all(res.passed for res in results)
 
 
 def _route_two_calls(monkeypatch):
@@ -247,3 +264,52 @@ def test_average_line_fails_on_a_corrupted_g25(capsys, monkeypatch):
     (line,) = [line for line in capsys.readouterr().out.splitlines() if AVERAGE in line]
     assert line.startswith("FAIL  ")
     assert line.endswith(f"[average for n=25: table gives {mean}, closed form {closed}]")
+
+
+DOUBLING_MAP = "one-to-two map is a bijection onto the prefix-12 class"
+
+
+def _doubling_line(monkeypatch, pair):
+    """The doubling-map line of the constructions suite (n <= 4), with
+    ``perms.doubling_pair`` replaced by ``pair(real, sigma)``."""
+    real = perms.doubling_pair
+    monkeypatch.setattr(perms, "doubling_pair", lambda sigma: pair(real, sigma))
+    return _result(constructions_suite(Pipeline(1), doubling_nmax=4, witness_rmax=4, dual_route_rmax=1), DOUBLING_MAP)
+
+
+def test_doubling_line_fails_on_a_repeated_image(monkeypatch):
+    """(1, 2, 3) and (1, 3, 2) flatten to words without an occurrence, so
+    the image (1, 2, 3, 4) of the first may stand in for one of the
+    second's and pass every per-image test."""
+    first = perms.doubling_pair((1, 2, 3))[0]
+    res = _doubling_line(
+        monkeypatch, lambda real, sigma: (first, real(sigma)[1]) if sigma == (1, 3, 2) else real(sigma)
+    )
+    assert not res.passed and res.detail == "n=4: images not distinct"
+
+
+@pytest.mark.parametrize("image", [
+    (1, 2, 3, 4, 5),  # flattens to 1, 2, 3, 4, 5 with no occurrence, but has length 5
+    (3, 2, 1, 4),     # a permutation of 1..4 whose word 1, 3, 2, 4 starts 1, 3
+])
+def test_doubling_line_fails_on_an_image_outside_the_class(monkeypatch, image):
+    res = _doubling_line(
+        monkeypatch, lambda real, sigma: (image, real(sigma)[1]) if sigma == (1, 2, 3) else real(sigma)
+    )
+    assert not res.passed and res.detail == "n=4, sigma=(1, 2, 3)"
+
+
+def test_doubling_line_fails_when_the_class_count_disagrees(monkeypatch):
+    """The images cover the class only if they are as many as the class
+    holds: the oracle's count of the prefix-12 class is the other side."""
+    real = checks._oracle
+
+    def oracle(n, prefix=()):
+        dist = real(n, prefix)
+        if (n, prefix) != (4, (1, 2)):
+            return dist
+        return perms.OccurrenceTable(n, {**dist.counts, 0: dist.counts[0] + 1})
+
+    monkeypatch.setattr(checks, "_oracle", oracle)
+    res = _doubling_line(monkeypatch, lambda real, sigma: real(sigma))
+    assert not res.passed and res.detail == "n=4: images do not cover the prefix-12 class"

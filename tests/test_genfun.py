@@ -32,26 +32,85 @@ class TestTPoly:
             t_poly(0)
 
 
+def _inner_cells(r: int):
+    """The (n, j, k) of the inner boundary cells g_{n+3,j}(1k) of G_r."""
+    return [(n, j, k) for n in range(r - 1) for j in range(n + 1) for k in range(2, j + 3)]
+
+
+def _odd_table(*cells):
+    """A full GTable(9) whose coefficient at each (n, r, k) in cells is 1
+    too large."""
+
+    class Odd(GTable):
+        def coeff(self, n, r, k=None):
+            return super().coeff(n, r, k) + ((n, r, k) in cells)
+
+    return Odd(9)
+
+
 class TestBoundary:
     def test_r0(self, pipeline6):
         bd = pipeline6.boundary(0)
         assert bd.top_row == (2,)
-        assert bd.inner == {}
+        assert bd.inner == ((),)
 
     def test_r1(self, pipeline6):
         assert pipeline6.boundary(1).top_row == (0, 2)
+        assert pipeline6.boundary(1).inner == ((), ())
 
     def test_r4_parity_and_positivity(self, pipeline6):
         bd = pipeline6.boundary(4)
         assert all(c % 2 == 0 and c >= 1 for c in bd.top_row)
-        assert all(v % 2 == 0 for (n, j, k), v in bd.inner.items() if j >= 1)
+        assert all(pipeline6.table.coeff(n + 3, j, k) % 2 == 0 for n, j, k in _inner_cells(4) if j >= 1)
 
     def test_oracle_cross_check(self, table):
-        bd = Pipeline(r_max=2, table=table).boundary(2)
-        assert bd.top_row == tuple(perms.distribution(4, (1, i)).count(2) for i in range(2, 5))
-        for (n, j, k), v in bd.inner.items():
-            assert v == perms.distribution(n + 3, (1, k)).count(j), (n, j, k)
-        assert bd.top_row[0] == table.coeff(4, 2, 2)
+        for r in (2, 4):
+            bd = Pipeline(r_max=r, table=table).boundary(r)
+            assert bd.top_row == tuple(perms.distribution(r + 2, (1, i)).count(r) for i in range(2, r + 3))
+            want = [[0] * (r - 1) for _ in range(r + 1)]  # [h][n], summed cell by cell
+            for n, j, k in _inner_cells(r):
+                want[r - j + k - 2][n] += perms.distribution(n + 3, (1, k)).count(j)
+            assert bd.inner == tuple(map(tuple, want)), r
+            assert bd.top_row[0] == table.coeff(r + 2, r, 2)
+
+    def test_each_cell_read_once(self, monkeypatch):
+        """A derivation reads each boundary cell once: c_table(12) reads
+        the r + 1 top-row cells of each 1 <= r <= 12 and the inner cells
+        of the layers n <= 10, 90 + 286 = 376 ``GTable.coeff`` calls, and
+        the boundary data of every r <= 12 adds only the top cell of r = 0."""
+        real, calls = GTable.coeff, []
+
+        def counted(self, n, r, k=None):
+            calls.append((n, r, k))
+            return real(self, n, r, k)
+
+        monkeypatch.setattr(GTable, "coeff", counted)
+        pl = Pipeline(12)
+        pl.c_table(12)
+        assert len(calls) == len(set(calls)) == 376
+        for r in range(13):
+            pl.boundary(r)
+        assert len(calls) == len(set(calls)) == 377
+
+    def test_layers_grow_with_r(self, table):
+        """Boundary data for r and then r + 1 agree with one read at r + 1
+        alone: each r adds one layer to the sums."""
+        grown = Pipeline(r_max=7, table=table)
+        for r in range(8):
+            assert grown.boundary(r) == Pipeline(r_max=r, table=table).boundary(r)
+
+    def test_odd_inner_cell_raises_on_every_call(self):
+        # g_{5,1}(13) is the inner cell (n, j, k) = (2, 1, 3), first read for r = 4.
+        pl = Pipeline(r_max=5, table=_odd_table((5, 1, 3)))
+        assert pl.boundary(3).inner
+        for r in (4, 4, 5):
+            with pytest.raises(ConsistencyError, match=f"odd inner boundary entry for r={r}$"):
+                pl.boundary(r)
+
+    def test_odd_top_row_raised_before_odd_inner_cell(self):
+        pl = Pipeline(r_max=4, table=_odd_table((5, 1, 3), (6, 4, 3)))
+        with pytest.raises(ConsistencyError, match="odd entry in the top boundary row for r=4"):
+            pl.boundary(4)
 
 
 class TestHLayer:
@@ -100,14 +159,13 @@ def _route_one_per_cell(pl: Pipeline, r: int) -> RationalGF:
     """Route one to H~_r/(1 - sv) with one T_h multiply per inner boundary
     cell, summed in cell order: the reference for the column-by-column
     form in Pipeline.htilde_over_kernel."""
-    bd = pl.boundary(r)
     total = RationalGF(XVPoly())
     for i in range(2, r + 3):
         vpart = [IntPoly([2, -2])] + [T_POLY * S_POLY**k for k in range(1, i - 1)]
-        total = total + RationalGF(XVPoly(vpart).shift_x(r) * bd.top(i), i - 1, 1)
-    for (m, j, k), val in bd.inner.items():
+        total = total + RationalGF(XVPoly(vpart).shift_x(r) * pl.table.coeff(r + 2, r, i), i - 1, 1)
+    for m, j, k in _inner_cells(r):
         h = r - j + k - 2
-        total = total - RationalGF(t_poly(h) * IntPoly.term(val, m + 1), h, 1)
+        total = total - RationalGF(t_poly(h) * IntPoly.term(pl.table.coeff(m + 3, j, k), m + 1), h, 1)
     return total
 
 
