@@ -17,14 +17,21 @@ for the benchmark's span tracer.
 
 ``IntPoly`` and ``XSeries`` share one core for their dense coefficient
 vectors: one schoolbook product with a top cut, one exact division by a
-constant, and ``[]`` coefficient access.  Mixing the two gives an
-``XSeries`` at the series' order, whichever side each operand is on: an
-``XSeries`` accepts an ``IntPoly`` in ``+``, ``-`` and ``*``, and
-``IntPoly``'s binary operators return ``NotImplemented`` for an
-``XSeries``, so Python hands the operation to the series.
-``packed_dot`` sums products of three integer polynomials as one
-Kronecker-packed integer dot product; the recurrence table's full b-sum
-is its one user.
+constant, and ``[]`` coefficient access.  Every linear pass runs at C
+level, as one ``map`` or ``accumulate`` over the coefficient tuples: an
+``IntPoly`` sum or difference, a negation, a product by an integer, and
+``_times`` and ``_over``, the product by and the exact quotient by 1 - x
+or 1 - 2x.  Callers whose factor is fixed and short (s, t, q, 1 + q,
+1 - v, 2 - v) use these passes and shifts instead of a product.
+
+Mixing ``IntPoly`` and ``XSeries`` gives an ``XSeries`` at the series'
+order, whichever side each operand is on: an ``XSeries`` accepts an
+``IntPoly`` in ``+``, ``-`` and ``*``, and ``IntPoly``'s binary
+operators return ``NotImplemented`` for an ``XSeries``, so Python hands
+the operation to the series.  ``_pack`` and ``_unpack`` evaluate
+coefficients at a power of two and read them back as signed digits
+(Kronecker substitution); the recurrence table's b-sum is their one
+user.
 
 >>> IntPoly([1, 2]) * XSeries([1, 1, 1], 2)
 XSeries([1, 3, 3], order=2)
@@ -33,7 +40,7 @@ XSeries([1, 3, 3], order=2)
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from operator import add, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Union
 
 # Defined in _common, so the CLI can catch them without loading this module.
@@ -68,41 +75,8 @@ def _pack(coeffs, width: int) -> int:
         slots = map(int.to_bytes, coeffs, repeat(width), repeat("little"))
         return int.from_bytes(b"".join(slots), "little")
     pos = b"".join(max(c, 0).to_bytes(width, "little") for c in coeffs)
-    neg = b"".join(max(-c, 0).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def packed_dot(terms: Iterable[tuple[IntPoly, IntPoly, IntPoly]]) -> IntPoly:
-    """The sum of the products a*b*c over the triples (a, b, c), formed as
-    one integer dot product (Kronecker substitution): each factor is
-    evaluated at 2^w, the products of those integers are summed, and the
-    sum is unpacked once, with signed digits.
-
-    Every coefficient of the sum is at most B = sum ||a||_1 ||b||_1
-    ||c||_inf in magnitude (put the long factor last), and, once the
-    terms with a zero factor are dropped, so is every coefficient of a
-    factor.  With w >= bits(B) + 2, rounded up to whole
-    bytes, each slot of the sum plus 2^(w-1) lies strictly inside
-    [0, 2^w), so no slot borrows from or carries into the next and the
-    unpacking is exact; a packed value outside the slots raises
-    ConsistencyError.
-
-    >>> packed_dot([(IntPoly([-1, 1]), IntPoly([2]), IntPoly([1, 1]))])
-    IntPoly([-2, 0, 2])
-    """
-    terms = [t for t in terms if t[0] and t[1] and t[2]]
-    if not terms:
-        return IntPoly()
-    bound = sum(
-        sum(map(abs, a.coeffs)) * sum(map(abs, b.coeffs)) * max(map(abs, c.coeffs))
-        for a, b, c in terms
-    )
-    width = (bound.bit_length() + 2 + 7) // 8
-    length = max(len(a.coeffs) + len(b.coeffs) + len(c.coeffs) - 2 for a, b, c in terms)
-    total = 0
-    for a, b, c in terms:
-        total += _pack(a.coeffs, width) * _pack(b.coeffs, width) * _pack(c.coeffs, width)
-    return IntPoly(_unpack(total, width, length))
+    negs = b"".join(max(-c, 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(negs, "little")
 
 
 def _unpack(total: int, width: int, length: int) -> list[int]:
@@ -147,7 +121,7 @@ class _Dense:
         return iter(self.coeffs)
 
     def __neg__(self):
-        return self._with(-c for c in self.coeffs)
+        return self._with(map(neg, self.coeffs))
 
     def divexact_const(self, c: int):
         """Divide every coefficient by the integer c; raises
@@ -212,19 +186,17 @@ class IntPoly(_Dense):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(chain(map(add, a, b), a[len(b):]))
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        return IntPoly(chain(map(sub, a, b), a[len(b):], map(neg, b[len(a):])))
 
     def __mul__(self, other: Union[IntPoly, int]) -> IntPoly:
         if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
+            return IntPoly(map(mul, self.coeffs, repeat(other)))
         if not isinstance(other, IntPoly):
             return NotImplemented
         return IntPoly(_convolve(self.coeffs, other.coeffs))

@@ -142,13 +142,19 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
     # The table grows g_n(1k) by its short rules, g_n(12) = 2 g_(n-1)
     # among them, so the next three lines compare it with the a-sum; the
     # doubling line takes g_n(12) as the b-sum column minus the a-sum rows.
+    # Each a-sum g_n(1k), 3 <= k <= n <= IDENTITY_NMAX, is formed once and
+    # read by every line that compares with it.
     a = a_factors(IDENTITY_NMAX)
+
+    @functools.cache
+    def a_ref(n: int, k: int) -> IntPoly:
+        return a_sum(table, n, a[k])
 
     def doubling_identity():
         for n in range(2, IDENTITY_NMAX + 1):
             rest = table.g(n)
             for k in range(3, n + 1):
-                rest = rest - a_sum(table, n, a[k])
+                rest = rest - a_ref(n, k)
             if rest != table.g(n - 1) * 2:
                 return False, f"n={n}"
         return True, ""
@@ -157,16 +163,16 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
     def three_term():
         for n in range(5, IDENTITY_NMAX + 1):
             for k in range(5, n + 1):
-                if table.g1k(n, k) != a_sum(table, n, a[k]):
+                if table.g1k(n, k) != a_ref(n, k):
                     return False, f"(n,k)=({n},{k})"
         return True, ""
     _check(out, f"three-term recurrence for g_n(1k), 5 <= k <= n <= {IDENTITY_NMAX}", three_term)
 
     def initial_forms():
         for n in range(3, IDENTITY_NMAX + 1):
-            if table.g1k(n, 3) != a_sum(table, n, a[3]):
+            if table.g1k(n, 3) != a_ref(n, 3):
                 return False, f"g_{n}(13)"
-            if n >= 4 and table.g1k(n, 4) != a_sum(table, n, a[4]):
+            if n >= 4 and table.g1k(n, 4) != a_ref(n, 4):
                 return False, f"g_{n}(14)"
         return True, ""
     _check(out, f"closed initial forms for g_n(13), g_n(14), n <= {IDENTITY_NMAX}", initial_forms)
@@ -176,7 +182,8 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
             for i in range(3, n + 1):
                 rhs = table.g(n - 1)
                 for j in range(2, i):
-                    rhs = rhs + (IntPoly.term(1, i - j) - IntPoly([1])) * table.g1k(n - 1, j)
+                    p = table.g1k(n - 1, j)
+                    rhs = rhs + p.shift(i - j) - p  # (q^(i-j) - 1) p
                 if table.g1k(n, i) != rhs:
                     return False, f"(n,i)=({n},{i})"
         return True, ""
@@ -224,10 +231,11 @@ def recurrence_suite(oracle_nmax: int = 7, table: GTable | None = None) -> list[
     return out
 
 
-def genfun_suite(pipeline: Pipeline, r_max: int = 4, maximal_nmax: int = 7) -> list[CheckResult]:
-    """Checks of ``pipeline`` (r_max >= the suite's r_max): reference c
-    tables, the structure of P_r, rationality round trips, the
-    functional-equation identities, and the extremal-length facts."""
+def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]:
+    """Checks of ``pipeline`` for r <= its r_max: reference c tables, the
+    structure of P_r, rationality round trips, the functional-equation
+    identities, and the extremal-length facts."""
+    r_max = pipeline.r_max
     identity_rmax = min(r_max, IDENTITY_RMAX)
     out: list[CheckResult] = []
 
@@ -323,14 +331,13 @@ def constructions_suite(
     pipeline: Pipeline,
     doubling_nmax: int = 6,
     witness_rmax: int = 12,
-    dual_route_rmax: int = 4,
 ) -> list[CheckResult]:
     """Checks of the explicit constructions: the one-to-two prefix-12 map,
     the avoider doubling, the witness words, and the dual-route boundary
     consistency of the kernel pipeline.
 
-    The dual-route line reads ``pipeline`` (r_max >= dual_route_rmax), and
-    the boundary line reads its table.  ``run_suite`` passes the one the
+    The dual-route line reads ``pipeline`` for r <= its r_max, and the
+    boundary line reads its table.  ``run_suite`` passes the one the
     genfun suite ran, whose H~_r memo then holds every r that the
     derivation of G_r already compared by both routes."""
     out: list[CheckResult] = []
@@ -384,10 +391,10 @@ def constructions_suite(
     _check(out, f"witness words have exactly r occurrences, 4 <= r <= {witness_rmax}", witnesses)
 
     def dual_route():
-        for r in range(0, dual_route_rmax + 1):
+        for r in range(0, pipeline.r_max + 1):
             pipeline.htilde_over_kernel(r)  # raises on mismatch
         return True, ""
-    _check(out, f"both routes to H~_r/(1-sv) agree for r <= {dual_route_rmax}", dual_route)
+    _check(out, f"both routes to H~_r/(1-sv) agree for r <= {pipeline.r_max}", dual_route)
 
     def boundary_oracle():
         r, table = 3, pipeline.table
@@ -420,19 +427,20 @@ def run_suite(
     r_max: int = 4,
 ) -> list[CheckResult]:
     """The checks of one suite, or of all three, over one shared
-    ``GTable`` and one shared ``Pipeline(max(r_max, 1))`` on it: each
+    ``GTable`` and one shared ``Pipeline(r_max)`` on it: each
     G_r, H~_r and set of boundary data is derived once and read by every
     suite that checks it, and the enumeration oracle is memoised per
-    process (``_oracle``)."""
+    process (``_oracle``).  The genfun and constructions suites read
+    their bounds on r from the pipeline's r_max."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     table = GTable()
-    pipeline = Pipeline(r_max=max(r_max, 1), table=table)
+    pipeline = Pipeline(r_max=r_max, table=table)
     out: list[CheckResult] = []
     if suite in ("all", "recurrence"):
         out.extend(recurrence_suite(oracle_nmax=oracle_nmax, table=table))
     if suite in ("all", "genfun"):
-        out.extend(genfun_suite(pipeline, r_max=r_max, maximal_nmax=oracle_nmax))
+        out.extend(genfun_suite(pipeline, maximal_nmax=oracle_nmax))
     if suite in ("all", "constructions"):
-        out.extend(constructions_suite(pipeline, doubling_nmax=min(oracle_nmax, 6), dual_route_rmax=r_max))
+        out.extend(constructions_suite(pipeline, doubling_nmax=min(oracle_nmax, 6)))
     return out

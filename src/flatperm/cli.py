@@ -21,7 +21,8 @@ Each command loads only the layers it runs: this module imports only the
 stdlib-only ``_common`` (the error classes, the default enumeration limit
 and the suite names), and each ``_cmd_*`` imports ``perms``,
 ``recurrence``, ``genfun``, ``checks`` and ``algebra``'s JSON helpers in
-its own body, as ``_emit`` imports ``csv`` for ``--format csv`` alone.
+its own body, as ``_emit`` imports ``csv`` for ``--format csv`` alone
+and ``json`` for JSON output alone (``verify`` prints text).
 ``distribution`` by enumeration thus compiles and imports neither the
 recurrences nor the kernel pipeline, and ``ctable`` no enumeration.
 """
@@ -29,7 +30,6 @@ recurrences nor the kernel pipeline, and ``ctable`` no enumeration.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -43,22 +43,22 @@ ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
 AVOIDERS_NMAX = 500
-#: Largest r for ``ctable`` and ``rational``: r = 40 takes 2.2-2.8 s on a
-#: shared 2-vCPU Xeon (Python 3.11).  About 0.12 s of it grows the boundary
-#: table GTable(42), 0.08-0.12 s reads and sums the boundary cells, and
-#: about 0.25 s builds and reads the insertion count through n = 170; the
-#: process peaks at about 52 MB.
+#: Largest r for ``ctable`` and ``rational``: r = 40 takes 1.5-2.0 s on a
+#: shared 2-vCPU Xeon (Python 3.11).  About 0.05-0.08 s of it grows the
+#: boundary table GTable(42), 0.08-0.12 s reads and sums the boundary cells,
+#: and about 0.25 s builds and reads the insertion count through n = 170;
+#: the process peaks at about 52 MB.
 PIPELINE_RMAX = 40
 #: Largest --order for ``ctable`` and ``rational``: the default order 4r + 10
 #: at r = PIPELINE_RMAX, so no default run is refused.  At the cap, r = 40
-#: takes 2.3-2.9 s (as by default) and r = 1 about 0.07 s.
+#: takes 1.5-2.0 s (as by default) and r = 1 about 0.07 s.
 ORDER_MAX = 4 * PIPELINE_RMAX + 10
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
 WITNESS_MAX = 2000
-#: Largest --rmax for ``verify``: --rmax 12 takes about 0.23 s, and with
-#: --n 10 about 0.27 s (shared 2-vCPU Xeon, Python 3.11).  Its --n is
-#: capped by the enumeration limit ``DEFAULT_ENUM_LIMIT``.
+#: Largest --rmax for ``verify``: --rmax 12 takes about 0.14-0.19 s, and
+#: with --n 10 about 0.2-0.3 s (shared 2-vCPU Xeon, Python 3.11).  Its --n
+#: is capped by the enumeration limit ``DEFAULT_ENUM_LIMIT``.
 VERIFY_RMAX = 12
 
 EXIT_OK = 0
@@ -116,6 +116,8 @@ def _emit(payload, args, csv_rows=None) -> None:
             writer.writerow(row)
         text = buf.getvalue()
     else:
+        import json
+
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_gpoly)
 
-    r_help = f"at most {PIPELINE_RMAX} (2.3-2.9 s at the cap)"
+    r_help = f"at most {PIPELINE_RMAX} (1.5-2.0 s at the cap)"
     p = sub.add_parser("ctable", help="the polynomials c_{r,0..r}")
     p.add_argument("--r", type=int, required=True, help=r_help)
     p.add_argument("--order", type=int,

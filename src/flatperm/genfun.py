@@ -36,7 +36,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import ConsistencyError, InexactDivisionError, IntPoly, RationalGF, VPoly, XVPoly
+from .algebra import (
+    ConsistencyError,
+    InexactDivisionError,
+    IntPoly,
+    RationalGF,
+    VPoly,
+    XVPoly,
+    _over,
+    _times,
+)
 from .insertion import InsertionCount
 from .recurrence import GTable
 
@@ -48,6 +57,16 @@ KERNEL = XVPoly([[1], S_POLY * -1])  # 1 - s v
 G_0 = RationalGF(XVPoly([IntPoly.term(4, 3)]), 0, 1)  # 4x^3/t
 
 DEFAULT_R_MAX = 6
+
+
+def _times_s(p: IntPoly) -> IntPoly:
+    """s p, as one shift-and-subtract pass."""
+    return IntPoly(_times(p.coeffs, 1))
+
+
+def _times_t(p: IntPoly) -> IntPoly:
+    """t p, as one shift-and-subtract pass."""
+    return IntPoly(_times(p.coeffs, 2))
 
 
 def default_order(r: int) -> int:
@@ -200,7 +219,8 @@ class Pipeline:
         top = XVPoly([IntPoly([c]) for c in bd.top_row])  # sum_i g_{r+2,r}(1i) v^{i-2}
         top_at_1 = sum(bd.top_row)
         h = (TWO_MINUS_V * top_at_1).shift_x(r) - top.shift_v(1).shift_x(r)
-        return h - (ONE_MINUS_V * XVPoly(bd.inner)).shift_x(1)
+        inner = XVPoly(bd.inner)
+        return h - (inner - inner.shift_v(1)).shift_x(1)  # (1 - v) X = X - vX
 
     def htilde_over_kernel(self, r: int) -> RationalGF:
         """H~_r(x, v)/(1 - sv), computed two independent ways.
@@ -238,21 +258,23 @@ class Pipeline:
         s_r = S_POLY**r
         d = IntPoly()
         for i in range(2, r + 3):
-            d = d * S_POLY + IntPoly([bd.top(i)])  # D_0 by Horner
+            d = _times_s(d) + IntPoly([bd.top(i)])  # D_0 by Horner
         xh = [-IntPoly(cs).shift(1) for cs in bd.inner]  # X_h
         f = IntPoly()
         for x_h in xh:
-            f = f * S_POLY + x_h  # E / s by Horner
-        cols = [((d * S_POLY).shift(r) + (f * S_POLY).shift(1)) * 2]
+            f = _times_s(f) + x_h  # E / s by Horner
+        cols = [(_times_s(d).shift(r) + _times_s(f).shift(1)) * 2]
         for k in range(1, r + 1):
-            d = (d - s_r * bd.top(k + 1)) * S_POLY
+            d = _times_s(d - s_r * bd.top(k + 1))
             s_x = s_r * xh[k]
-            f = f * S_POLY - s_x
-            cols.append((d.shift(r) + f.shift(1) + s_x) * T_POLY)
+            f = _times_s(f) - s_x
+            cols.append(_times_t(d.shift(r) + f.shift(1) + s_x))
         expanded = RationalGF(XVPoly(cols), r + 1, 1)
 
         hv = RationalGF(self.h_poly(r))
-        divided = (hv - (hv.at_v_sinv() * TWO_MINUS_V).over(-1, 1)).div_kernel()
+        at_root = hv.at_v_sinv()
+        # (2 - v) a = 2a - va: a shift in v, no product.
+        divided = (hv - (at_root * 2 - at_root.shift(v=1)).over(-1, 1)).div_kernel()
 
         if expanded != divided:
             raise ConsistencyError(f"the two routes to H~_{r}/(1-sv) disagree")
@@ -300,7 +322,10 @@ class Pipeline:
                     f"G_{r - 1}(x, 1/s) does not divide down to s^{2 * r - 2} t^{r}: {exc}"
                 ) from exc
             k_sum = (k_sum + at_root).over(1)
-            bracket = (v_sum * ONE_MINUS_V).shift(x=1) + (k_sum * TWO_MINUS_V).over(0, 1).shift(x=2)
+            # (1 - v) V = V - vV and (2 - v) K = 2K - vK: shifts in v, no product.
+            bracket = (v_sum - v_sum.shift(v=1)).shift(x=1) + (
+                k_sum * 2 - k_sum.shift(v=1)
+            ).over(0, 1).shift(x=2)
             # With K_r over s^(2r-1) t^r, the bracket and its quotient are
             # over G_r's own denominator; the sum with H~_r (over s^(r+1) t)
             # lowers only at r = 1, where H~_1 carries s^2.
@@ -377,21 +402,30 @@ class Pipeline:
         """The polynomials c_{r,0}, ..., c_{r,r} of P_r.
 
         Decompose P_r as 2c_{r,0} + sum_l c_{r,l} s^{l-1} t^l v^l by
-        checked-exact divisions, then re-verify the decomposition, the
-        value c_{r,0}(1/2) = 2^{1-r}, and the degree pattern."""
+        checked-exact divisions: p_l = [v^l] P_r is divided by s^(l-1) t^l
+        one exact pass per factor (``_over``: prefix sums for s, doubling
+        for t), each raising InexactDivisionError on a remainder.  Then
+        re-verify the decomposition, rebuilt by shift-and-subtract passes
+        (``_times``), so the division and the rebuild run different code;
+        the value c_{r,0}(1/2) = 2^{1-r}; and the degree pattern."""
         self._check_r(r)
         if r in self._c:
             return self._c[r]
         p = self.p_poly(r)
         polys = [p.coeff(0).divexact_const(2)]
         for ell in range(1, r + 1):
-            polys.append(p.coeff(ell).divexact(S_POLY ** (ell - 1) * T_POLY**ell))
+            cs = p.coeff(ell).coeffs
+            for k in [1] * (ell - 1) + [2] * ell:
+                cs = _over(cs, k)
+            polys.append(IntPoly(cs))
 
-        rebuilt = XVPoly([polys[0] * 2]) + XVPoly(
-            [IntPoly()]
-            + [polys[ell] * (S_POLY ** (ell - 1) * T_POLY**ell) for ell in range(1, r + 1)]
-        )
-        if rebuilt != p:
+        rebuilt = [polys[0] * 2]
+        for ell in range(1, r + 1):
+            cs = polys[ell].coeffs
+            for k in [1] * (ell - 1) + [2] * ell:
+                cs = _times(cs, k)
+            rebuilt.append(IntPoly(cs))
+        if XVPoly(rebuilt) != p:
             raise ConsistencyError(f"c-decomposition of P_{r} failed to rebuild P_{r}")
         # c_{r,0}(1/2) = 2^(1-r), both sides times 2^top: integers for
         # top >= deg c_{r,0} and top >= r - 1.

@@ -16,12 +16,21 @@ and the column g_n by the b-sum
 
     g_n = sum_{j=1}^{n-1} b_{n,j} (q-1)^{j-1} g_{n-j},
 
-formed as one Kronecker-packed integer dot product (``packed_dot``):
-each factor is evaluated at 2^w, the n - 1 triple products of those
-integers are summed, and the sum is unpacked once with signed digits.
-The slot width w >= bits(sum_j 2^(j-1) ||b_{n,j}||_1 ||g_{n-j}||_inf) + 2
-bounds every coefficient of the sum, whatever its sign, so the digits
-are the coefficients exactly.
+formed as one Kronecker-packed integer sum: each b_{n,j} and g_{n-j} is
+evaluated at B = 2^w, and Horner's rule in B - 1,
+
+    acc <- acc (B - 1) + b_{n,j}(B) g_{n-j}(B)   for j = n-1, ..., 1,
+
+gives g_n(B) with no (q-1)^{j-1} factor formed at all; each step is a
+shift, a subtraction and one product of two integers, and only the result
+is unpacked, with signed digits.  Evaluation at B is a ring map, so the
+result is g_n(B) exactly.  The slot width w >= bits(sum_j 2^(j-1)
+||b_{n,j}||_1 ||g_{n-j}||_inf) + 2 bounds every coefficient of the sum,
+since ||(q-1)^(j-1)||_1 = 2^(j-1), and of each (nonzero) factor, so the
+digits are the coefficients exactly.  Each g_{n-j} is checked
+nonnegative as it joins the table, so its norm is its largest
+coefficient; ||b_{n,j}||_1 sums magnitudes, so a b row with a wrong sign
+still lands in its slots and fails the table's checks.
 
 The integer-polynomial coefficients b_{n,j} (a closed form) and a_{k,j}
 (a recurrence) are module functions.  The a-sum
@@ -41,15 +50,13 @@ from itertools import chain
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterator
 
-from .algebra import ConsistencyError, IntPoly, packed_dot
+from .algebra import ConsistencyError, IntPoly, _pack, _unpack
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-#: q, q - 1 and 1 + q as polynomials.
-Q = IntPoly([0, 1])
+#: q - 1 as a polynomial.
 Q_MINUS_1 = IntPoly([-1, 1])
-ONE_PLUS_Q = IntPoly([1, 1])
 
 
 def _binom(m: int, k: int) -> int:
@@ -77,8 +84,9 @@ def b_poly(n: int, j: int, top: int | None = None) -> IntPoly:
     if j == 1:
         return IntPoly([n])
     coeffs = []
+    # For j >= 2 and k < n - j both binomials have 0 <= bottom <= top.
     for k in range(n - j if top is None else min(n - j, top + 1)):
-        num = (n - 1 + j - k) * _binom(j + k - 2, j - 2) * _binom(n - 2 - k, j - 1)
+        num = (n - 1 + j - k) * math.comb(j + k - 2, j - 2) * math.comb(n - 2 - k, j - 1)
         c, rem = divmod(num, j)
         if rem:
             from fractions import Fraction
@@ -101,8 +109,9 @@ def a_rows(k_max: int) -> list[list[IntPoly]]:
     rows = [[], [], [IntPoly([1])], [IntPoly([1]), IntPoly([2])]]
     for k in range(4, k_max + 1):
         prev, prev2 = rows[k - 1] + [zero], rows[k - 2] + [zero, zero]
+        # (1+q) a - q b = a + q (a - b)
         rows.append([
-            ONE_PLUS_Q * prev[i] - Q * prev2[i] + (prev[i - 1] if i else zero)
+            prev[i] + (prev[i] - prev2[i]).shift(1) + (prev[i - 1] if i else zero)
             for i in range(k - 1)
         ])
     return rows[: k_max + 1]
@@ -155,12 +164,12 @@ class GTable:
     its own.
 
     Every polynomial is kept in full.  Each g_n is the b-sum over the
-    column below it, formed as one packed integer dot product whose slot
-    width bounds every coefficient (see the module docstring), and is
-    checked for nonnegative coefficients summing to n!.  No row vanishes,
-    so the column is not taken as the row sum, which would build every
-    row through k = n.  The table backs ``gpoly``, ``distribution`` past
-    the enumeration limit, ``average``, the ``verify`` suites and the
+    column below it, formed as one packed Horner sum whose slot width
+    bounds every coefficient (see the module docstring), and is checked
+    for nonnegative coefficients summing to n!.  No row vanishes, so the
+    column is not taken as the row sum, which would build every row
+    through k = n.  The table backs ``gpoly``, ``distribution`` past the
+    enumeration limit, ``average``, the ``verify`` suites and the
     boundary data of every ``Pipeline``; a pipeline's cross-check reads
     the independent insertion count (``flatperm.insertion``) instead.
     """
@@ -168,29 +177,34 @@ class GTable:
     def __init__(self, n_max: int = 2):
         self._g = [IntPoly(), IntPoly([1])]  # index 0 unused
         self._rows: dict[int, list[IntPoly]] = {}  # n -> [g_n(12), g_n(13), ...]
-        self._qm1_pows = [IntPoly([1])]
         self.ensure(n_max)
 
     @property
     def n_max(self) -> int:
         return len(self._g) - 1
 
-    def _qm1(self, e: int) -> IntPoly:
-        while len(self._qm1_pows) <= e:
-            self._qm1_pows.append(self._qm1_pows[-1] * Q_MINUS_1)
-        return self._qm1_pows[e]
-
     def ensure(self, n: int) -> None:
+        """Grow the g column through g_n, each g_m as the packed Horner
+        b-sum of the module docstring."""
+        g = self._g
         while self.n_max < n:
             m = self.n_max + 1
-            total = packed_dot(
-                (self._qm1(j - 1), b_poly(m, j), self._g[m - j]) for j in range(1, m)
+            bs = [b_poly(m, j).coeffs for j in range(1, m)]  # bs[j - 1] = b_{m,j}
+            bound = sum(
+                sum(map(abs, b)) * max(g[m - j].coeffs) << (j - 1) for j, b in enumerate(bs, 1)
             )
+            width = (bound.bit_length() + 2 + 7) // 8
+            w = 8 * width
+            acc = 0
+            for j in range(m - 1, 0, -1):
+                acc = (acc << w) - acc + _pack(bs[j - 1], width) * _pack(g[m - j].coeffs, width)
+            length = max(j + len(b) + len(g[m - j].coeffs) - 2 for j, b in enumerate(bs, 1))
+            total = IntPoly(_unpack(acc, width, length))
             if any(c < 0 for c in total.coeffs):
                 raise ConsistencyError(f"g_{m} has a negative coefficient")
             if sum(total.coeffs) != math.factorial(m):
                 raise ConsistencyError(f"g_{m}(1) != {m}!")
-            self._g.append(total)
+            g.append(total)
 
     def g(self, n: int) -> IntPoly:
         if n < 1:
@@ -311,8 +325,8 @@ def average_occurrences(n: int, table: GTable | None = None) -> Fraction:
 def _a_series(x_top: int, y_top: int) -> list[list[IntPoly]]:
     """Taylor coefficients of A(x, y) as IntPoly-in-q entries A[i][j]."""
     zero = IntPoly()
-    one_plus_q = IntPoly([1, 1])
-    # Inverse E of the denominator 1 - (1+q)x + qx^2 - xy, then A = numerator * E.
+    # Inverse E of the denominator 1 - (1+q)x + qx^2 - xy, then A = numerator * E;
+    # each product by q or 1 + q is a shift and a sum.
     E = [[zero] * (y_top + 1) for _ in range(x_top + 1)]
     E[0][0] = IntPoly([1])
     for i in range(x_top + 1):
@@ -321,9 +335,9 @@ def _a_series(x_top: int, y_top: int) -> list[list[IntPoly]]:
                 continue
             val = zero
             if i >= 1:
-                val = val + one_plus_q * E[i - 1][j]
+                val = E[i - 1][j] + E[i - 1][j].shift(1)
             if i >= 2:
-                val = val - Q * E[i - 2][j]
+                val = val - E[i - 2][j].shift(1)
             if i >= 1 and j >= 1:
                 val = val + E[i - 1][j - 1]
             E[i][j] = val
@@ -332,7 +346,7 @@ def _a_series(x_top: int, y_top: int) -> list[list[IntPoly]]:
         for j in range(y_top + 1):
             val = E[i][j]
             if i >= 1:
-                val = val - Q * E[i - 1][j]
+                val = val - E[i - 1][j].shift(1)
             if i >= 1 and j >= 1:
                 val = val + E[i - 1][j - 1]
             A[i][j] = val

@@ -16,12 +16,12 @@ from flatperm.algebra import (
     VPoly,
     XSeries,
     XVPoly,
-    packed_dot,
     poly_json,
     vpoly_div_kernel,
     xvpoly_extract_from_series,
     xvpoly_json,
 )
+from packed_reference import packed_dot
 from series_reference import expand_by_products
 
 coeffs = st.lists(st.integers(-9, 9), max_size=6)
@@ -89,6 +89,28 @@ class TestIntPoly:
                 dividend.divexact(divisor)
         else:
             assert dividend.divexact(divisor) == want
+
+    @given(polys, polys)
+    def test_sum_and_difference_match_coefficient_loops(self, a, b):
+        assert a + b == _loop_combination(a, b, 1)
+        assert a - b == _loop_combination(a, b, -1)
+        assert -a == _loop_combination(IntPoly(), a, -1)
+
+    @given(st.integers(0, 4), coeffs, coeffs, st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=4))
+    def test_cancelling_leading_terms_are_dropped(self, n, lo_a, lo_b, top):
+        """a and b share their top coefficients (up to sign), so a - b and
+        a + (-b) lose them; the result must be normalized like a loop's."""
+        lo_a, lo_b = (lo_a + [0] * n)[:n], (lo_b + [0] * n)[:n]
+        a, b, nb = IntPoly(lo_a + top), IntPoly(lo_b + top), IntPoly(lo_b + [-c for c in top])
+        for got, want in ((a - b, _loop_combination(a, b, -1)), (a + nb, _loop_combination(a, nb, 1))):
+            assert got == want
+            assert got.degree < n and (not got.coeffs or got.coeffs[-1])
+
+    @given(polys, st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)))
+    def test_product_by_an_integer_matches_a_loop(self, a, k):
+        want = IntPoly([c * k for c in a.coeffs])
+        assert a * k == k * a == want
+        assert (a * k).coeffs == want.coeffs
 
     def test_eval_and_derivative(self):
         p = IntPoly([1, -3, 2])  # 1 - 3x + 2x^2
@@ -354,6 +376,17 @@ class TestPackedDot:
         for total in (128 + 256 * 127, -129 - 256 * 128):
             with pytest.raises(ConsistencyError, match="outside its 2 slots"):
                 algebra._unpack(total, 1, 2)
+
+
+def _loop_combination(a: IntPoly, b: IntPoly, sign: int) -> IntPoly:
+    """Reference for IntPoly + and -: a + sign b, one coefficient at a
+    time."""
+    out = [0] * max(len(a.coeffs), len(b.coeffs))
+    for i, c in enumerate(a.coeffs):
+        out[i] += c
+    for i, c in enumerate(b.coeffs):
+        out[i] += sign * c
+    return IntPoly(out)
 
 
 def _double_loop_product(a, b) -> list[int]:

@@ -37,7 +37,7 @@ class _OffByTwo(GTable):
 
 
 def _constructions(table):
-    return constructions_suite(Pipeline(3, table=table), doubling_nmax=3, witness_rmax=4, dual_route_rmax=3)
+    return constructions_suite(Pipeline(3, table=table), doubling_nmax=3, witness_rmax=4)
 
 
 def test_boundary_check_passes(table):
@@ -74,7 +74,7 @@ def test_boundary_check_fails_on_misbinned_sums(table, monkeypatch):
 def test_structure_check_fails_when_c_table_raises():
     # g_{4,2}(13) is in the top boundary row of G_2, so G_2 disagrees with
     # the insertion count and c_table(2) raises.
-    results = genfun_suite(Pipeline(2, table=_OffByTwo((4, 2, 3))), r_max=2, maximal_nmax=3)
+    results = genfun_suite(Pipeline(2, table=_OffByTwo((4, 2, 3))), maximal_nmax=3)
     res = _result(results, "P_r structure")
     assert not res.passed
     assert "G_2" in res.detail
@@ -84,11 +84,11 @@ def test_structure_check_fails_when_c_table_raises():
     (1, 5, 6, 2, 4, 3),  # 4 occurrences, but its second letter is 5, not 4
     (1, 4, 6, 2, 3, 5),  # second letter 4, but 3 occurrences
 ])
-def test_structure_check_fails_on_witness(pipeline6, monkeypatch, bad_word):
-    real = perms.witness_perm
-    assert _result(genfun_suite(pipeline6, r_max=4), "P_r structure").passed
+def test_structure_check_fails_on_witness(table, monkeypatch, bad_word):
+    real, pipeline = perms.witness_perm, Pipeline(4, table=table)
+    assert _result(genfun_suite(pipeline), "P_r structure").passed
     monkeypatch.setattr(perms, "witness_perm", lambda r, i: bad_word if (r, i) == (4, 2) else real(r, i))
-    res = _result(genfun_suite(pipeline6, r_max=4), "P_r structure")
+    res = _result(genfun_suite(pipeline), "P_r structure")
     assert not res.passed
     assert "i=2" in res.detail
 
@@ -121,6 +121,41 @@ def test_row_checks_see_a_corrupted_table(capsys, monkeypatch, cell, failing, de
     (good,) = [line for line in lines if passing in line]
     assert bad.startswith("FAIL  ") and bad.endswith(f"[{detail}]")
     assert good.startswith("PASS  ")
+
+
+def test_recurrence_suite_forms_each_a_sum_once(monkeypatch):
+    """The doubling, three-term and initial-forms lines read one a-sum
+    g_n(1k) per (n, k), 3 <= k <= n <= 12: 55 in all, not 110."""
+    real, calls = checks.a_sum, Counter()
+
+    def counted(table, n, factors):
+        calls[n, len(factors) + 1] += 1  # factors = a_factors(..)[k] holds k - 1 entries
+        return real(table, n, factors)
+
+    monkeypatch.setattr(checks, "a_sum", counted)
+    assert all(res.passed for res in checks.run_suite("recurrence"))
+    assert set(calls) == {(n, k) for n in range(3, 13) for k in range(3, n + 1)}
+    assert sum(calls.values()) == 55
+
+
+def test_suites_read_their_r_bounds_from_the_pipeline(table):
+    """A pipeline through r = 2 is checked for r <= 2, not for a second
+    bound that it cannot reach."""
+    pipeline = Pipeline(2, table=table)
+    results = genfun_suite(pipeline, maximal_nmax=3) + constructions_suite(
+        pipeline, doubling_nmax=3, witness_rmax=4
+    )
+    assert all(res.passed for res in results)
+    names = {res.name for res in results}
+    for name in (
+        "c tables match the reference coefficients for r <= 2",
+        "P_r structure (integrality, value at 1/2, degrees) for r <= 2",
+        "rational closed form re-expands to G_r for r <= 2",
+        "both routes to H~_r/(1-sv) agree for r <= 2",
+    ):
+        assert name in names
+    (dual,) = [res for res in checks.run_suite("constructions", oracle_nmax=3, r_max=0) if "H~" in res.name]
+    assert dual.passed and dual.name.endswith("r <= 0")
 
 
 DOUBLING = "g_n(12) = 2 g_(n-1)"
@@ -184,7 +219,7 @@ def test_constructions_build_no_insertion_count(monkeypatch):
         raise AssertionError("insertion count built")
 
     monkeypatch.setattr(genfun, "InsertionCount", refuse)
-    results = constructions_suite(Pipeline(4, table=GTable()), doubling_nmax=3, witness_rmax=4, dual_route_rmax=4)
+    results = constructions_suite(Pipeline(4, table=GTable()), doubling_nmax=3, witness_rmax=4)
     assert all(res.passed for res in results)
 
 
@@ -274,7 +309,7 @@ def _doubling_line(monkeypatch, pair):
     ``perms.doubling_pair`` replaced by ``pair(real, sigma)``."""
     real = perms.doubling_pair
     monkeypatch.setattr(perms, "doubling_pair", lambda sigma: pair(real, sigma))
-    return _result(constructions_suite(Pipeline(1), doubling_nmax=4, witness_rmax=4, dual_route_rmax=1), DOUBLING_MAP)
+    return _result(constructions_suite(Pipeline(1), doubling_nmax=4, witness_rmax=4), DOUBLING_MAP)
 
 
 def test_doubling_line_fails_on_a_repeated_image(monkeypatch):

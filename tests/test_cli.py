@@ -455,3 +455,11 @@ def test_verify_loads_no_fractions():
     modules = ("fractions", "decimal")
     assert modules_loaded_by("verify", "--suite", "all", "--n", "5", "--rmax", "2",
                              modules=modules) == (EXIT_OK, [])
+
+
+def test_verify_loads_no_json():
+    """``verify`` prints text, so only a command that writes JSON imports
+    ``json``."""
+    assert modules_loaded_by("verify", "--suite", "all", "--n", "5", "--rmax", "2",
+                             modules=("json",)) == (EXIT_OK, [])
+    assert modules_loaded_by("ctable", "--r", "1", modules=("json",)) == (EXIT_OK, ["json"])

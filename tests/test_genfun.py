@@ -7,7 +7,15 @@ import pytest
 from flatperm import perms
 from flatperm._reference import REFERENCE_CTABLES
 from flatperm import algebra, genfun
-from flatperm.algebra import ConsistencyError, IntPoly, RationalGF, VPoly, XSeries, XVPoly
+from flatperm.algebra import (
+    ConsistencyError,
+    InexactDivisionError,
+    IntPoly,
+    RationalGF,
+    VPoly,
+    XSeries,
+    XVPoly,
+)
 from flatperm.genfun import S_POLY, T_POLY, BoundaryData, Pipeline, t_poly
 from flatperm.insertion import InsertionCount
 from flatperm.recurrence import GTable
@@ -278,6 +286,37 @@ class TestCTable:
         ct = pipeline6.c_table(4)
         assert ct[0].degree == 11
         assert [ct[ell].degree for ell in range(1, 5)] == [10, 8, 6, 4]
+
+
+    @pytest.fixture(scope="class")
+    def pipeline12(self, table):
+        return Pipeline(12, table=table)
+
+    def test_matches_divexact_decomposition(self, pipeline12):
+        """c_table divides by s and t one _over pass at a time; the
+        reference divides by s^(l-1) t^l in one IntPoly.divexact."""
+        for r in range(1, 13):
+            p = pipeline12.p_poly(r)
+            want = [p.coeff(0).divexact_const(2)] + [
+                p.coeff(ell).divexact(S_POLY ** (ell - 1) * T_POLY**ell) for ell in range(1, r + 1)
+            ]
+            assert list(pipeline12.c_table(r)) == want, r
+
+    @pytest.mark.parametrize("ell", range(5))
+    def test_off_by_one_column_raises(self, table, monkeypatch, ell):
+        """[x^0 v^ell] P_4 one too large: c_(4,0) is then not an integer
+        (ell = 0), or p_ell is not divisible by s^(ell-1) t^ell."""
+        real = Pipeline.p_poly
+
+        def off_by_one(self, r):
+            p = real(self, r)
+            cols = list(p.vcoeffs)
+            cols[ell] = cols[ell] + IntPoly([1])
+            return XVPoly(cols)
+
+        monkeypatch.setattr(Pipeline, "p_poly", off_by_one)
+        with pytest.raises(InexactDivisionError):
+            Pipeline(4, table=table).c_table(4)
 
 
 class TestRationalForm:

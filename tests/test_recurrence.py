@@ -21,6 +21,7 @@ from flatperm.recurrence import (
     harmonic,
     verify_a_closed_form,
 )
+from packed_reference import packed_dot
 
 Q = IntPoly([0, 1])
 ONE_MINUS_Q = IntPoly([1, -1])
@@ -85,6 +86,15 @@ class TestGTable:
         full, want = GTable(60), _b_sum_column(60)
         for n in range(1, 61):
             assert full.g(n) == want[n], n
+
+    def test_column_matches_triple_product_packed_dot(self):
+        """The packed Horner b-sum against the triple-product reference,
+        which packs each (q-1)^(j-1) and sums n - 1 triple products."""
+        full, qm1 = GTable(30), [IntPoly([1])]
+        for m in range(2, 31):
+            qm1.append(qm1[-1] * IntPoly([-1, 1]))
+            want = packed_dot((qm1[j - 1], b_poly(m, j), full.g(m - j)) for j in range(1, m))
+            assert full.g(m) == want == _b_sum_column(30)[m], m
 
     @pytest.mark.parametrize("b_71, message", [
         (IntPoly([-7]), "g_7 has a negative coefficient"),
