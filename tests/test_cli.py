@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+import gc
+import hashlib
 import json
 import os
 import shlex
@@ -9,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from flatperm import checks, genfun, perms, recurrence
+from flatperm import checks, cli, genfun, perms, recurrence
 from flatperm.cli import (
     AVOIDERS_NMAX,
     ENUM_LIMIT_MAX,
@@ -463,3 +466,115 @@ def test_verify_loads_no_json():
     assert modules_loaded_by("verify", "--suite", "all", "--n", "5", "--rmax", "2",
                              modules=("json",)) == (EXIT_OK, [])
     assert modules_loaded_by("ctable", "--r", "1", modules=("json",)) == (EXIT_OK, ["json"])
+
+
+# The process entry: ``python -m flatperm.cli`` and the ``flatperm`` console
+# script run ``entry()``, which freezes the collector's heap once ``main()``
+# has returned.  The in-process tests above cannot see that exit path, so
+# these run real processes.
+
+GOLDENS = json.loads((SRC.parent / "perfbench" / "goldens.json").read_text())
+
+
+def run_process(*args, script=None):
+    """A fresh interpreter running ``python -m flatperm.cli *args``, or the
+    ``-c`` script with args: the finished process, stdout as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    head = ["-c", script] if script else ["-m", "flatperm.cli"]
+    return subprocess.run([sys.executable, *head, *args], env=env, capture_output=True)
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDENS))
+def test_process_golden_stdout(argv):
+    done = run_process(*argv.split())
+    assert done.returncode == EXIT_OK, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDENS[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("distribution", "--n", "40"),
+    ("ctable", "--r", "12", "--format", "csv"),
+])
+def test_process_usage_error(argv):
+    done = run_process(*argv)
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
+    assert b"error:" in done.stderr
+
+
+def test_process_out_file_holds_the_stdout_bytes(tmp_path):
+    target = tmp_path / "c.json"
+    to_file = run_process("ctable", "--r", "5", "--out", str(target))
+    to_stdout = run_process("ctable", "--r", "5")
+    assert (to_file.returncode, to_file.stdout) == (EXIT_OK, b"")
+    assert to_stdout.returncode == EXIT_OK
+    assert target.read_bytes() == to_stdout.stdout
+
+
+#: Runs the module as ``__main__``, as ``python -m flatperm.cli`` does, with
+#: ``run_suite`` answering CHECKS results of which the last fails.
+FAILING_SUITE = """
+import runpy, sys
+from flatperm import checks
+
+def run_suite(name, oracle_nmax, r_max):
+    return [checks.CheckResult(f"check {i}", i < CHECKS - 1, "" if i < CHECKS - 1 else "forced")
+            for i in range(CHECKS)]
+
+CHECKS = int(sys.argv.pop(1))
+checks.run_suite = run_suite
+runpy.run_module("flatperm.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_failure_prints_every_line():
+    """A FAIL exits 1, and output well past one pipe buffer (about 90 kB)
+    reaches stdout whole once the heap is frozen."""
+    checks_made = 5000
+    done = run_process(str(checks_made), "verify", "--n", "3", "--rmax", "1",
+                       script=FAILING_SUITE)
+    assert done.returncode == EXIT_CHECK_FAILED, done.stderr
+    lines = [f"PASS  check {i}" for i in range(checks_made - 1)]
+    lines += [f"FAIL  check {checks_made - 1}  [forced]",
+              f"FAILED: {checks_made - 1}/{checks_made} checks passed"]
+    assert done.stdout.decode() == "\n".join(lines) + "\n"
+
+
+def test_main_in_process_does_not_freeze(capsys):
+    before = gc.get_freeze_count()
+    code, _, _ = run(capsys, "verify", "--suite", "recurrence", "--n", "4", "--rmax", "1")
+    assert code == EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+#: Reports the freeze count from an ``atexit`` handler, which runs after the
+#: module's ``__main__`` block has called the entry and raised SystemExit.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+start = gc.get_freeze_count()
+atexit.register(lambda: print("frozen", start, gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("flatperm.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_freezes_once_the_command_returns():
+    done = run_process("distribution", "--n", "6", script=FREEZE_PROBE)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDENS["distribution --n 6"]
+    tag, start, at_exit = done.stderr.split()[-3:]
+    assert (tag, int(start)) == (b"frozen", 0)
+    assert int(at_exit) > 0
+
+
+def test_console_script_and_main_module_call_one_entry():
+    """``[project.scripts]`` is read as text: Python 3.10 has no ``tomllib``."""
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].splitlines()
+    line = next(line for line in scripts if line.startswith("flatperm "))
+    module, _, script_fn = line.split("=", 1)[1].strip().strip('"').partition(":")
+    assert module == "flatperm.cli"
+
+    tree = ast.parse((SRC / "flatperm" / "cli.py").read_text(encoding="utf-8"))
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert ast.unparse(guard.body[0]) == f"sys.exit({script_fn}())"
+    assert getattr(cli, script_fn) is cli.entry
