@@ -34,14 +34,9 @@ _HOME = {
     "EnumerationLimitError": "_common",
     "IntPoly": "algebra",
     "RationalGF": "algebra",
-    "VPoly": "algebra",
-    "XSeries": "algebra",
     "XVPoly": "algebra",
-    "vpoly_div_kernel": "algebra",
-    "xvpoly_extract_from_series": "algebra",
     "BoundaryData": "genfun",
     "Pipeline": "genfun",
-    "t_poly": "genfun",
     "InsertionCount": "insertion",
     "OccurrenceTable": "perms",
     "count_13_2": "perms",

@@ -9,11 +9,13 @@ polynomial, by 1 - x or 1 - 2x, or by the kernel 1 - (1-x)v either
 succeeds exactly or raises.  ``IntPoly.eval_at`` is also exact at
 ``fractions.Fraction`` points.
 
-The kernel pipeline runs on ``RationalGF`` alone.  ``VPoly`` holds its
-expansions as series; ``VPoly.subst_v``, ``vpoly_div_kernel`` and
+The kernel pipeline runs on ``RationalGF`` alone and hands out its
+expansions as plain coefficient lists (``RationalGF.expand_coeffs``).
+``XSeries``, ``VPoly``, ``vpoly_div_kernel`` and
 ``xvpoly_extract_from_series`` are the truncated-series forms of its
-steps, kept for the test reference in ``tests/series_reference.py`` and
-for the benchmark's span tracer.
+steps; no code in the package calls them, and they remain only for the
+test reference in ``tests/series_reference.py`` and the benchmark's span
+tracer.
 
 ``IntPoly`` and ``XSeries`` share one core for their dense coefficient
 vectors: one schoolbook product with a top cut, one exact division by a
@@ -221,9 +223,6 @@ class IntPoly(_Dense):
         if not self.coeffs:
             return self
         return IntPoly((0,) * k + self.coeffs)
-
-    def derivative(self) -> IntPoly:
-        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def eval_at(self, point):
         """Evaluate by Horner's rule; exact for int or Fraction points."""
@@ -626,8 +625,8 @@ class RationalGF:
     values are equal when their numerators are over a common denominator.
 
     >>> g0 = RationalGF(XVPoly([[0, 0, 0, 4]]), 0, 1)    # 4x^3 / (1 - 2x)
-    >>> g0.expand(5).coeff(0)
-    XSeries([0, 0, 0, 4, 8, 16], order=5)
+    >>> g0.expand_coeffs(5)
+    [[0, 0, 0, 4, 8, 16]]
     >>> g0 == RationalGF(XVPoly([[0, 0, 0, 4, -4]]), 1, 1)
     True
     """
@@ -752,14 +751,6 @@ class RationalGF:
                 cs = accumulate(cs)
             out.append(list(cs))
         return out
-
-    def expand(self, order: int) -> VPoly:
-        """``expand_coeffs`` as a v-polynomial over truncated series.
-
-        >>> RationalGF(XVPoly([[1]]), 1, 1).expand(4).coeff(0)  # 1/(st)
-        XSeries([1, 3, 7, 15, 31], order=4)
-        """
-        return VPoly([XSeries(cs, order) for cs in self.expand_coeffs(order)], order)
 
 
 def xvpoly_extract_from_series(

@@ -22,7 +22,8 @@ stdlib-only ``_common`` (the error classes, the default enumeration limit
 and the suite names), and each ``_cmd_*`` imports ``perms``,
 ``recurrence``, ``genfun``, ``checks`` and ``algebra``'s JSON helpers in
 its own body, as ``_emit`` imports ``csv`` for ``--format csv`` alone
-and ``json`` for JSON output alone (``verify`` prints text).
+and ``json`` for JSON output alone.  ``verify`` always prints its text
+report to stdout; its ``--format`` chooses only what ``--out`` writes.
 ``distribution`` by enumeration thus compiles and imports neither the
 recurrences nor the kernel pipeline, and ``ctable`` no enumeration.
 
@@ -353,7 +354,7 @@ def _cmd_verify(args) -> int:
         ],
     }
     rows = [("name", "passed")] + [(r.name, r.passed) for r in results]
-    if args.out or args.format == "csv":
+    if args.out:
         _emit(payload, args, csv_rows=rows)
     print(f"{'OK' if passed else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} checks passed")
     return EXIT_OK if passed else EXIT_CHECK_FAILED

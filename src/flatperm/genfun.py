@@ -26,10 +26,12 @@ its structured decomposition
     P_r = 2 c_{r,0}(x) + sum_{l=1}^{r} c_{r,l}(x) s^{l-1} t^l v^l,
 
 and the rational closed form G_r = 2 x^{r+3} P_r / (s^{2r-1} t^{r+1}).
-Each G_r and each closed form is expanded through the pipeline's order
-and compared, coefficient by coefficient, with the insertion count
+Each G_r is expanded once through the pipeline's order and compared,
+coefficient by coefficient, with the insertion count
 (``flatperm.insertion``), a route independent of the recurrence tables
-that feed the boundary data.
+that feed the boundary data; each closed form must then equal its G_r
+exactly, over one denominator.  The pipeline hands out its expansions
+as plain integer coefficients and builds no truncated series.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .algebra import (
     InexactDivisionError,
     IntPoly,
     RationalGF,
-    VPoly,
     XVPoly,
     _over,
     _times,
@@ -363,10 +364,11 @@ class Pipeline:
                         f"gives {want} (n={m}, r={r}, i={i})"
                     )
 
-    def g_series(self, r: int) -> VPoly:
-        """G_r(x, v) expanded through the pipeline's order, as a
-        v-polynomial over truncated integer series."""
-        return self.g_exact(r).expand(self.order)
+    def g_series(self, r: int) -> tuple[tuple[int, ...], ...]:
+        """G_r(x, v) expanded through the pipeline's order: one tuple of
+        the coefficients of x^0 .. x^order per power of v, up to the
+        v-degree of G_r."""
+        return tuple(map(tuple, self.g_exact(r).expand_coeffs(self.order)))
 
     # -- extraction ---------------------------------------------------------
 
@@ -445,14 +447,16 @@ class Pipeline:
 
     def rational_gf(self, r: int) -> RationalGF:
         """G_r as the closed form 2 x^{r+3} P_r / (s^{2r-1} t^{r+1})
-        (4x^3/t for r = 0), re-expanded through the order and compared
-        with the insertion count."""
+        (4x^3/t for r = 0), which must equal G_r exactly: equal numerators
+        over one denominator, so the closed form agrees with G_r, and
+        through G_r with the insertion count, at every order."""
         self._check_r(r)
         if r == 0:
             gf = G_0
         else:
             gf = RationalGF(self.p_poly(r).shift_x(r + 3) * 2, 2 * r - 1, r + 1)
-        self._verify_against_count(r, gf)
+        if gf != self.g_exact(r):
+            raise ConsistencyError(f"the rational closed form of G_{r} differs from G_{r}")
         return gf
 
     # -- identity checks ------------------------------------------------------

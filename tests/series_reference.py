@@ -26,9 +26,17 @@ from flatperm.algebra import (
 from flatperm.genfun import S_POLY, T_POLY, Pipeline, t_poly
 
 
+def columns(g: VPoly) -> tuple[tuple[int, ...], ...]:
+    """The series coefficients of g as plain integers, one tuple of x^0 ..
+    x^order per power of v up to its v-degree: the form in which
+    ``RationalGF.expand_coeffs`` and ``Pipeline.g_series`` hand them out,
+    so the two compare with ``==``."""
+    return tuple(s.coeffs for s in g.vcoeffs)
+
+
 def expand_by_products(gf: RationalGF, order: int) -> VPoly:
     """N / (s^a t^b) through x^order as series products: the reference
-    for ``RationalGF.expand``."""
+    for ``RationalGF.expand_coeffs``."""
     s_inv = XSeries(S_POLY, order).inverse()
     t_inv = XSeries(T_POLY, order).inverse()
     factor = XSeries.one(order)

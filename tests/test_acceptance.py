@@ -105,13 +105,13 @@ def test_08_rationality_round_trip(pipeline6, table):
     ok = True
     for r in range(0, 5):
         gf = pipeline6.rational_gf(r)
-        expansion = gf.expand(4 * r + 10)
+        expansion = gf.expand_coeffs(4 * r + 10)
         g = pipeline6.g_series(r)
-        if not expansion.matches(g):
+        if [list(cs[: 4 * r + 11]) for cs in g] != expansion:
             ok = False
         for n in range(r + 3, 4 * r + 11):
             for i in range(2, r + 3):
-                if expansion.coeff(i - 2).coeff(n) != table.coeff(n, r, i):
+                if expansion[i - 2][n] != table.coeff(n, r, i):
                     ok = False
     _report(8, "rational form re-expands to G_r (r <= 4, order 4r+10) and matches the recurrence route", ok)
 

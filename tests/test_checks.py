@@ -278,6 +278,31 @@ def test_disagreeing_htilde_routes_fail_every_time(capsys, monkeypatch):
         assert line.startswith("FAIL  ") and disagree in line, line
 
 
+RATIONAL = "rational closed form re-expands to G_r"
+
+
+def test_rational_line_fails_on_a_closed_form_off_by_one(capsys, monkeypatch):
+    """[x^0 v^0] P_2 one too large, but only once c_table(2) has certified
+    P_2: the c-table and structure lines, which run first, read the true
+    P_2, so the closed form's fault reaches the rational line alone, which
+    sees it by comparing the closed form with G_2 exactly."""
+    real = genfun.Pipeline.p_poly
+
+    def off(self, r):
+        p = real(self, r)
+        if r != 2 or r not in self._c:
+            return p
+        return XVPoly([p.coeff(0) + IntPoly([1]), *p.vcoeffs[1:]])
+
+    monkeypatch.setattr(genfun.Pipeline, "p_poly", off)
+    assert main(["verify", "--suite", "genfun", "--n", "5", "--rmax", "4"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS  ")] == [
+        f"FAIL  {RATIONAL} for r <= 4  [the rational closed form of G_2 differs from G_2]",
+        "FAILED: 9/10 checks passed",
+    ]
+
+
 AVERAGE = "average occurrences equal"
 
 

@@ -286,6 +286,18 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "constructions", "--n", "5", "--rmax", "2")
         assert code == EXIT_OK
 
+    def test_format_chooses_only_what_out_writes(self, capsys, tmp_path):
+        """stdout is the text report whatever --format says; --format
+        chooses what --out writes."""
+        argv = ("verify", "--suite", "recurrence", "--n", "3")
+        code, report, _ = run(capsys, *argv)
+        assert code == EXIT_OK and report.startswith("PASS  ") and "\nOK: " in report
+        for fmt in ("csv", "json"):
+            assert run(capsys, *argv, "--format", fmt) == (EXIT_OK, report, "")
+        target = tmp_path / "v.csv"
+        assert run(capsys, *argv, "--format", "csv", "--out", str(target)) == (EXIT_OK, report, "")
+        assert target.read_text().splitlines()[0] == "name,passed"
+
     def test_exit_codes_documented(self):
         assert (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE) == (0, 1, 2)
 

@@ -19,7 +19,11 @@ from flatperm.algebra import (
 from flatperm.genfun import S_POLY, T_POLY, BoundaryData, Pipeline, t_poly
 from flatperm.insertion import InsertionCount
 from flatperm.recurrence import GTable
-from series_reference import SeriesPipeline, expand_by_products
+from series_reference import SeriesPipeline, columns, expand_by_products
+
+
+def _plain(gf: RationalGF, order: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, gf.expand_coeffs(order)))
 
 
 class TestTPoly:
@@ -137,7 +141,7 @@ class TestHLayer:
     def test_htilde_r0_is_4_over_t(self, pipeline6):
         ht = pipeline6.htilde_over_kernel(0)
         assert ht == RationalGF(XVPoly([[4]]), 0, 1)
-        assert ht.expand(4).coeff(0).coeffs == (4, 8, 16, 32, 64)
+        assert ht.expand_coeffs(4) == [[4, 8, 16, 32, 64]]
 
     def test_htilde_r1(self, pipeline6):
         # 2x (2 + t v) / (s t)
@@ -218,32 +222,29 @@ class TestKernelStep:
 
 class TestGSeries:
     def test_r0(self, pipeline6):
-        g0 = pipeline6.g_series(0)
-        assert g0.vdegree == 0
-        assert all(
-            g0.coeff(0).coeff(n) == (2 ** (n - 1) if n >= 3 else 0)
-            for n in range(pipeline6.order + 1)
+        assert pipeline6.g_series(0) == (
+            tuple(2 ** (n - 1) if n >= 3 else 0 for n in range(pipeline6.order + 1)),
         )
 
     def test_r1_x4_row(self, pipeline6):
         g1 = pipeline6.g_series(1)
-        assert g1.coeff(0).coeff(4) == 4
-        assert g1.coeff(1).coeff(4) == 6
+        assert g1[0][4] == 4
+        assert g1[1][4] == 6
 
     @pytest.mark.parametrize("r", range(0, 5))
     def test_degree_and_low_order(self, pipeline6, table, r):
         g = pipeline6.g_series(r)
-        assert g.vdegree == (r if r >= 1 else 0)
-        for k in range(g.vdegree + 1):
-            assert all(g.coeff(k).coeff(m) == 0 for m in range(r + 3))
+        assert len(g) - 1 == (r if r >= 1 else 0)
+        for coeffs in g:
+            assert len(coeffs) == pipeline6.order + 1
+            assert all(coeffs[m] == 0 for m in range(r + 3))
         # the series starts at x^(r+3) exactly
-        assert sum(g.coeff(k).coeff(r + 3) for k in range(g.vdegree + 1)) > 0
+        assert sum(coeffs[r + 3] for coeffs in g) > 0
 
     @pytest.mark.parametrize("r", range(1, 4))
     def test_parity(self, pipeline6, r):
-        g = pipeline6.g_series(r)
-        for k in range(g.vdegree + 1):
-            assert all(c % 2 == 0 for c in g.coeff(k).coeffs)
+        for coeffs in pipeline6.g_series(r):
+            assert all(c % 2 == 0 for c in coeffs)
 
     def test_matches_oracle(self, pipeline6, table):
         for r in range(0, 4):
@@ -251,7 +252,7 @@ class TestGSeries:
             for n in range(r + 3, 8):
                 for i in range(2, r + 3):
                     want = perms.distribution(n, (1, i)).count(r)
-                    assert g.coeff(i - 2).coeff(n) == want, (r, n, i)
+                    assert g[i - 2][n] == want, (r, n, i)
 
 
 class TestPPoly:
@@ -330,10 +331,25 @@ class TestRationalForm:
         assert (gf.s_power, gf.t_power) == (1, 2)
         assert gf.numerator == pipeline6.p_poly(1).shift_x(4) * 2
 
+    @pytest.mark.parametrize("r, k", [(1, 0), (1, 1), (2, 1), (4, 4)])
+    def test_closed_form_off_by_one_raises(self, table, monkeypatch, r, k):
+        """[x^0 v^k] P_r one too large: the closed form built from it then
+        differs from G_r, and only the exact comparison sees that."""
+        real = Pipeline.p_poly
+
+        def off_by_one(self, j):
+            cols = list(real(self, j).vcoeffs)
+            cols[k] = cols[k] + IntPoly([1])
+            return XVPoly(cols)
+
+        monkeypatch.setattr(Pipeline, "p_poly", off_by_one)
+        with pytest.raises(ConsistencyError, match=rf"closed form of G_{r} differs from G_{r}$"):
+            Pipeline(r, table=table).rational_gf(r)
+
     @pytest.mark.parametrize("r", range(0, 4))
     def test_round_trip(self, pipeline6, r):
-        gf = pipeline6.rational_gf(r)  # construction re-expands and compares
-        assert gf.expand(12).matches(pipeline6.g_series(r))
+        gf = pipeline6.rational_gf(r)  # construction compares it with G_r
+        assert _plain(gf, pipeline6.order) == pipeline6.g_series(r)
 
 
 class TestIdentities:
@@ -366,11 +382,13 @@ class TestSeriesReference:
     @pytest.mark.parametrize("r", range(0, 9))
     def test_same_values(self, pair, r):
         pl, ref = pair
-        assert pl.g_series(r).order == ref.order == 4 * 8 + 10
-        assert pl.g_series(r).matches(ref.g_series(r))
-        assert pl.htilde_over_kernel(r).expand(ref.order).matches(ref.htilde_over_kernel(r))
+        assert ref.order == 4 * 8 + 10
+        g = pl.g_series(r)
+        assert all(len(coeffs) == ref.order + 1 for coeffs in g)
+        assert g == columns(ref.g_series(r))
+        assert _plain(pl.htilde_over_kernel(r), ref.order) == columns(ref.htilde_over_kernel(r))
         gf = pl.rational_gf(r)
-        assert gf.expand(ref.order).matches(expand_by_products(gf, ref.order))
+        assert _plain(gf, ref.order) == columns(expand_by_products(gf, ref.order))
         if r == 0:
             assert (gf.numerator, gf.s_power, gf.t_power) == (XVPoly([IntPoly.term(4, 3)]), 0, 1)
             return
