@@ -34,7 +34,6 @@ _HOME = {
     "EnumerationLimitError": "_common",
     "IntPoly": "algebra",
     "RationalGF": "algebra",
-    "XVPoly": "algebra",
     "BoundaryData": "genfun",
     "Pipeline": "genfun",
     "InsertionCount": "insertion",

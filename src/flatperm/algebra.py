@@ -1,7 +1,7 @@
 """Exact algebra substrate: integer polynomials, truncated integer power
-series in x, polynomials in v over such series, bivariate (x, v) integer
-polynomials, and the exact values N(x, v)/((1-x)^a (1-2x)^b) of
-``RationalGF``.
+series in x, polynomials in v over such series, and the exact values
+N(x, v)/((1-x)^a (1-2x)^b) of ``RationalGF``.  A polynomial in x and v is
+a ``RationalGF`` over s^0 t^0.
 
 Everything is arbitrary precision (Python ints) and every division is
 checked: dividing by a unit series, by a power of x, by a constant, by a
@@ -220,7 +220,7 @@ class IntPoly(_Dense):
 
     def shift(self, k: int) -> IntPoly:
         """Multiply by x**k."""
-        if not self.coeffs:
+        if not k or not self.coeffs:
             return self
         return IntPoly((0,) * k + self.coeffs)
 
@@ -400,10 +400,10 @@ class VPoly:
     """Polynomial in v with XSeries coefficients sharing one truncation
     order; normalized so the top v-coefficient is not identically zero."""
 
-    __slots__ = ("vcoeffs", "order")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, vcoeffs: Iterable[XSeries], order: int | None = None):
-        vs = list(vcoeffs)
+    def __init__(self, coeffs: Iterable[XSeries], order: int | None = None):
+        vs = list(coeffs)
         if order is None:
             if not vs:
                 raise ValueError("order is required for an empty VPoly")
@@ -413,7 +413,7 @@ class VPoly:
         vs = [s.truncate(order) for s in vs]
         while vs and not vs[-1]:
             vs.pop()
-        self.vcoeffs = tuple(vs)
+        self.coeffs = tuple(vs)
         self.order = order
 
     @classmethod
@@ -422,14 +422,14 @@ class VPoly:
 
     @property
     def vdegree(self) -> int:
-        return len(self.vcoeffs) - 1
+        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return not self.vcoeffs
+        return not self.coeffs
 
     def coeff(self, k: int) -> XSeries:
-        if 0 <= k < len(self.vcoeffs):
-            return self.vcoeffs[k]
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
         return XSeries.zero(self.order)
 
     def __repr__(self) -> str:
@@ -443,11 +443,11 @@ class VPoly:
         return True
 
     def __neg__(self) -> VPoly:
-        return VPoly((-s for s in self.vcoeffs), self.order)
+        return VPoly((-s for s in self.coeffs), self.order)
 
     def __add__(self, other: VPoly) -> VPoly:
         m = min(self.order, other.order)
-        n = max(len(self.vcoeffs), len(other.vcoeffs))
+        n = max(len(self.coeffs), len(other.coeffs))
         return VPoly(
             ((self.coeff(k) + other.coeff(k)).truncate(m) for k in range(n)), m
         )
@@ -458,25 +458,25 @@ class VPoly:
     def __mul__(self, other: Union[VPoly, XSeries, IntPoly, int]) -> VPoly:
         m = self.order if isinstance(other, (IntPoly, int)) else min(self.order, other.order)
         if not isinstance(other, VPoly):
-            return VPoly((s * other for s in self.vcoeffs), m)
-        return VPoly(_convolve(self.vcoeffs, other.vcoeffs, zero=XSeries.zero(m)), m)
+            return VPoly((s * other for s in self.coeffs), m)
+        return VPoly(_convolve(self.coeffs, other.coeffs, zero=XSeries.zero(m)), m)
 
     __rmul__ = __mul__
 
     def mul_xpow(self, k: int) -> VPoly:
-        return VPoly((s.mul_xpow(k) for s in self.vcoeffs), self.order)
+        return VPoly((s.mul_xpow(k) for s in self.coeffs), self.order)
 
     def shift_v(self, k: int) -> VPoly:
         if self.is_zero() or k == 0:
             return self
         pad = [XSeries.zero(self.order)] * k
-        return VPoly(pad + list(self.vcoeffs), self.order)
+        return VPoly(pad + list(self.coeffs), self.order)
 
     def subst_v(self, w: XSeries) -> XSeries:
         """Substitute the series w for v (Horner's rule)."""
         m = min(self.order, w.order)
         acc = XSeries.zero(m)
-        for s in reversed(self.vcoeffs):
+        for s in reversed(self.coeffs):
             acc = acc * w + s.truncate(m)
         return acc
 
@@ -492,7 +492,7 @@ def vpoly_div_kernel(b: VPoly, s: XSeries, vdeg: int) -> VPoly:
     """
     order = min(b.order, s.order)
     neg_s = (-s).truncate(order)
-    cols = [c.truncate(order) for c in b.vcoeffs]
+    cols = [c.truncate(order) for c in b.coeffs]
     d = len(cols) - 1
     if d < 0:
         return VPoly.zero(order)
@@ -506,87 +506,11 @@ def vpoly_div_kernel(b: VPoly, s: XSeries, vdeg: int) -> VPoly:
         raise ConsistencyError("kernel division left a nonzero remainder")
     q = VPoly(quot, order)
     kernel = VPoly([XSeries.one(order), neg_s], order)
-    if not (kernel * q).matches(VPoly(b.vcoeffs, order)):
+    if not (kernel * q).matches(VPoly(b.coeffs, order)):
         raise ConsistencyError("kernel quotient failed re-multiplication check")
     if q.vdegree > vdeg:
         raise ConsistencyError(f"kernel quotient v-degree {q.vdegree} exceeds {vdeg}")
     return q
-
-
-# ---------------------------------------------------------------------------
-# Bivariate integer polynomials in (x, v)
-# ---------------------------------------------------------------------------
-
-class XVPoly:
-    """Integer polynomial in x and v, stored as one x-polynomial per
-    v-power and normalized in v."""
-
-    __slots__ = ("vcoeffs",)
-
-    def __init__(self, vcoeffs: Iterable[Union[IntPoly, Iterable[int]]] = ()):
-        vs = [c if isinstance(c, IntPoly) else IntPoly(c) for c in vcoeffs]
-        while vs and not vs[-1]:
-            vs.pop()
-        self.vcoeffs = tuple(vs)
-
-    @property
-    def vdegree(self) -> int:
-        return len(self.vcoeffs) - 1
-
-    @property
-    def xdegree(self) -> int:
-        return max((p.degree for p in self.vcoeffs), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.vcoeffs
-
-    def coeff(self, vpow: int) -> IntPoly:
-        if 0 <= vpow < len(self.vcoeffs):
-            return self.vcoeffs[vpow]
-        return P_ZERO
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, XVPoly) and self.vcoeffs == other.vcoeffs
-
-    def __hash__(self) -> int:
-        return hash(self.vcoeffs)
-
-    def __repr__(self) -> str:
-        return f"XVPoly(vdegree={self.vdegree}, xdegree={self.xdegree})"
-
-    def __neg__(self) -> XVPoly:
-        return XVPoly(-p for p in self.vcoeffs)
-
-    def __add__(self, other: XVPoly) -> XVPoly:
-        n = max(len(self.vcoeffs), len(other.vcoeffs))
-        return XVPoly(self.coeff(k) + other.coeff(k) for k in range(n))
-
-    def __sub__(self, other: XVPoly) -> XVPoly:
-        return self + (-other)
-
-    def __mul__(self, other: Union[XVPoly, IntPoly, int]) -> XVPoly:
-        if isinstance(other, (IntPoly, int)):
-            return XVPoly(p * other for p in self.vcoeffs)
-        return XVPoly(_convolve(self.vcoeffs, other.vcoeffs, zero=P_ZERO))
-
-    __rmul__ = __mul__
-
-    def shift_x(self, k: int) -> XVPoly:
-        return XVPoly(p.shift(k) for p in self.vcoeffs)
-
-    def shift_v(self, k: int) -> XVPoly:
-        if self.is_zero() or k == 0:
-            return self
-        return XVPoly([P_ZERO] * k + list(self.vcoeffs))
-
-    def to_vpoly(self, order: int) -> VPoly:
-        return VPoly((XSeries(p, order) for p in self.vcoeffs), order)
-
-    def matrix(self) -> list[list[int]]:
-        """Dense coefficient matrix, row-major: matrix[i][j] = [x^i v^j]."""
-        xd = max(self.xdegree, 0)
-        vd = max(self.vdegree, 0)
-        return [[self.coeff(j)[i] for j in range(vd + 1)] for i in range(xd + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -614,49 +538,58 @@ def _over(cs, k: int) -> list[int]:
 
 class RationalGF:
     """The exact value N(x, v) / (s^s_power t^t_power), s = 1 - x and
-    t = 1 - 2x, with N an integer ``XVPoly``: an element of
+    t = 1 - 2x, with N an integer polynomial in x and v: an element of
     Z[x, v][1/s, 1/t], the ring in which the kernel method for G_r runs.
+    A polynomial in x and v is the value over s^0 t^0.
 
-    Multiplying by x^k or v^k shifts N; dividing by s or t raises an
-    exponent.  Lifting to a larger denominator multiplies N by s or t, one
-    shift-and-subtract pass per power, and lowering it divides exactly, by
-    prefix sums for s and doubling for t, raising InexactDivisionError on
-    a remainder.  Sums lift both terms to the larger exponents, and two
-    values are equal when their numerators are over a common denominator.
+    ``numerator`` holds N as a tuple of ``IntPoly`` columns, one per power
+    of v, with no zero top column; it is built from ``IntPoly``s or from
+    coefficient iterables.  Multiplying by x^k or v^k shifts N; dividing
+    by s or t raises an exponent.  Lifting to a larger denominator
+    multiplies N by s or t, one shift-and-subtract pass per power, and
+    lowering it divides exactly, by prefix sums for s and doubling for t,
+    raising InexactDivisionError on a remainder.  Sums lift both terms to
+    the larger exponents, products convolve the numerators and add the
+    exponents, and two values are equal when their numerators are over a
+    common denominator.
 
-    >>> g0 = RationalGF(XVPoly([[0, 0, 0, 4]]), 0, 1)    # 4x^3 / (1 - 2x)
+    >>> g0 = RationalGF([[0, 0, 0, 4]], 0, 1)    # 4x^3 / (1 - 2x)
     >>> g0.expand_coeffs(5)
     [[0, 0, 0, 4, 8, 16]]
-    >>> g0 == RationalGF(XVPoly([[0, 0, 0, 4, -4]]), 1, 1)
+    >>> g0 == RationalGF([[0, 0, 0, 4, -4]], 1, 1)
     True
     """
 
     __slots__ = ("numerator", "s_power", "t_power")
 
-    def __init__(self, numerator: XVPoly, s_power: int = 0, t_power: int = 0):
+    def __init__(self, numerator: Iterable = (), s_power: int = 0, t_power: int = 0):
         if s_power < 0 or t_power < 0:
             raise ValueError("denominator exponents must be >= 0")
-        self.numerator = numerator
+        cols = [p if isinstance(p, IntPoly) else IntPoly(p) for p in numerator]
+        while cols and not cols[-1]:
+            cols.pop()
+        self.numerator = tuple(cols)
         self.s_power = s_power
         self.t_power = t_power
 
     def __repr__(self) -> str:
-        return f"RationalGF({self.numerator!r}, s_power={self.s_power}, t_power={self.t_power})"
+        cols = [list(p.coeffs) for p in self.numerator]
+        return f"RationalGF({cols}, s_power={self.s_power}, t_power={self.t_power})"
 
     @property
     def vdegree(self) -> int:
-        return self.numerator.vdegree
+        return len(self.numerator) - 1
 
     def with_denominator(self, s_power: int, t_power: int) -> RationalGF:
         """The same value over s^s_power t^t_power."""
         if (s_power, t_power) == (self.s_power, self.t_power):
             return self
-        cols = [p.coeffs for p in self.numerator.vcoeffs]
+        cols = [p.coeffs for p in self.numerator]
         for k, old, new in ((1, self.s_power, s_power), (2, self.t_power, t_power)):
             step = _times if new > old else _over
             for _ in range(abs(new - old)):
                 cols = [step(cs, k) for cs in cols]
-        return RationalGF(XVPoly(cols), s_power, t_power)
+        return RationalGF(cols, s_power, t_power)
 
     def over(self, s_power: int = 0, t_power: int = 0) -> RationalGF:
         """This value divided by s^s_power t^t_power; a negative power
@@ -666,9 +599,12 @@ class RationalGF:
 
     def shift(self, x: int = 0, v: int = 0) -> RationalGF:
         """This value times x^x v^v."""
-        return RationalGF(self.numerator.shift_x(x).shift_v(v), self.s_power, self.t_power)
+        cols = [p.shift(x) for p in self.numerator]
+        if cols and v:
+            cols[:0] = [P_ZERO] * v
+        return RationalGF(cols, self.s_power, self.t_power)
 
-    def _common(self, other: RationalGF) -> tuple[XVPoly, XVPoly, int, int]:
+    def _common(self, other: RationalGF) -> tuple[tuple[IntPoly, ...], tuple[IntPoly, ...], int, int]:
         a = max(self.s_power, other.s_power)
         b = max(self.t_power, other.t_power)
         return self.with_denominator(a, b).numerator, other.with_denominator(a, b).numerator, a, b
@@ -682,41 +618,45 @@ class RationalGF:
     __hash__ = None  # equal values may have different numerators
 
     def __neg__(self) -> RationalGF:
-        return RationalGF(-self.numerator, self.s_power, self.t_power)
+        return RationalGF([-p for p in self.numerator], self.s_power, self.t_power)
 
     def __add__(self, other: RationalGF) -> RationalGF:
         mine, theirs, a, b = self._common(other)
-        return RationalGF(mine + theirs, a, b)
+        if len(mine) < len(theirs):
+            mine, theirs = theirs, mine
+        return RationalGF([*map(add, mine, theirs), *mine[len(theirs):]], a, b)
 
     def __sub__(self, other: RationalGF) -> RationalGF:
         return self + (-other)
 
-    def __mul__(self, other: Union[XVPoly, IntPoly, int]) -> RationalGF:
-        return RationalGF(self.numerator * other, self.s_power, self.t_power)
+    def __mul__(self, other: Union[RationalGF, IntPoly, int]) -> RationalGF:
+        if isinstance(other, RationalGF):
+            cols = _convolve(self.numerator, other.numerator, zero=P_ZERO)
+            return RationalGF(cols, self.s_power + other.s_power, self.t_power + other.t_power)
+        return RationalGF([p * other for p in self.numerator], self.s_power, self.t_power)
 
     def at_v_one(self) -> RationalGF:
         """The value at v = 1."""
-        total = sum(self.numerator.vcoeffs, IntPoly())
-        return RationalGF(XVPoly([total]), self.s_power, self.t_power)
+        return RationalGF([sum(self.numerator, P_ZERO)], self.s_power, self.t_power)
 
     def at_v_sinv(self) -> RationalGF:
         """The value at v = 1/s: Horner's rule sum_k N_k s^(d-k) on the
         numerator N of v-degree d, with d added to the power of s."""
-        cols = self.numerator.vcoeffs
+        cols = self.numerator
         if not cols:
             return self
         acc = cols[0]
         for p in cols[1:]:
             acc = IntPoly(_times(acc.coeffs, 1)) + p
-        return RationalGF(XVPoly([acc]), self.s_power + len(cols) - 1, self.t_power)
+        return RationalGF([acc], self.s_power + len(cols) - 1, self.t_power)
 
     def div_kernel(self) -> RationalGF:
         """The exact quotient by the kernel 1 - sv, from the bottom:
         Q_0 = N_0 and Q_k = N_k + s Q_(k-1).  A nonzero remainder
         N_d + s Q_(d-1) raises ConsistencyError."""
-        cols = self.numerator.vcoeffs
+        cols = self.numerator
         quot: list[IntPoly] = []
-        carry = IntPoly()
+        carry = P_ZERO
         for p in cols:
             carry = p + IntPoly(_times(carry.coeffs, 1))
             quot.append(carry)
@@ -724,20 +664,20 @@ class RationalGF:
             raise ConsistencyError(
                 f"kernel division left a nonzero remainder at v^{len(cols) - 1}"
             )
-        return RationalGF(XVPoly(quot), self.s_power, self.t_power)
+        return RationalGF(quot, self.s_power, self.t_power)
 
     def expand_coeffs(self, order: int) -> list[list[int]]:
         """The power series in x through x**order as plain coefficient
         lists, one per v-power of the numerator: one prefix-sum pass per
         power of s and one doubling pass per power of t.
 
-        >>> RationalGF(XVPoly([[1]]), 1, 1).expand_coeffs(4)  # 1/(st)
+        >>> RationalGF([[1]], 1, 1).expand_coeffs(4)  # 1/(st)
         [[1, 3, 7, 15, 31]]
         """
         if order < 0:
             raise ValueError("order must be >= 0")
         out = []
-        for p in self.numerator.vcoeffs:
+        for p in self.numerator:
             cs = list(p.coeffs[: order + 1])
             cs.extend([0] * (order + 1 - len(cs)))
             if self.t_power:
@@ -755,20 +695,21 @@ class RationalGF:
 
 def xvpoly_extract_from_series(
     g: VPoly,
-    pre_factor_num: XVPoly,
+    pre_factor_num: Iterable[IntPoly],
     divide_x_power: int,
     divide_const: int,
     degree_bound_x: int,
-) -> XVPoly:
-    """Multiply g by an exact polynomial prefactor and certify the result
-    is ``divide_const * x**divide_x_power`` times an integer polynomial of
-    x-degree at most degree_bound_x.
+) -> tuple[IntPoly, ...]:
+    """Multiply g by an exact polynomial prefactor, given by its columns in
+    v, and certify the result is ``divide_const * x**divide_x_power``
+    times an integer polynomial of x-degree at most degree_bound_x, whose
+    columns in v are returned.
 
     Each v-coefficient series must be divisible by the stated power of x
     and by the constant, and every surviving coefficient past the degree
     bound (through the truncation order) must vanish; any violation raises.
     """
-    prod = g * pre_factor_num.to_vpoly(g.order)
+    prod = g * VPoly((XSeries(p, g.order) for p in pre_factor_num), g.order)
     out: list[IntPoly] = []
     for k in range(prod.vdegree + 1):
         series = prod.coeff(k)
@@ -782,7 +723,7 @@ def xvpoly_extract_from_series(
                 f"beyond the degree bound {degree_bound_x}"
             )
         out.append(IntPoly(series.coeffs[: degree_bound_x + 1]))
-    return XVPoly(out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +734,9 @@ def poly_json(p: IntPoly, var: str) -> dict:
     return {"var": var, "coeffs": [str(c) for c in p.coeffs]}
 
 
-def xvpoly_json(p: XVPoly) -> dict:
-    return {
-        "vars": ["x", "v"],
-        "matrix": [[str(c) for c in row] for row in p.matrix()],
-    }
+def numerator_json(cols: tuple[IntPoly, ...]) -> dict:
+    """The columns of a ``RationalGF`` numerator as a dense matrix, row i
+    and column j holding [x^i v^j]; the zero numerator is [["0"]]."""
+    cols = cols or (P_ZERO,)
+    rows = max(len(p.coeffs) for p in cols) or 1
+    return {"vars": ["x", "v"], "matrix": [[str(p[i]) for p in cols] for i in range(rows)]}

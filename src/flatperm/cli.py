@@ -232,7 +232,7 @@ def _cmd_ctable(args) -> int:
 
 
 def _cmd_rational(args) -> int:
-    from .algebra import xvpoly_json
+    from .algebra import numerator_json
 
     r = args.r
     if r < 0:
@@ -244,7 +244,7 @@ def _cmd_rational(args) -> int:
     payload = {
         "command": "rational",
         "r": r,
-        "numerator": xvpoly_json(gf.numerator),
+        "numerator": numerator_json(gf.numerator),
         "denominator": {
             "factor_1_minus_x_power": gf.s_power,
             "factor_1_minus_2x_power": gf.t_power,

@@ -12,7 +12,8 @@ into an explicit recurrence expressing G_r through G_0, ..., G_{r-1} plus
 finite boundary data (the values g_{r+2,r}(1i) and g_{n+3,j}(1k) with
 n <= r-2).  Every quantity on this route lies in Z[x, v][1/s, 1/t] and is
 carried exactly as a ``RationalGF``: an integer numerator over
-s^a t^b.  Substituting v = 1/s is Horner's rule on the numerator, the
+s^a t^b, and a polynomial in x and v, such as H_r, is a ``RationalGF``
+over s^0 t^0.  Substituting v = 1/s is Horner's rule on the numerator, the
 kernel is divided out exactly, and each G_r is brought to the denominator
 s^{2r-1} t^{r+1} by exact division, so the rationality theorem is proved
 for each r by integer arithmetic, with no truncated series.
@@ -43,7 +44,6 @@ from .algebra import (
     InexactDivisionError,
     IntPoly,
     RationalGF,
-    XVPoly,
     _over,
     _times,
 )
@@ -52,10 +52,10 @@ from .recurrence import GTable
 
 S_POLY = IntPoly([1, -1])   # s = 1 - x
 T_POLY = IntPoly([1, -2])   # t = 1 - 2x
-ONE_MINUS_V = XVPoly([[1], [-1]])
-TWO_MINUS_V = XVPoly([[2], [-1]])
-KERNEL = XVPoly([[1], S_POLY * -1])  # 1 - s v
-G_0 = RationalGF(XVPoly([IntPoly.term(4, 3)]), 0, 1)  # 4x^3/t
+ONE_MINUS_V = RationalGF([[1], [-1]])
+TWO_MINUS_V = RationalGF([[2], [-1]])
+KERNEL = RationalGF([[1], S_POLY * -1])  # 1 - s v
+G_0 = RationalGF([IntPoly.term(4, 3)], 0, 1)  # 4x^3/t
 
 DEFAULT_R_MAX = 6
 
@@ -85,18 +85,18 @@ def min_order(r: int) -> int:
     return 4 * r + 3
 
 
-def t_poly(h: int) -> XVPoly:
+def t_poly(h: int) -> RationalGF:
     """The kernel-quotient polynomial
 
         T_h(x, v) = 1 - (1 - 2x)(1 - v) sum_{k=0}^{h-1} (1 - x)^k v^k,
 
-    an integer polynomial of v-degree h.  The per-cell reference for
-    route one of ``Pipeline.htilde_over_kernel`` in the tests multiplies
-    by it once per inner boundary cell."""
+    an integer polynomial of v-degree h, a ``RationalGF`` over s^0 t^0.
+    The per-cell reference for route one of ``Pipeline.htilde_over_kernel``
+    in the tests multiplies by it once per inner boundary cell."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    geo = XVPoly([S_POLY**k for k in range(h)])
-    return XVPoly([IntPoly([1])]) - geo * ONE_MINUS_V * XVPoly([T_POLY])
+    geo = RationalGF([S_POLY**k for k in range(h)])
+    return RationalGF([[1]]) - geo * ONE_MINUS_V * T_POLY
 
 
 class BoundaryData(NamedTuple):
@@ -168,8 +168,8 @@ class Pipeline:
         self._g: list[RationalGF] = []
         # The running sums V_r (over s^(2r-3) t^r) and K_r (over
         # s^(2r-1) t^r) of the recurrence for G_r, for the next r to derive.
-        self._v_sum = self._k_sum = RationalGF(XVPoly())
-        self._p: dict[int, XVPoly] = {}
+        self._v_sum = self._k_sum = RationalGF()
+        self._p: dict[int, tuple[IntPoly, ...]] = {}
         self._c: dict[int, tuple[IntPoly, ...]] = {}
 
     def _check_r(self, r: int) -> None:
@@ -210,18 +210,17 @@ class Pipeline:
 
     # -- the H and H~ layers ----------------------------------------------
 
-    def h_poly(self, r: int) -> XVPoly:
-        """H_r(x, v), the exact bivariate polynomial
+    def h_poly(self, r: int) -> RationalGF:
+        """H_r(x, v), the exact bivariate polynomial (over s^0 t^0)
 
             x^r (2-v) G_{r+2,r}(1) - x^r v G_{r+2,r}(v)
               - x (1-v) sum_{n=0}^{r-2} sum_{j=0}^{n} v^{r-j} G_{n+3,j}(v) x^n.
         """
         bd = self.boundary(r)
-        top = XVPoly([IntPoly([c]) for c in bd.top_row])  # sum_i g_{r+2,r}(1i) v^{i-2}
-        top_at_1 = sum(bd.top_row)
-        h = (TWO_MINUS_V * top_at_1).shift_x(r) - top.shift_v(1).shift_x(r)
-        inner = XVPoly(bd.inner)
-        return h - (inner - inner.shift_v(1)).shift_x(1)  # (1 - v) X = X - vX
+        top = RationalGF([c] for c in bd.top_row)  # sum_i g_{r+2,r}(1i) v^{i-2}
+        h = (TWO_MINUS_V * sum(bd.top_row)).shift(x=r) - top.shift(x=r, v=1)
+        inner = RationalGF(bd.inner)
+        return h - (inner - inner.shift(v=1)).shift(x=1)  # (1 - v) X = X - vX
 
     def htilde_over_kernel(self, r: int) -> RationalGF:
         """H~_r(x, v)/(1 - sv), computed two independent ways.
@@ -270,9 +269,9 @@ class Pipeline:
             s_x = s_r * xh[k]
             f = _times_s(f) - s_x
             cols.append(_times_t(d.shift(r) + f.shift(1) + s_x))
-        expanded = RationalGF(XVPoly(cols), r + 1, 1)
+        expanded = RationalGF(cols, r + 1, 1)
 
-        hv = RationalGF(self.h_poly(r))
+        hv = self.h_poly(r)
         at_root = hv.at_v_sinv()
         # (2 - v) a = 2a - va: a shift in v, no product.
         divided = (hv - (at_root * 2 - at_root.shift(v=1)).over(-1, 1)).div_kernel()
@@ -352,7 +351,7 @@ class Pipeline:
             for m, c in enumerate(coeffs[:low]):
                 if c:
                     raise ConsistencyError(
-                        f"G_{r} has a nonzero coefficient at x^{m} below x^{r + 3}"
+                        f"G_{r} has a nonzero coefficient at x^{m} v^{i - 2} below x^{r + 3}"
                     )
             column = self._count.column(r, i, low)
             if coeffs[low:] == column:
@@ -372,17 +371,18 @@ class Pipeline:
 
     # -- extraction ---------------------------------------------------------
 
-    def p_poly(self, r: int) -> XVPoly:
+    def p_poly(self, r: int) -> tuple[IntPoly, ...]:
         """The certified integer polynomial P_r(x, v), of v-degree exactly
         r and x-degree at most 3r - 1: the numerator of G_r over
-        s^(2r-1) t^(r+1), divided exactly by 2 x^(r+3)."""
+        s^(2r-1) t^(r+1), divided exactly by 2 x^(r+3).  Like the c table,
+        it is a tuple of polynomials in x: [v^l] P_r for 0 <= l <= r."""
         self._check_r(r)
         if r < 1:
             raise ValueError("P_r is defined for r >= 1 only")
         if r in self._p:
             return self._p[r]
         cols = []
-        for k, num in enumerate(self.g_exact(r).numerator.vcoeffs):
+        for k, num in enumerate(self.g_exact(r).numerator):
             if any(num.coeffs[: r + 3]):
                 raise ConsistencyError(
                     f"v^{k} coefficient of the numerator of G_{r} is not divisible by x^{r + 3}"
@@ -390,13 +390,13 @@ class Pipeline:
             col = IntPoly(num.coeffs[r + 3 :]).divexact_const(2)
             if col.degree > 3 * r - 1:
                 raise ConsistencyError(
-                    f"v^{k} coefficient has a nonzero term at x^{col.degree}, "
+                    f"v^{k} coefficient of P_{r} has a nonzero term at x^{col.degree}, "
                     f"beyond the degree bound {3 * r - 1}"
                 )
             cols.append(col)
-        p = XVPoly(cols)
-        if p.vdegree != r:
-            raise ConsistencyError(f"P_{r} has v-degree {p.vdegree}, expected {r}")
+        p = tuple(cols)
+        if len(p) != r + 1:
+            raise ConsistencyError(f"P_{r} has v-degree {len(p) - 1}, expected {r}")
         self._p[r] = p
         return p
 
@@ -414,9 +414,9 @@ class Pipeline:
         if r in self._c:
             return self._c[r]
         p = self.p_poly(r)
-        polys = [p.coeff(0).divexact_const(2)]
+        polys = [p[0].divexact_const(2)]
         for ell in range(1, r + 1):
-            cs = p.coeff(ell).coeffs
+            cs = p[ell].coeffs
             for k in [1] * (ell - 1) + [2] * ell:
                 cs = _over(cs, k)
             polys.append(IntPoly(cs))
@@ -427,8 +427,9 @@ class Pipeline:
             for k in [1] * (ell - 1) + [2] * ell:
                 cs = _times(cs, k)
             rebuilt.append(IntPoly(cs))
-        if XVPoly(rebuilt) != p:
-            raise ConsistencyError(f"c-decomposition of P_{r} failed to rebuild P_{r}")
+        for ell, (got, want) in enumerate(zip(rebuilt, p)):
+            if got != want:
+                raise ConsistencyError(f"c-decomposition of P_{r} failed to rebuild [v^{ell}] P_{r}")
         # c_{r,0}(1/2) = 2^(1-r), both sides times 2^top: integers for
         # top >= deg c_{r,0} and top >= r - 1.
         c0 = polys[0].coeffs
@@ -454,7 +455,7 @@ class Pipeline:
         if r == 0:
             gf = G_0
         else:
-            gf = RationalGF(self.p_poly(r).shift_x(r + 3) * 2, 2 * r - 1, r + 1)
+            gf = RationalGF(self.p_poly(r), 2 * r - 1, r + 1).shift(x=r + 3) * 2
         if gf != self.g_exact(r):
             raise ConsistencyError(f"the rational closed form of G_{r} differs from G_{r}")
         return gf
@@ -470,11 +471,11 @@ class Pipeline:
         """
         self._check_r(r)
         g = self.g_exact(r)
-        acc = RationalGF(XVPoly())
+        acc = RationalGF()
         for j in range(r):
             acc = acc + self.g_exact(j).shift(v=r - j)
         rhs = (acc * ONE_MINUS_V + g.at_v_one() * TWO_MINUS_V).shift(x=1)
-        rhs = rhs + RationalGF(self.h_poly(r)).shift(x=3)
+        rhs = rhs + self.h_poly(r).shift(x=3)
         return g * KERNEL == rhs
 
     def check_kernel_root(self, r: int) -> bool:
@@ -485,9 +486,9 @@ class Pipeline:
                         - (x^2 s / t) H_r(x, 1/s).
         """
         self._check_r(r)
-        acc = RationalGF(XVPoly())
+        acc = RationalGF()
         for j in range(r):
             acc = acc + self.g_exact(j).at_v_sinv().over(r - j)
-        h_at = RationalGF(self.h_poly(r)).at_v_sinv()
+        h_at = self.h_poly(r).at_v_sinv()
         rhs = acc.over(0, 1).shift(x=1) - h_at.over(-1, 1).shift(x=2)
         return self.g_exact(r).at_v_one() == rhs

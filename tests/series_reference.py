@@ -19,7 +19,6 @@ from flatperm.algebra import (
     RationalGF,
     VPoly,
     XSeries,
-    XVPoly,
     vpoly_div_kernel,
     xvpoly_extract_from_series,
 )
@@ -31,7 +30,12 @@ def columns(g: VPoly) -> tuple[tuple[int, ...], ...]:
     x^order per power of v up to its v-degree: the form in which
     ``RationalGF.expand_coeffs`` and ``Pipeline.g_series`` hand them out,
     so the two compare with ``==``."""
-    return tuple(s.coeffs for s in g.vcoeffs)
+    return tuple(s.coeffs for s in g.coeffs)
+
+
+def to_vpoly(cols, order: int) -> VPoly:
+    """Numerator columns, one per power of v, as series cut at order."""
+    return VPoly((XSeries(p, order) for p in cols), order)
 
 
 def expand_by_products(gf: RationalGF, order: int) -> VPoly:
@@ -44,7 +48,7 @@ def expand_by_products(gf: RationalGF, order: int) -> VPoly:
         factor = factor * s_inv
     for _ in range(gf.t_power):
         factor = factor * t_inv
-    return gf.numerator.to_vpoly(order) * factor
+    return to_vpoly(gf.numerator, order) * factor
 
 
 class SeriesPipeline:
@@ -90,9 +94,9 @@ class SeriesPipeline:
                         by_h[h] = by_h.get(h, IntPoly()) + IntPoly.term(val, m + 1)
         for h, xpoly in by_h.items():
             factor = self.t_inv * self.sinv_pow(h) * xpoly
-            expanded = expanded - t_poly(h).to_vpoly(n) * factor
+            expanded = expanded - to_vpoly(t_poly(h).numerator, n) * factor
 
-        hv = self.pl.h_poly(r).to_vpoly(n)
+        hv = to_vpoly(self.pl.h_poly(r).numerator, n)
         w = hv.subst_v(self.s_inv) * self.s * self.t_inv
         divided = vpoly_div_kernel(hv - VPoly([w * 2, -w], n), self.s, r)
         if not expanded.matches(divided):
@@ -119,8 +123,8 @@ class SeriesPipeline:
         self._g[r] = g
         return g
 
-    def p_poly(self, r: int) -> XVPoly:
-        pre = XVPoly([S_POLY ** (2 * r - 1) * T_POLY ** (r + 1)])
+    def p_poly(self, r: int) -> tuple[IntPoly, ...]:
+        pre = [S_POLY ** (2 * r - 1) * T_POLY ** (r + 1)]
         return xvpoly_extract_from_series(
             self.g_series(r), pre, divide_x_power=r + 3, divide_const=2, degree_bound_x=3 * r - 1
         )

@@ -15,11 +15,10 @@ from flatperm.algebra import (
     RationalGF,
     VPoly,
     XSeries,
-    XVPoly,
+    numerator_json,
     poly_json,
     vpoly_div_kernel,
     xvpoly_extract_from_series,
-    xvpoly_json,
 )
 from packed_reference import packed_dot
 from series_reference import columns, expand_by_products
@@ -243,46 +242,52 @@ class TestVPoly:
 
 
 class TestXVPoly:
+    """Polynomials in x and v: ``RationalGF`` values over s^0 t^0, their
+    numerators' JSON matrix, and the series extraction that returns one
+    as columns."""
+
     def test_arithmetic_and_shape(self):
-        p = XVPoly([[1, 2], [0, 3]])  # (1 + 2x) + 3x v
+        p = RationalGF([[1, 2], [0, 3]])  # (1 + 2x) + 3x v
         q = p * p
-        assert q.vdegree == 2
-        assert q.coeff(0) == IntPoly([1, 4, 4])
-        assert q.coeff(1) == IntPoly([0, 6, 12])
-        assert q.coeff(2) == IntPoly([0, 0, 9])
+        assert (q.vdegree, q.s_power, q.t_power) == (2, 0, 0)
+        assert q.numerator == (IntPoly([1, 4, 4]), IntPoly([0, 6, 12]), IntPoly([0, 0, 9]))
 
     def test_matrix_row_major(self):
-        p = XVPoly([[1, 2], [0, 3]])
-        assert p.matrix() == [[1, 0], [2, 3]]
+        assert numerator_json(RationalGF([[1, 2], [0, 3]]).numerator)["matrix"] == [["1", "0"], ["2", "3"]]
+        assert numerator_json(RationalGF([[0, 0, 5]]).numerator)["matrix"] == [["0"], ["0"], ["5"]]
+        assert numerator_json(RationalGF([[], [7]]).numerator)["matrix"] == [["0", "7"]]
 
     def test_extraction_trivial(self):
         g = VPoly([XSeries([0, 0, 0, 2], ORDER)])  # 2x^3
         out = xvpoly_extract_from_series(
-            g, XVPoly([[1]]), divide_x_power=3, divide_const=2, degree_bound_x=0
+            g, [IntPoly([1])], divide_x_power=3, divide_const=2, degree_bound_x=0
         )
-        assert out == XVPoly([[1]])
+        assert out == (IntPoly([1]),)
 
     def test_extraction_detects_tail(self):
         g = VPoly([XSeries([0, 0, 0, 2, 2], ORDER)])  # 2x^3 (1 + x)
         with pytest.raises(ConsistencyError):
-            xvpoly_extract_from_series(g, XVPoly([[1]]), 3, 2, 0)
+            xvpoly_extract_from_series(g, [IntPoly([1])], 3, 2, 0)
 
     def test_extraction_detects_odd(self):
         g = VPoly([XSeries([0, 0, 0, 3], ORDER)])
         with pytest.raises(InexactDivisionError):
-            xvpoly_extract_from_series(g, XVPoly([[1]]), 3, 2, 0)
+            xvpoly_extract_from_series(g, [IntPoly([1])], 3, 2, 0)
 
     def test_json_forms(self):
         assert poly_json(IntPoly([4, 2]), "q") == {"var": "q", "coeffs": ["4", "2"]}
-        assert xvpoly_json(XVPoly([[1], [0, -3]])) == {
+        assert numerator_json(RationalGF([[1], [0, -3]]).numerator) == {
             "vars": ["x", "v"],
             "matrix": [["1", "0"], ["0", "-3"]],
         }
+        for zero in (RationalGF(), RationalGF([[], [0, 0]]), RationalGF([[1]]) - RationalGF([[1]])):
+            assert zero.numerator == ()
+            assert numerator_json(zero.numerator) == {"vars": ["x", "v"], "matrix": [["0"]]}
 
 
-xvpolys = st.lists(polys, max_size=4).map(XVPoly)
-rationals = st.builds(RationalGF, xvpolys, st.integers(0, 3), st.integers(0, 3))
-KERNEL = XVPoly([[1], [-1, 1]])   # 1 - sv
+numerators = st.lists(polys, max_size=4)
+rationals = st.builds(RationalGF, numerators, st.integers(0, 3), st.integers(0, 3))
+KERNEL = RationalGF([[1], [-1, 1]])   # 1 - sv
 
 
 def _plain(gf: RationalGF) -> tuple[tuple[int, ...], ...]:
@@ -298,7 +303,7 @@ class TestRationalGF:
     @given(rationals, st.integers(0, 3), st.integers(0, 3))
     def test_lift_then_divide_round_trip(self, gf, i, j):
         up = gf.with_denominator(gf.s_power + i, gf.t_power + j)
-        assert up == gf and up.numerator == gf.numerator * (S_POLY**i * T_POLY**j)
+        assert up == gf and up.numerator == (gf * (S_POLY**i * T_POLY**j)).numerator
         back = up.with_denominator(gf.s_power, gf.t_power)
         assert back.numerator == gf.numerator
 
@@ -317,27 +322,51 @@ class TestRationalGF:
         assert _series(a + b).matches(_series(a) + _series(b))
         assert (a - b) + b == a
 
+    @given(rationals, rationals)
+    def test_product_matches_series_product(self, a, b):
+        prod = a * b
+        assert (prod.s_power, prod.t_power) == (a.s_power + b.s_power, a.t_power + b.t_power)
+        assert _series(prod).matches(_series(a) * _series(b))
+        assert prod == b * a
+
+    @given(rationals, st.integers(0, 4), st.integers(0, 3))
+    def test_shift_matches_shifted_series(self, gf, i, j):
+        assert _series(gf.shift(x=i, v=j)).matches(_series(gf).mul_xpow(i).shift_v(j))
+
+    @given(st.lists(coeffs, max_size=4), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    def test_columns_from_lists_or_polys_drop_zero_tops(self, cols, pad, s_power, t_power):
+        want = [IntPoly(cs) for cs in cols]
+        while want and not want[-1]:
+            want.pop()
+        padded = cols + [[0] * k for k in range(pad)]
+        from_lists = RationalGF(padded, s_power, t_power)
+        from_polys = RationalGF(map(IntPoly, padded), s_power, t_power)
+        assert from_lists.numerator == from_polys.numerator == tuple(want)
+        assert from_lists == from_polys
+        assert all(type(p) is IntPoly for p in from_lists.numerator)
+        assert from_lists.vdegree == len(want) - 1
+
     @given(rationals)
     def test_kernel_division_inverts_multiplication(self, gf):
         assert (gf * KERNEL).div_kernel().numerator == gf.numerator
 
     def test_kernel_remainder_raises(self):
         with pytest.raises(ConsistencyError, match="remainder at v\\^1"):
-            RationalGF(XVPoly([[1], [1]])).div_kernel()  # 1 + v
+            RationalGF([[1], [1]]).div_kernel()  # 1 + v
 
     @pytest.mark.parametrize("s_power, t_power", [(1, 0), (0, 1)])
     def test_inexact_normalisation_raises(self, s_power, t_power):
-        gf = RationalGF(XVPoly([[1, 0, 1]]), s_power, t_power)  # 1 + x^2 over s or t
+        gf = RationalGF([[1, 0, 1]], s_power, t_power)  # 1 + x^2 over s or t
         with pytest.raises(InexactDivisionError):
             gf.with_denominator(0, 0)
 
     def test_over_with_negative_power_multiplies(self):
-        gf = RationalGF(XVPoly([[3]]), 0, 1).over(-2, 1)  # 3 s^2 / t^2
-        assert (gf.numerator, gf.s_power, gf.t_power) == (XVPoly([S_POLY**2 * 3]), 0, 2)
+        gf = RationalGF([[3]], 0, 1).over(-2, 1)  # 3 s^2 / t^2
+        assert (gf.numerator, gf.s_power, gf.t_power) == ((S_POLY**2 * 3,), 0, 2)
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
-            RationalGF(XVPoly([[1]]), -1, 0)
+            RationalGF([[1]], -1, 0)
 
 
 #: Signed polynomials whose coefficients span one to eleven bytes.

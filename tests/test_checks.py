@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from flatperm import checks, genfun, perms
-from flatperm.algebra import IntPoly, XVPoly
+from flatperm.algebra import IntPoly, RationalGF
 from flatperm.checks import constructions_suite, genfun_suite
 from flatperm.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from flatperm.genfun import Pipeline
@@ -267,7 +267,7 @@ def test_disagreeing_htilde_routes_fail_every_time(capsys, monkeypatch):
 
     def off(self, r):
         h = real(self, r)
-        return h + XVPoly([IntPoly.term(2, 5)]) if r == 2 else h
+        return h + RationalGF([IntPoly.term(2, 5)]) if r == 2 else h
 
     monkeypatch.setattr(genfun.Pipeline, "h_poly", off)
     assert main(["verify", "--suite", "all", "--n", "5", "--rmax", "4"]) == EXIT_CHECK_FAILED
@@ -292,7 +292,7 @@ def test_rational_line_fails_on_a_closed_form_off_by_one(capsys, monkeypatch):
         p = real(self, r)
         if r != 2 or r not in self._c:
             return p
-        return XVPoly([p.coeff(0) + IntPoly([1]), *p.vcoeffs[1:]])
+        return (p[0] + IntPoly([1]), *p[1:])
 
     monkeypatch.setattr(genfun.Pipeline, "p_poly", off)
     assert main(["verify", "--suite", "genfun", "--n", "5", "--rmax", "4"]) == EXIT_CHECK_FAILED

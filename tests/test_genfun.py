@@ -14,7 +14,6 @@ from flatperm.algebra import (
     RationalGF,
     VPoly,
     XSeries,
-    XVPoly,
 )
 from flatperm.genfun import S_POLY, T_POLY, BoundaryData, Pipeline, t_poly
 from flatperm.insertion import InsertionCount
@@ -28,16 +27,17 @@ def _plain(gf: RationalGF, order: int) -> tuple[tuple[int, ...], ...]:
 
 class TestTPoly:
     def test_smallest(self):
-        assert t_poly(1) == XVPoly([IntPoly([0, 2]), T_POLY])
+        th = t_poly(1)
+        assert (th.numerator, th.s_power, th.t_power) == ((IntPoly([0, 2]), T_POLY), 0, 0)
 
     @pytest.mark.parametrize("h", range(1, 9))
     def test_coefficient_structure(self, h):
         th = t_poly(h)
-        assert th.vdegree == h
-        assert th.coeff(0) == IntPoly([0, 2])
-        assert th.coeff(h) == T_POLY * S_POLY ** (h - 1)
+        assert (th.vdegree, th.s_power, th.t_power) == (h, 0, 0)
+        assert th.numerator[0] == IntPoly([0, 2])
+        assert th.numerator[h] == T_POLY * S_POLY ** (h - 1)
         for i in range(1, h):
-            assert th.coeff(i) == T_POLY * S_POLY ** (i - 1) * IntPoly([0, 1])
+            assert th.numerator[i] == T_POLY * S_POLY ** (i - 1) * IntPoly([0, 1])
 
     def test_rejects_h_zero(self):
         with pytest.raises(ValueError):
@@ -126,28 +126,34 @@ class TestBoundary:
 
 
 class TestHLayer:
+    @staticmethod
+    def _polynomial(gf: RationalGF) -> tuple[IntPoly, ...]:
+        """The numerator of gf, which must be a polynomial over s^0 t^0."""
+        assert (gf.s_power, gf.t_power) == (0, 0)
+        return gf.numerator
+
     def test_h0(self, pipeline6):
-        assert pipeline6.h_poly(0) == XVPoly([[4], [-4]])
+        assert self._polynomial(pipeline6.h_poly(0)) == (IntPoly([4]), IntPoly([-4]))
 
     def test_h1(self, pipeline6):
         # 2x (1 - v)(2 + v)
-        assert pipeline6.h_poly(1) == XVPoly([[0, 4], [0, -2], [0, -2]])
+        assert self._polynomial(pipeline6.h_poly(1)) == RationalGF([[0, 4], [0, -2], [0, -2]]).numerator
 
     def test_h2(self, pipeline6):
-        assert pipeline6.h_poly(2) == XVPoly(
+        assert self._polynomial(pipeline6.h_poly(2)) == RationalGF(
             [[0, 0, 12], [0, 0, -6], [0, -4], [0, 4, -6]]
-        )
+        ).numerator
 
     def test_htilde_r0_is_4_over_t(self, pipeline6):
         ht = pipeline6.htilde_over_kernel(0)
-        assert ht == RationalGF(XVPoly([[4]]), 0, 1)
+        assert ht == RationalGF([[4]], 0, 1)
         assert ht.expand_coeffs(4) == [[4, 8, 16, 32, 64]]
 
     def test_htilde_r1(self, pipeline6):
         # 2x (2 + t v) / (s t)
         ht = pipeline6.htilde_over_kernel(1)
         assert ht.vdegree == 1
-        assert ht == RationalGF(XVPoly([[0, 4], T_POLY * IntPoly([0, 2])]), 1, 1)
+        assert ht == RationalGF([[0, 4], T_POLY * IntPoly([0, 2])], 1, 1)
 
     @pytest.mark.parametrize("r", range(0, 5))
     def test_dual_routes_never_disagree(self, pipeline6, r):
@@ -171,13 +177,13 @@ def _route_one_per_cell(pl: Pipeline, r: int) -> RationalGF:
     """Route one to H~_r/(1 - sv) with one T_h multiply per inner boundary
     cell, summed in cell order: the reference for the column-by-column
     form in Pipeline.htilde_over_kernel."""
-    total = RationalGF(XVPoly())
+    total = RationalGF()
     for i in range(2, r + 3):
         vpart = [IntPoly([2, -2])] + [T_POLY * S_POLY**k for k in range(1, i - 1)]
-        total = total + RationalGF(XVPoly(vpart).shift_x(r) * pl.table.coeff(r + 2, r, i), i - 1, 1)
+        total = total + RationalGF(vpart, i - 1, 1).shift(x=r) * pl.table.coeff(r + 2, r, i)
     for m, j, k in _inner_cells(r):
         h = r - j + k - 2
-        total = total - RationalGF(t_poly(h) * IntPoly.term(pl.table.coeff(m + 3, j, k), m + 1), h, 1)
+        total = total - (t_poly(h) * IntPoly.term(pl.table.coeff(m + 3, j, k), m + 1)).over(h, 1)
     return total
 
 
@@ -200,7 +206,7 @@ class TestKernelStep:
             pl.g_exact(r)
             k_sum = pl._k_sum
             assert (k_sum.s_power, k_sum.t_power) == (2 * r - 1, r)
-            direct = RationalGF(XVPoly())
+            direct = RationalGF()
             for j in range(r):
                 direct = direct + pl.g_exact(j).at_v_sinv().over(r - j)
             assert k_sum == direct
@@ -213,9 +219,9 @@ class TestKernelStep:
     def test_perturbed_numerator_fails_the_k_division(self, table, r):
         pl = Pipeline(r_max=r, table=table)
         prev = pl.g_exact(r - 1)
-        cols = list(prev.numerator.vcoeffs)
+        cols = list(prev.numerator)
         cols[-1] = cols[-1] + IntPoly.term(2, r + 3)
-        pl._g[-1] = RationalGF(XVPoly(cols), prev.s_power, prev.t_power)
+        pl._g[-1] = RationalGF(cols, prev.s_power, prev.t_power)
         with pytest.raises(ConsistencyError, match=rf"G_{r - 1}\(x, 1/s\) does not divide down"):
             pl.g_exact(r)
 
@@ -257,11 +263,12 @@ class TestGSeries:
 
 class TestPPoly:
     def test_p1(self, pipeline6):
-        assert pipeline6.p_poly(1) == XVPoly([[2], IntPoly([3, -2]) * T_POLY])
+        assert pipeline6.p_poly(1) == (IntPoly([2]), IntPoly([3, -2]) * T_POLY)
 
     @pytest.mark.parametrize("r", range(1, 6))
     def test_v_degree(self, pipeline6, r):
-        assert pipeline6.p_poly(r).vdegree == r
+        p = pipeline6.p_poly(r)
+        assert len(p) == r + 1 and p[r] and all(type(col) is IntPoly for col in p)
 
     def test_r0_rejected(self, pipeline6):
         with pytest.raises(ValueError):
@@ -298,8 +305,8 @@ class TestCTable:
         reference divides by s^(l-1) t^l in one IntPoly.divexact."""
         for r in range(1, 13):
             p = pipeline12.p_poly(r)
-            want = [p.coeff(0).divexact_const(2)] + [
-                p.coeff(ell).divexact(S_POLY ** (ell - 1) * T_POLY**ell) for ell in range(1, r + 1)
+            want = [p[0].divexact_const(2)] + [
+                p[ell].divexact(S_POLY ** (ell - 1) * T_POLY**ell) for ell in range(1, r + 1)
             ]
             assert list(pipeline12.c_table(r)) == want, r
 
@@ -310,10 +317,9 @@ class TestCTable:
         real = Pipeline.p_poly
 
         def off_by_one(self, r):
-            p = real(self, r)
-            cols = list(p.vcoeffs)
+            cols = list(real(self, r))
             cols[ell] = cols[ell] + IntPoly([1])
-            return XVPoly(cols)
+            return tuple(cols)
 
         monkeypatch.setattr(Pipeline, "p_poly", off_by_one)
         with pytest.raises(InexactDivisionError):
@@ -323,13 +329,13 @@ class TestCTable:
 class TestRationalForm:
     def test_r0_special_case(self, pipeline6):
         gf = pipeline6.rational_gf(0)
-        assert gf.numerator == XVPoly([IntPoly.term(4, 3)])
+        assert gf.numerator == (IntPoly.term(4, 3),)
         assert (gf.s_power, gf.t_power) == (0, 1)
 
     def test_r1_shape(self, pipeline6):
         gf = pipeline6.rational_gf(1)
         assert (gf.s_power, gf.t_power) == (1, 2)
-        assert gf.numerator == pipeline6.p_poly(1).shift_x(4) * 2
+        assert gf.numerator == tuple(p.shift(4) * 2 for p in pipeline6.p_poly(1))
 
     @pytest.mark.parametrize("r, k", [(1, 0), (1, 1), (2, 1), (4, 4)])
     def test_closed_form_off_by_one_raises(self, table, monkeypatch, r, k):
@@ -338,9 +344,9 @@ class TestRationalForm:
         real = Pipeline.p_poly
 
         def off_by_one(self, j):
-            cols = list(real(self, j).vcoeffs)
+            cols = list(real(self, j))
             cols[k] = cols[k] + IntPoly([1])
-            return XVPoly(cols)
+            return tuple(cols)
 
         monkeypatch.setattr(Pipeline, "p_poly", off_by_one)
         with pytest.raises(ConsistencyError, match=rf"closed form of G_{r} differs from G_{r}$"):
@@ -365,7 +371,7 @@ class TestIdentities:
     def test_corrupted_g_fails_the_identity(self, table, monkeypatch, check):
         pl = Pipeline(r_max=3, table=table)
         real = pl.g_exact
-        bump = RationalGF(XVPoly([IntPoly.term(2, 8)]), 5, 4)
+        bump = RationalGF([IntPoly.term(2, 8)], 5, 4)
         monkeypatch.setattr(pl, "g_exact", lambda j: real(j) + bump if j == 3 else real(j))
         assert getattr(pl, check)(2)
         assert not getattr(pl, check)(3)
@@ -390,13 +396,15 @@ class TestSeriesReference:
         gf = pl.rational_gf(r)
         assert _plain(gf, ref.order) == columns(expand_by_products(gf, ref.order))
         if r == 0:
-            assert (gf.numerator, gf.s_power, gf.t_power) == (XVPoly([IntPoly.term(4, 3)]), 0, 1)
+            assert (gf.numerator, gf.s_power, gf.t_power) == ((IntPoly.term(4, 3),), 0, 1)
             return
         p = ref.p_poly(r)
         assert pl.p_poly(r) == p
-        assert (gf.numerator, gf.s_power, gf.t_power) == (p.shift_x(r + 3) * 2, 2 * r - 1, r + 1)
-        want = [p.coeff(0).divexact_const(2)] + [
-            p.coeff(ell).divexact(S_POLY ** (ell - 1) * T_POLY**ell) for ell in range(1, r + 1)
+        assert len(p) == r + 1
+        closed = tuple(col.shift(r + 3) * 2 for col in p)
+        assert (gf.numerator, gf.s_power, gf.t_power) == (closed, 2 * r - 1, r + 1)
+        want = [p[0].divexact_const(2)] + [
+            p[ell].divexact(S_POLY ** (ell - 1) * T_POLY**ell) for ell in range(1, r + 1)
         ]
         assert list(pl.c_table(r)) == want
 
@@ -423,7 +431,7 @@ def test_exact_route_needs_no_series_arithmetic(table, monkeypatch):
     pl = Pipeline(r_max=6, table=table)
     assert [list(p.coeffs) for p in pl.c_table(5)] == REFERENCE_CTABLES[5]
     assert len(pl.c_table(6)) == 7  # c_table checks itself and raises on a failure
-    assert pl.rational_gf(6).numerator == pl.p_poly(6).shift_x(9) * 2
+    assert pl.rational_gf(6).numerator == tuple(p.shift(9) * 2 for p in pl.p_poly(6))
 
 
 def test_fresh_pipeline_needs_no_series_division(monkeypatch):
@@ -437,7 +445,7 @@ def test_fresh_pipeline_needs_no_series_division(monkeypatch):
     pl = Pipeline(r_max=6)
     assert [list(p.coeffs) for p in pl.c_table(5)] == REFERENCE_CTABLES[5]
     assert len(pl.c_table(6)) == 7
-    assert pl.rational_gf(6).numerator == pl.p_poly(6).shift_x(9) * 2
+    assert pl.rational_gf(6).numerator == tuple(p.shift(9) * 2 for p in pl.p_poly(6))
 
 
 def test_table_off_by_two_names_the_cell():

@@ -48,6 +48,12 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(flatperm, "_walk")
 
 
+def test_folded_bivariate_type_is_not_exported():
+    assert "XVPoly" not in flatperm.__all__
+    with pytest.raises(AttributeError, match="XVPoly"):
+        flatperm.XVPoly
+
+
 def test_readme_library_sketch_runs():
     text = README.read_text(encoding="utf-8")
     start = text.index("```python", text.index("## Library sketch")) + len("```python")

@@ -109,3 +109,10 @@ def test_only_algebra_names_the_series_types():
     pattern = re.compile(r"\b(XSeries|VPoly)\b")
     naming = sorted(path.name for path in SRC.glob("*.py") if pattern.search(path.read_text()))
     assert naming == ["algebra.py"]
+
+
+def test_no_module_names_the_folded_bivariate_type():
+    """A polynomial in x and v is a ``RationalGF`` over s^0 t^0: no module
+    of the package keeps a second (x, v) type or its column accessors."""
+    pattern = re.compile(r"\b(XVPoly|vcoeffs|to_vpoly)\b")
+    assert sorted(path.name for path in SRC.glob("*.py") if pattern.search(path.read_text())) == []
