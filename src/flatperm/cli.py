@@ -13,13 +13,14 @@ verify         run a named verification suite
 
 All big integers are emitted as decimal strings.  JSON output is
 deterministic (sorted keys).  Exit status: 0 success, 1 a verification
-failure, 2 usage or limit errors, an unwritable ``--out`` among them
-(checked before any work); any other exception is a bug and ends with a
-traceback.
+failure, 2 usage or limit errors, checked before any work (each integer
+option against its command's rows in ``BOUNDS``, then an unwritable
+``--out``, then the checks that depend on another input, in the
+command); any other exception is a bug and ends with a traceback.
 
 Each command loads only the layers it runs: this module imports only the
-stdlib-only ``_common`` (the error classes, the default enumeration limit
-and the suite names), and each ``_cmd_*`` imports ``perms``,
+stdlib-only ``_common`` (the error classes, the default enumeration limit,
+the suite names and the order rule), and each ``_cmd_*`` imports ``perms``,
 ``recurrence``, ``genfun``, ``checks`` and ``algebra``'s JSON helpers in
 its own body, as ``_emit`` imports ``csv`` for ``--format csv`` alone
 and ``json`` for JSON output alone.  ``verify`` always prints its text
@@ -53,6 +54,7 @@ import sys
 from typing import Sequence
 
 from ._common import DEFAULT_ENUM_LIMIT, SUITE_NAMES, ConsistencyError, EnumerationLimitError
+from ._common import default_order
 
 RECURRENCE_NMAX = 30
 #: Largest --limit for ``distribution``: the walk over the (n-1)! flattened
@@ -67,10 +69,10 @@ AVOIDERS_NMAX = 500
 #: and about 0.25 s builds and reads the insertion count through n = 170;
 #: the process peaks at about 52 MB.
 PIPELINE_RMAX = 40
-#: Largest --order for ``ctable`` and ``rational``: the default order 4r + 10
-#: at r = PIPELINE_RMAX, so no default run is refused.  At the cap, r = 40
+#: Largest --order for ``ctable`` and ``rational``: the default order at
+#: r = PIPELINE_RMAX, so no default run is refused.  At the cap, r = 40
 #: takes 1.5-2.0 s (as by default) and r = 1 about 0.07 s.
-ORDER_MAX = 4 * PIPELINE_RMAX + 10
+ORDER_MAX = default_order(PIPELINE_RMAX)
 #: Largest n (extremal word) or r (witness word) for ``witness``: counting
 #: occurrences is quadratic in the word length, and n = 2000 takes 0.3 s.
 WITNESS_MAX = 2000
@@ -78,6 +80,20 @@ WITNESS_MAX = 2000
 #: with --n 10 about 0.2-0.3 s (shared 2-vCPU Xeon, Python 3.11).  Its --n
 #: is capped by the enumeration limit ``DEFAULT_ENUM_LIMIT``.
 VERIFY_RMAX = 12
+
+#: Each command's integer options with a fixed range, as rows (flag,
+#: lowest, cap, cap name), checked by ``main`` before any work; None
+#: leaves that side to the command.
+BOUNDS = {
+    "distribution": (("n", 1, None, None), ("limit", 0, ENUM_LIMIT_MAX, "enumeration cap")),
+    "gpoly": (("n", 1, RECURRENCE_NMAX, "recurrence cap"),),
+    "average": (("n", 1, RECURRENCE_NMAX, "recurrence cap"),),
+    "ctable": (("r", 1, PIPELINE_RMAX, "pipeline cap"), ("order", None, ORDER_MAX, "order cap")),
+    "rational": (("r", 0, PIPELINE_RMAX, "pipeline cap"), ("order", None, ORDER_MAX, "order cap")),
+    "witness": (("n", None, WITNESS_MAX, "witness cap"), ("r", None, WITNESS_MAX, "witness cap")),
+    "avoiders": (("n", 1, AVOIDERS_NMAX, "avoiders cap"),),
+    "verify": (("n", 1, DEFAULT_ENUM_LIMIT, "enumeration limit"), ("rmax", 1, VERIFY_RMAX, "verify cap")),
+}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -107,14 +123,24 @@ def _check_out(path: str) -> None:
         raise UsageError(f"--out {path}: not a writable file")
 
 
+def _check_bounds(args) -> None:
+    """Refuse any option of the command outside its ``BOUNDS`` row."""
+    for flag, lowest, cap, name in BOUNDS[args.command]:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if lowest is not None and value < lowest:
+            raise UsageError(f"--{flag} must be >= {lowest}")
+        if cap is not None and value > cap:
+            raise UsageError(f"--{flag} {value} exceeds the {name} {cap}")
+
+
 def _pipeline(r_max: int, order: int | None):
-    """A Pipeline through r_max.  The order is checked against ORDER_MAX
-    here and against its lower bound by the constructor, before any work,
-    so a ValueError from it is a usage error."""
+    """A Pipeline through r_max.  The constructor checks the order against
+    its lower bound before any work, so a ValueError from it is a usage
+    error."""
     from .genfun import Pipeline
 
-    if order is not None and order > ORDER_MAX:
-        raise UsageError(f"--order {order} exceeds the order cap {ORDER_MAX}")
     try:
         return Pipeline(r_max=r_max, order=order)
     except ValueError as exc:
@@ -149,12 +175,6 @@ def _cmd_distribution(args) -> int:
 
     n = args.n
     prefix = _parse_prefix(args.prefix)
-    if n < 1:
-        raise UsageError("--n must be >= 1")
-    if args.limit < 0:
-        raise UsageError(f"--limit must be >= 0, not {args.limit}")
-    if args.limit > ENUM_LIMIT_MAX:
-        raise UsageError(f"--limit {args.limit} exceeds the enumeration cap {ENUM_LIMIT_MAX}")
     try:
         perms.check_prefix(n, prefix)
     except ValueError as exc:
@@ -196,17 +216,10 @@ def _cmd_gpoly(args) -> int:
     from .recurrence import GTable
 
     n = args.n
-    if n < 1:
-        raise UsageError("--n must be >= 1")
-    if n > RECURRENCE_NMAX:
-        raise UsageError(f"n={n} exceeds the recurrence cap {RECURRENCE_NMAX}")
+    if args.k is not None and not 2 <= args.k <= n:
+        raise UsageError(f"--k must lie in [2, {n}]")
     t = GTable(n)
-    if args.k is None:
-        poly = t.g(n)
-    else:
-        if not 2 <= args.k <= n:
-            raise UsageError(f"--k must lie in [2, {n}]")
-        poly = t.g1k(n, args.k)
+    poly = t.g(n) if args.k is None else t.g1k(n, args.k)
     payload = {"command": "gpoly", "n": n, "k": args.k, **poly_json(poly, "q")}
     _emit(payload, args)
     return EXIT_OK
@@ -216,10 +229,6 @@ def _cmd_ctable(args) -> int:
     from .algebra import poly_json
 
     r = args.r
-    if r < 1:
-        raise UsageError("--r must be >= 1")
-    if r > PIPELINE_RMAX:
-        raise UsageError(f"r={r} exceeds the pipeline cap {PIPELINE_RMAX}")
     pipeline = _pipeline(r, args.order)
     ct = pipeline.c_table(r)
     payload = {
@@ -235,10 +244,6 @@ def _cmd_rational(args) -> int:
     from .algebra import numerator_json
 
     r = args.r
-    if r < 0:
-        raise UsageError("--r must be >= 0")
-    if r > PIPELINE_RMAX:
-        raise UsageError(f"r={r} exceeds the pipeline cap {PIPELINE_RMAX}")
     pipeline = _pipeline(max(r, 1), args.order)
     gf = pipeline.rational_gf(r)
     payload = {
@@ -262,9 +267,6 @@ def _cmd_witness(args) -> int:
         raise UsageError("give exactly one of --n (extremal word) or --r [--i] (witness word)")
     if args.n is not None and args.i is not None:
         raise UsageError("--i goes with --r (witness word), not with --n")
-    flag, size = ("--n", args.n) if args.n is not None else ("--r", args.r)
-    if size > WITNESS_MAX:
-        raise UsageError(f"{flag} {size} exceeds the witness cap {WITNESS_MAX}")
     if args.n is not None:
         if args.n < 1:
             raise UsageError("n must be >= 1")
@@ -299,10 +301,6 @@ def _cmd_witness(args) -> int:
 def _cmd_average(args) -> int:
     from .recurrence import GTable, average_occurrences, harmonic
 
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    if args.n > RECURRENCE_NMAX:
-        raise UsageError(f"n={args.n} exceeds the recurrence cap {RECURRENCE_NMAX}")
     value = average_occurrences(args.n, GTable(args.n))
     payload = {
         "command": "average",
@@ -317,10 +315,6 @@ def _cmd_average(args) -> int:
 def _cmd_avoiders(args) -> int:
     from .recurrence import avoider_count
 
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    if args.n > AVOIDERS_NMAX:
-        raise UsageError(f"n={args.n} exceeds the avoiders cap {AVOIDERS_NMAX}")
     count = avoider_count(args.n)
     payload = {"command": "avoiders", "n": args.n, "count": str(count)}
     _emit(payload, args, csv_rows=[("n", "count"), (args.n, count)])
@@ -330,14 +324,6 @@ def _cmd_avoiders(args) -> int:
 def _cmd_verify(args) -> int:
     from .checks import run_suite
 
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    if args.rmax < 1:
-        raise UsageError("--rmax must be >= 1")
-    if args.n > DEFAULT_ENUM_LIMIT:
-        raise UsageError(f"--n {args.n} exceeds the enumeration limit {DEFAULT_ENUM_LIMIT}")
-    if args.rmax > VERIFY_RMAX:
-        raise UsageError(f"--rmax {args.rmax} exceeds the verify cap {VERIFY_RMAX}")
     results = run_suite(args.suite, oracle_nmax=args.n, r_max=args.rmax)
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'}  {res.name}"
@@ -435,6 +421,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         if args.out:
             _check_out(args.out)
         return args.fn(args)

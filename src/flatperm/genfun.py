@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._common import default_order, min_order
 from .algebra import (
     ConsistencyError,
     InexactDivisionError,
@@ -70,19 +71,11 @@ def _times_t(p: IntPoly) -> IntPoly:
     return IntPoly(_times(p.coeffs, 2))
 
 
-def default_order(r: int) -> int:
-    """Default order 4r + 10 of the count cross-check: the numerator
-    2x^(r+3) P_r of G_r has x-degree at most 4r + 2, and eight more
-    coefficients are compared past it."""
-    return 4 * r + 10
-
-
-def min_order(r: int) -> int:
-    """Smallest order 4r + 3 accepted for the count cross-check: the
-    coefficients x^0 .. x^(4r+3) of G_r outnumber those of its numerator
-    2x^(r+3) P_r (x-degree at most 4r + 2), so over the known denominator
-    s^(2r-1) t^(r+1) the compared coefficients alone determine G_r."""
-    return 4 * r + 3
+def _first_top_cell(r: int, top: tuple[int, ...], bad) -> str:
+    """The first entry of the top boundary row for which bad holds, as
+    g_{r+2,r}(1i) = V, for a failure message."""
+    i, c = next((i, c) for i, c in enumerate(top, 2) if bad(c))
+    return f"g_{{{r + 2},{r}}}(1{i}) = {c}"
 
 
 def t_poly(h: int) -> RationalGF:
@@ -184,7 +177,8 @@ class Pipeline:
             return self._boundary[r]
         top = tuple(self.table.coeff(r + 2, r, i) for i in range(2, r + 3))
         if r >= 1 and any(c % 2 for c in top):
-            raise ConsistencyError(f"odd entry in the top boundary row for r={r}")
+            bad = _first_top_cell(r, top, lambda c: c % 2)
+            raise ConsistencyError(f"odd entry in the top boundary row for r={r}: {bad}")
         layers = self._layers
         while len(layers) < r - 1:
             n = len(layers)
@@ -193,11 +187,14 @@ class Pipeline:
                 for k in range(2, j + 3):
                     c = self.table.coeff(n + 3, j, k)
                     if j and c % 2:
-                        raise ConsistencyError(f"odd inner boundary entry for r={r}")
+                        raise ConsistencyError(
+                            f"odd inner boundary entry for r={r}: g_{{{n + 3},{j}}}(1{k}) = {c}"
+                        )
                     sums[j - k + 2] += c
             layers.append(sums)
         if r >= 4 and any(c < 1 for c in top):
-            raise ConsistencyError(f"non-positive top boundary entry for r={r}")
+            bad = _first_top_cell(r, top, lambda c: c < 1)
+            raise ConsistencyError(f"non-positive top boundary entry for r={r}: {bad}")
         # h = r - j + k - 2, so inner[h] = Y_(h-r+2), which layer n holds
         # at index r - h once r - h <= n.
         inner = tuple(

@@ -380,7 +380,7 @@ def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> list[str]:
             total = IntPoly()
             for k in range(j + 1, n + 1):  # a_{k,j} = 0 for k <= j
                 total = total + A[k - 2][j - 1]
-            want = b_poly(n, j)
-            if total != want or want != b_poly_alt(n, j):
-                mismatches.append(f"b({n},{j}): column sum {total!r} != {want!r}")
+            want, alt = b_poly(n, j), b_poly_alt(n, j)
+            if not total == want == alt:
+                mismatches.append(f"b({n},{j}): column sum {total!r}, b_poly {want!r}, b_poly_alt {alt!r}")
     return mismatches

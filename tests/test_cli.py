@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import gc
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 from flatperm import checks, cli, genfun, perms, recurrence
 from flatperm.cli import (
     AVOIDERS_NMAX,
+    BOUNDS,
     ENUM_LIMIT_MAX,
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -42,6 +44,7 @@ def forbid_work(monkeypatch, message):
     monkeypatch.setattr(genfun, "Pipeline", no_work)
     monkeypatch.setattr(recurrence, "GTable", no_work)
     monkeypatch.setattr(checks, "run_suite", no_work)
+    monkeypatch.setattr(recurrence, "avoider_count", no_work)
     for name in ("distribution", "max_pattern_perm", "witness_perm"):
         monkeypatch.setattr(perms, name, no_work)
 
@@ -302,6 +305,36 @@ class TestVerify:
         assert (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE) == (0, 1, 2)
 
 
+#: An in-range value of each command's required option, so that a case
+#: can put one other option at a time out of its range.
+IN_RANGE = {
+    "distribution": ["--n", "3"],
+    "gpoly": ["--n", "3"],
+    "average": ["--n", "3"],
+    "ctable": ["--r", "1"],
+    "rational": ["--r", "0"],
+    "witness": [],
+    "avoiders": ["--n", "3"],
+    "verify": [],
+}
+
+
+def bound_cases(side):
+    """Every row of ``BOUNDS`` one past its lowest value (side "low") or
+    its cap (side "cap"), with the whole message it must give."""
+    for command, rows in BOUNDS.items():
+        for flag, lowest, cap, name in rows:
+            if side == "low" and lowest is not None:
+                value, message = lowest - 1, f"--{flag} must be >= {lowest}"
+            elif side == "cap" and cap is not None:
+                value, message = cap + 1, f"--{flag} {cap + 1} exceeds the {name} {cap}"
+            else:
+                continue
+            required = [] if IN_RANGE[command][:1] == [f"--{flag}"] else IN_RANGE[command]
+            argv = [command, *required, f"--{flag}", str(value)]
+            yield pytest.param(argv, message, id=" ".join(argv))
+
+
 @pytest.mark.parametrize("argv, cap", [
     (["ctable", "--r", str(PIPELINE_RMAX + 1)], PIPELINE_RMAX),
     (["rational", "--r", str(PIPELINE_RMAX + 1)], PIPELINE_RMAX),
@@ -313,12 +346,13 @@ class TestVerify:
     (["distribution", "--n", "3", "--limit", "-3"], "--limit must be >= 0"),
     (["ctable", "--r", "1", "--order", str(ORDER_MAX + 1)], ORDER_MAX),
     (["rational", "--r", "0", "--order", str(ORDER_MAX + 1)], ORDER_MAX),
+    *bound_cases("cap"),
 ])
 def test_cap_checked_before_work(capsys, monkeypatch, argv, cap):
     forbid_work(monkeypatch, "work started before the cap was checked")
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
-    assert str(cap) in err
+    assert str(cap) in err and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -342,12 +376,52 @@ def test_out_checked_before_work(capsys, monkeypatch, tmp_path, argv, missing_di
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--suite", "recurrence", "--n", "0"], "--n must be >= 1"),
     (["verify", "--suite", "genfun", "--rmax", "0"], "--rmax must be >= 1"),
+    *bound_cases("low"),
 ])
 def test_verify_lower_bounds(capsys, monkeypatch, argv, message):
     forbid_work(monkeypatch, "work started before the bound was checked")
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert message in err
+
+
+#: The integer options whose range depends on another input, so each
+#: command checks them itself.
+INPUT_DEPENDENT = {("gpoly", "k"), ("witness", "i")}
+
+
+def test_every_integer_option_is_bounded():
+    """Each type=int option of every command is a row of ``BOUNDS`` or
+    one of the input-dependent bounds, and every row names a real option."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    int_options = {
+        (command, action.dest)
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type is int
+    }
+    rows = {(command, row[0]) for command, rows in BOUNDS.items() for row in rows}
+    assert int_options - INPUT_DEPENDENT == rows
+    assert INPUT_DEPENDENT <= int_options
+
+
+def test_input_dependent_bound_checked_before_work(capsys, monkeypatch):
+    forbid_work(monkeypatch, "work started before --k was checked")
+    assert run(capsys, "gpoly", "--n", "4", "--k", "9") == (EXIT_USAGE, "", "error: --k must lie in [2, 4]\n")
+
+
+def test_readme_states_every_bound():
+    """README's paragraph on caps gives every row of ``BOUNDS`` in the
+    form the table checks it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = text.index("Every command checks its integer options")
+    paragraph = " ".join(text[start: text.index("\n\n", start)].split())
+    for command, rows in BOUNDS.items():
+        assert f"`{command}`" in paragraph
+        for flag, lowest, cap, _ in rows:
+            low = "" if lowest is None else f"{lowest} <= "
+            high = "" if cap is None else f" <= {cap}"
+            assert f"`{low}--{flag}{high}`" in paragraph, (command, flag)
 
 
 #: Commands whose input the library rejects with a ValueError, each with

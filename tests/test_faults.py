@@ -1,18 +1,27 @@
-"""Every raise site of the kernel pipeline can fail.
+"""Every raise site of the layers, and every line of the recurrence
+suite, can fail.
 
-Each row plants the smallest fault that reaches one ``ConsistencyError``
-in ``flatperm.genfun`` that no other test reaches: a coefficient of a
-memoised numerator off by 2 (H~_r, G_r or P_r), one pass of the c-table
-rebuild off by 2, or one boundary cell of the table set to 0.  The
-message must name r, and the v-power or l where it has one.
+Each row of ``ROWS`` plants the smallest fault that reaches one
+``ConsistencyError`` in ``flatperm.genfun`` that no other test reaches: a
+coefficient of a memoised numerator off by 2 (H~_r, G_r or P_r), one pass
+of the c-table rebuild off by 2, or one boundary cell of the table set to
+0.  The message must name r, and the v-power or l where it has one.
+``SITES`` does the same for the raise sites of ``recurrence`` and of
+``algebra`` outside its series layer, and ``VERIFY_ROWS`` drives each line
+of ``verify --suite recurrence`` that no other test fails to FAIL, with
+its indices in the detail.
 """
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
-from flatperm import genfun
-from flatperm.algebra import ConsistencyError, IntPoly, RationalGF
+from flatperm import algebra, checks, genfun, perms, recurrence
+from flatperm.algebra import ConsistencyError, InexactDivisionError, IntPoly, RationalGF
+from flatperm.cli import EXIT_CHECK_FAILED, main
 from flatperm.genfun import S_POLY, T_POLY, Pipeline
 from flatperm.recurrence import GTable
 
@@ -109,7 +118,7 @@ ROWS = [
     ("c degree below its bound", 4, _p_off(4, _drop_top_of_c(4)),
      r"deg c\(4,4\) = [0-3], bound 4 \(exact for r >= 4\)"),
     ("non-positive top boundary entry", 4, _top_cell_zero((6, 4, 3)),
-     r"non-positive top boundary entry for r=4"),
+     r"non-positive top boundary entry for r=4: g_\{6,4\}\(13\) = 0"),
 ]
 
 
@@ -119,3 +128,131 @@ def test_fault_reaches_its_raise_site(table, monkeypatch, r, plant, message):
     with pytest.raises(ConsistencyError, match=f"^{message}$"):
         read(r)
 
+
+
+def _b_poly_with_comb_off(monkeypatch):
+    """b(5,2) with C(2,1) read as 3: its q^1 coefficient is then 5 C(1,0) 3 / 2."""
+    def comb(m, k):
+        return math.comb(m, k) + ((m, k) == (2, 1))
+
+    monkeypatch.setattr(recurrence, "math", SimpleNamespace(comb=comb, factorial=math.factorial))
+    return recurrence.b_poly(5, 2)
+
+
+def _avoider_counts_off(module):
+    """Patch module's ``avoider_counts`` so that the q = 0 recurrence's
+    last count is off by one."""
+    real = module.avoider_counts
+    return lambda mp: mp.setattr(module, "avoider_counts", lambda n: [*real(n)[:-1], real(n)[-1] + 1])
+
+
+def _avoider_count_off(monkeypatch):
+    """``avoider_count(4)`` with f_4 off by one."""
+    _avoider_counts_off(recurrence)(monkeypatch)
+    return recurrence.avoider_count(4)
+
+
+SITES = [
+    # (site id, call, exception, whole message)
+    ("b_poly non-integral coefficient", _b_poly_with_comb_off, ConsistencyError,
+     r"b\(5,2\) coefficient of q\^1 is not an integer: 15/2"),
+    ("avoider count against 2^(n-1)", _avoider_count_off, ConsistencyError,
+     r"avoider recurrence gave 9, expected 2\^3"),
+    ("_unpack out of its slots", lambda mp: algebra._unpack(128 + 256 * 127, 1, 2), ConsistencyError,
+     r"packed sum falls outside its 2 slots of 8 bits"),
+    ("_over remainder by s", lambda mp: RationalGF([[1, 0, 1]], 1, 0).with_denominator(0, 0),
+     InexactDivisionError, r"polynomial not divisible by 1 - x"),
+    ("_over remainder by t", lambda mp: RationalGF([[1, 0, 1]], 0, 1).with_denominator(0, 0),
+     InexactDivisionError, r"polynomial not divisible by 1 - 2x"),
+    ("divexact_const", lambda mp: IntPoly([2, 3]).divexact_const(2), InexactDivisionError,
+     r"coefficient 3 not divisible by 2"),
+    ("div_kernel remainder", lambda mp: RationalGF([[1], [0], [1]]).div_kernel(), ConsistencyError,
+     r"kernel division left a nonzero remainder at v\^2"),  # 1 + v^2
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in SITES], ids=[row[0] for row in SITES])
+def test_raise_site_names_its_indices(monkeypatch, call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(monkeypatch)
+
+
+def _g1k_off(cell, by: int):
+    """Patch the suite's table so that g_n(1k) at cell = (n, k) is by q too
+    large."""
+    class Off(GTable):
+        def g1k(self, n, k):
+            return super().g1k(n, k) + (IntPoly.term(by, 1) if (n, k) == cell else IntPoly())
+
+    return lambda mp: mp.setattr(checks, "GTable", Off)
+
+
+def _oracle_off(mp):
+    """The walk of the words of S_3 starting 1, 3 counts one word too many
+    with one occurrence."""
+    real = perms.distribution
+
+    def off(n, prefix=(), *args):
+        dist = real(n, prefix, *args)
+        if (n, tuple(prefix)) != (3, (1, 3)):
+            return dist
+        return perms.OccurrenceTable(n, {**dist.counts, 1: dist.counts[1] + 1})
+
+    mp.setattr(perms, "distribution", off)
+
+
+def _b_off(module, name: str, cell):
+    """Patch module's b-route name so that its value at cell = (n, j) has
+    its constant term off by one."""
+    real = getattr(module, name)
+    return lambda mp: mp.setattr(module, name, lambda n, j: real(n, j) + IntPoly([int((n, j) == cell)]))
+
+
+BASE = "base polynomials"
+ENUMERATION = "enumeration agrees with recurrence"
+MASS = "q=1 mass is n!"
+PREFIX = "prefix recurrence"
+PARITY = "g_(n,r)(1k) is even"
+AVOIDERS = "avoider count is 2^(n-1)"
+CLOSED_FORM = "closed form of A(x,y)"
+B_CONSTANTS = "b(n,1) = n"
+
+VERIFY_ROWS = [
+    # (row id, plant, --n, {line: detail} of exactly the lines that FAIL)
+    ("base polynomials", _g1k_off((3, 2), 2), 2,
+     {BASE: "g_3(12)", MASS: "prefix sum at n=3", PREFIX: "(n,i)=(4,3)"}),
+    ("enumeration", _oracle_off, 3, {ENUMERATION: "g_3 disagrees with enumeration"}),
+    ("q=1 mass and sign", _g1k_off((12, 2), 2), 3, {MASS: "prefix sum at n=12"}),
+    ("prefix recurrence", _g1k_off((11, 2), 2), 3,
+     {MASS: "prefix sum at n=11", PREFIX: "(n,i)=(12,3)"}),
+    ("parity", _g1k_off((12, 2), 1), 3, {MASS: "prefix sum at n=12", PARITY: "(n,k)=(12,2)"}),
+    ("avoider count", _avoider_counts_off(checks), 3, {AVOIDERS: "n=30"}),
+    ("closed form of A(x,y)", _b_off(recurrence, "b_poly_alt", (15, 14)), 3,
+     {CLOSED_FORM: "b(15,14): column sum IntPoly([2]), b_poly IntPoly([2]), b_poly_alt IntPoly([3])"}),
+    ("b(n,1)", _b_off(checks, "b_poly", (7, 1)), 3, {B_CONSTANTS: "b(7,1)"}),
+]
+
+
+@pytest.fixture
+def fresh_oracle():
+    """The suites memoise the oracle per process; a planted walk must
+    neither read a clean memo nor leave its own behind."""
+    checks._oracle.cache_clear()
+    yield
+    checks._oracle.cache_clear()
+
+
+@pytest.mark.parametrize("plant, n, failing", [row[1:] for row in VERIFY_ROWS],
+                         ids=[row[0] for row in VERIFY_ROWS])
+def test_fault_fails_its_verify_lines(capsys, monkeypatch, fresh_oracle, plant, n, failing):
+    plant(monkeypatch)
+    assert main(["verify", "--suite", "recurrence", "--n", str(n)]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    details = {}
+    for line in lines[:-1]:
+        verdict, rest = line.split("  ", 1)
+        if verdict == "FAIL":
+            (key,) = [key for key in failing if rest.startswith(key)]
+            details[key] = rest.rsplit("  [", 1)[1][:-1]
+    assert details == failing
+    assert lines[-1] == f"FAILED: {len(lines) - 1 - len(failing)}/{len(lines) - 1} checks passed"

@@ -116,12 +116,14 @@ class TestBoundary:
         pl = Pipeline(r_max=5, table=_odd_table((5, 1, 3)))
         assert pl.boundary(3).inner
         for r in (4, 4, 5):
-            with pytest.raises(ConsistencyError, match=f"odd inner boundary entry for r={r}$"):
+            message = rf"^odd inner boundary entry for r={r}: g_\{{5,1\}}\(13\) = 15$"
+            with pytest.raises(ConsistencyError, match=message):
                 pl.boundary(r)
 
     def test_odd_top_row_raised_before_odd_inner_cell(self):
         pl = Pipeline(r_max=4, table=_odd_table((5, 1, 3), (6, 4, 3)))
-        with pytest.raises(ConsistencyError, match="odd entry in the top boundary row for r=4"):
+        message = r"^odd entry in the top boundary row for r=4: g_\{6,4\}\(13\) = 5$"
+        with pytest.raises(ConsistencyError, match=message):
             pl.boundary(4)
 
 
