@@ -54,11 +54,12 @@ import sys
 from typing import Sequence
 
 from ._common import DEFAULT_ENUM_LIMIT, SUITE_NAMES, ConsistencyError, EnumerationLimitError
-from ._common import default_order
+from ._common import default_order, min_order
 
 RECURRENCE_NMAX = 30
 #: Largest --limit for ``distribution``: the walk over the (n-1)! flattened
-#: words takes about 1.2 s at n = 11 (shared 2-vCPU Xeon, Python 3.11).
+#: words takes 0.4-0.6 s at n = 11, and the whole command 0.4-0.8 s (shared
+#: 2-vCPU Xeon, Python 3.11).
 ENUM_LIMIT_MAX = 11
 #: Largest n for ``avoiders``: the q = 0 recurrence takes quadratically
 #: many terms in n, and n = 500 takes about 1.2 s.
@@ -216,6 +217,8 @@ def _cmd_gpoly(args) -> int:
     from .recurrence import GTable
 
     n = args.n
+    if args.k is not None and n < 2:
+        raise UsageError("--k needs --n >= 2")
     if args.k is not None and not 2 <= args.k <= n:
         raise UsageError(f"--k must lie in [2, {n}]")
     t = GTable(n)
@@ -244,6 +247,9 @@ def _cmd_rational(args) -> int:
     from .algebra import numerator_json
 
     r = args.r
+    # --r 0 runs a pipeline through r = 1, so its order needs min_order(1).
+    if r == 0 and args.order is not None and args.order < min_order(1):
+        raise UsageError(f"--order must be >= {min_order(1)} for --r 0")
     pipeline = _pipeline(max(r, 1), args.order)
     gf = pipeline.rational_gf(r)
     payload = {

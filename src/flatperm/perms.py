@@ -16,12 +16,12 @@ the n! permutations: a word starting with 1 is the flattening of exactly
 2^(rho-1) permutations, rho being its number of right-to-left minima,
 because the cycle starts may be any subset of those minima that contains
 position 1.  The walk is plain recursion that adds each word's weight
-into a list of counts.  Its last frame places the final four letters:
-each of them in turn, and after it the last three in all six orders,
-counting the 24 words one by one and reading what each order of the
-last three adds from a small table, ``_TAIL``, that is built at import
-from ``count_13_2``.  No count of a subtree is stored or reused: every
-word still adds its own weight.
+into a list of counts.  Once the prefix is placed and at most four
+letters are left, one frame ends every word that starts so: it reads one
+row per order of the letters left from a table, ``_TAILS``, holding what
+that order adds to the word's occurrences and minima.  The table is
+built at import by the walk's own rule for placing a letter.  No count
+of a subtree is stored or reused: every word still adds its own weight.
 """
 
 from __future__ import annotations
@@ -160,21 +160,21 @@ def check_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
     return pre
 
 
-#: ``_TAIL[below]`` lists one pair (extra, minima) for each of the six
-#: orders x, y, z of the last three letters a < b < c of a word, when
-#: ``below`` of them lie below the letter placed before them.  ``extra``
-#: counts the 13-2 occurrences in that standardized four-letter word and
-#: ``minima`` the right-to-left minima among x, y, z.
-_TAIL = tuple(
-    tuple(
-        (
-            count_13_2((below + 1,) + tuple(t + (t > below) for t in tail)),
-            sum(all(t < u for u in tail[i + 1:]) for i, t in enumerate(tail)),
-        )
-        for tail in itertools.permutations((1, 2, 3))
-    )
-    for below in range(4)
-)
+#: ``_TAILS[k][below]`` holds one pair (extra, minima) for each order of
+#: the last k letters of a word, ``below`` of them lying under the letter
+#: placed before them: ``extra`` counts the 13-2 occurrences whose ascent
+#: starts at that letter or later, and ``minima`` the right-to-left minima
+#: among the k.  Its rows follow the walk's placement rule: placing the
+#: i-th smallest of the k letters closes an ascent over the max(0, i -
+#: below) letters between, each adding one occurrence later; the letter
+#: is a minimum when i = 0, and i of the k - 1 letters left lie below it.
+_TAILS = ((((0, 0),),),)
+for k in range(1, 5):
+    _TAILS += (tuple(
+        tuple((max(0, i - below) + e, (i == 0) + m) for i in range(k) for e, m in _TAILS[k - 1][i])
+        for below in range(k + 1)
+    ),)
+del k
 
 
 def _walk(counts: list[int], n: int, pre: tuple[int, ...]) -> None:
@@ -191,39 +191,23 @@ def _walk(counts: list[int], n: int, pre: tuple[int, ...]) -> None:
     the gaps of the run ``unused[lo:i]``, ``lo = bisect_right(unused,
     prev)``: the letters strictly between the two (none unless lo < i).
 
-    The last three letters a < b < c end six words in one frame.  Each
-    letter of the tail adds its gap count, plus one for each ascent
-    inside (prev, x, y, z) whose gap holds it, so a word adds
-    ga + gb + gc and the ``extra`` of its row in ``_TAIL[below]``,
-    ``below`` being how many of a, b, c lie below prev.  When four
-    letters are left after the prefix, one frame places each of them,
-    ``unused[i]``, in turn and ends its six words the same way: the three
-    letters left below it are exactly ``unused[:i]``, so ``below`` is i,
-    the gaps of the word total sum(gaps) plus the max(0, i - lo) bumps,
-    and its weight gains a factor 2 when i = 0.  So the three-letter
-    frame runs only when the prefix ends three letters from the end, or
-    at n = 4.  Either way every word adds its own weight.
+    Once the prefix is placed and fewer than ``len(_TAILS)`` letters are
+    left, one frame ends every word: it adds sum(gaps), owed to ascents
+    already placed, and reads one row per word from
+    ``_TAILS[len(unused)][lo]``, built by the same placement rule.  So
+    each word adds its own weight, 2^(rho-1) times 2^minima, at its own
+    count.
     """
     fixed = len(pre)
+    tails = _TAILS
 
     def extend(d, prev, unused, gaps, occ, rho):
         lo = bisect_right(unused, prev)
-        if d >= fixed and len(unused) == 4:
-            occ += sum(gaps)
-            for i, tail in enumerate(_TAIL):
-                o = occ + max(0, i - lo)
-                weight = 1 << (rho - 1 + (i == 0))
-                for extra, minima in tail:
-                    counts[o + extra] += weight << minima
-            return
-        if d >= fixed and len(unused) == 3:
+        if d >= fixed and len(unused) < len(tails):
             occ += sum(gaps)
             weight = 1 << (rho - 1)
-            for extra, minima in _TAIL[lo]:
+            for extra, minima in tails[len(unused)][lo]:
                 counts[occ + extra] += weight << minima
-            return
-        if not unused:
-            counts[occ] += 1 << (rho - 1)
             return
         for i, c in enumerate(unused):
             if d < fixed and c != pre[d]:

@@ -406,8 +406,11 @@ def test_every_integer_option_is_bounded():
 
 
 def test_input_dependent_bound_checked_before_work(capsys, monkeypatch):
+    """--k names the range it must lie in, or, at n = 1 where no k lies
+    in it, the --n it needs."""
     forbid_work(monkeypatch, "work started before --k was checked")
     assert run(capsys, "gpoly", "--n", "4", "--k", "9") == (EXIT_USAGE, "", "error: --k must lie in [2, 4]\n")
+    assert run(capsys, "gpoly", "--n", "1", "--k", "2") == (EXIT_USAGE, "", "error: --k needs --n >= 2\n")
 
 
 def test_readme_states_every_bound():
@@ -425,7 +428,9 @@ def test_readme_states_every_bound():
 
 
 #: Commands whose input the library rejects with a ValueError, each with
-#: the library call that rejects it.
+#: the library call that rejects it.  ``rational --r 0`` runs a pipeline
+#: through r = 1, so the CLI words its order bound for --r 0 itself
+#: (``CLI_WORDING``) rather than name an r_max the user never gave.
 LIBRARY_REJECTIONS = {
     "witness --n 0": lambda: perms.max_pattern_perm(0),
     "witness --r 2": lambda: perms.witness_perm(2, 2),
@@ -435,11 +440,13 @@ LIBRARY_REJECTIONS = {
     "ctable --r 3 --order 12": lambda: Pipeline(3, order=12),
     "rational --r 0 --order 2": lambda: Pipeline(1, order=2),
 }
+CLI_WORDING = {"rational --r 0 --order 2": "--order must be >= 7 for --r 0"}
 
 
 @pytest.mark.parametrize("command", list(LIBRARY_REJECTIONS))
 def test_library_rejections_are_usage_errors(capsys, monkeypatch, command):
-    """Exit 2, with the message the library gives for the same input."""
+    """Exit 2, with the message the library gives for the same input, or
+    the CLI's own wording of it."""
     with pytest.raises(ValueError) as rejected:
         LIBRARY_REJECTIONS[command]()
 
@@ -453,7 +460,7 @@ def test_library_rejections_are_usage_errors(capsys, monkeypatch, command):
         monkeypatch.setattr(perms, name, no_work)
     code, out, err = run(capsys, *command.split())
     assert code == EXIT_USAGE and out == ""
-    assert f"error: {rejected.value}" in err
+    assert err.endswith(f"error: {CLI_WORDING.get(command, rejected.value)}\n")
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

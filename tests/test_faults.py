@@ -7,14 +7,17 @@ coefficient of a memoised numerator off by 2 (H~_r, G_r or P_r), one pass
 of the c-table rebuild off by 2, or one boundary cell of the table set to
 0.  The message must name r, and the v-power or l where it has one.
 ``SITES`` does the same for the raise sites of ``recurrence`` and of
-``algebra`` outside its series layer, and ``VERIFY_ROWS`` drives each line
-of ``verify --suite recurrence`` that no other test fails to FAIL, with
-its indices in the detail.
+``algebra`` outside its series layer, and ``VERIFY_ROWS`` drives each
+``verify`` line that no other test fails to FAIL, with its indices in the
+detail.  Every line ``verify`` prints has such a row, a test elsewhere
+that fails it (``FAILED_ELSEWHERE``), or a place in ``NO_FAULT_ROW_YET``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -208,6 +211,19 @@ def _b_off(module, name: str, cell):
     return lambda mp: mp.setattr(module, name, lambda n, j: real(n, j) + IntPoly([int((n, j) == cell)]))
 
 
+def _tail_off(k: int, below: int, tail, field: int, by: int):
+    """Patch ``perms._TAILS`` so that the pair of ``_TAILS[k][below]`` that
+    ends its word in the standardized order ``tail`` has its extra
+    (field 0) or minima (field 1) off by ``by``."""
+    order = list(itertools.permutations(range(1, k + 1))).index(tail)
+
+    def plant(mp):
+        tables = [[list(map(list, rows)) for rows in table] for table in perms._TAILS]
+        tables[k][below][order][field] += by
+        mp.setattr(perms, "_TAILS", tuple(tuple(tuple(map(tuple, rows)) for rows in table) for table in tables))
+    return plant
+
+
 BASE = "base polynomials"
 ENUMERATION = "enumeration agrees with recurrence"
 MASS = "q=1 mass is n!"
@@ -216,20 +232,31 @@ PARITY = "g_(n,r)(1k) is even"
 AVOIDERS = "avoider count is 2^(n-1)"
 CLOSED_FORM = "closed form of A(x,y)"
 B_CONSTANTS = "b(n,1) = n"
+MAXIMALITY = "exhaustive maximality of the occurrence bound"
+PREFIX_12 = "prefix-12 distribution doubles the shorter one"
+AVOIDER_DOUBLING = "avoider counts double with n"
 
 VERIFY_ROWS = [
-    # (row id, plant, --n, {line: detail} of exactly the lines that FAIL)
-    ("base polynomials", _g1k_off((3, 2), 2), 2,
+    # (row id, plant, --suite, --n, {line: detail} of exactly the lines that FAIL)
+    ("base polynomials", _g1k_off((3, 2), 2), "recurrence", 2,
      {BASE: "g_3(12)", MASS: "prefix sum at n=3", PREFIX: "(n,i)=(4,3)"}),
-    ("enumeration", _oracle_off, 3, {ENUMERATION: "g_3 disagrees with enumeration"}),
-    ("q=1 mass and sign", _g1k_off((12, 2), 2), 3, {MASS: "prefix sum at n=12"}),
-    ("prefix recurrence", _g1k_off((11, 2), 2), 3,
+    ("enumeration", _oracle_off, "recurrence", 3, {ENUMERATION: "g_3 disagrees with enumeration"}),
+    ("q=1 mass and sign", _g1k_off((12, 2), 2), "recurrence", 3, {MASS: "prefix sum at n=12"}),
+    ("prefix recurrence", _g1k_off((11, 2), 2), "recurrence", 3,
      {MASS: "prefix sum at n=11", PREFIX: "(n,i)=(12,3)"}),
-    ("parity", _g1k_off((12, 2), 1), 3, {MASS: "prefix sum at n=12", PARITY: "(n,k)=(12,2)"}),
-    ("avoider count", _avoider_counts_off(checks), 3, {AVOIDERS: "n=30"}),
-    ("closed form of A(x,y)", _b_off(recurrence, "b_poly_alt", (15, 14)), 3,
+    ("parity", _g1k_off((12, 2), 1), "recurrence", 3, {MASS: "prefix sum at n=12", PARITY: "(n,k)=(12,2)"}),
+    ("avoider count", _avoider_counts_off(checks), "recurrence", 3, {AVOIDERS: "n=30"}),
+    ("closed form of A(x,y)", _b_off(recurrence, "b_poly_alt", (15, 14)), "recurrence", 3,
      {CLOSED_FORM: "b(15,14): column sum IntPoly([2]), b_poly IntPoly([2]), b_poly_alt IntPoly([3])"}),
-    ("b(n,1)", _b_off(checks, "b_poly", (7, 1)), 3, {B_CONSTANTS: "b(7,1)"}),
+    ("b(n,1)", _b_off(checks, "b_poly", (7, 1)), "recurrence", 3, {B_CONSTANTS: "b(7,1)"}),
+    # 1,5,2,4,3, the one word of S_5 with 4 occurrences, ends 2,4,3 after
+    # 5: one occurrence fewer leaves S_5 with at most 3.
+    ("exhaustive maximality", _tail_off(3, 3, (1, 3, 2), 0, -1), "genfun", 5, {MAXIMALITY: "n=5"}),
+    # 1,2,3,5,4,6 counts 2 occurrences, not 1: the prefix-12 class of S_6
+    # no longer doubles S_5, while its size and its avoiders stay.
+    ("prefix-12 doubling", _tail_off(4, 0, (1, 3, 2, 4), 0, 1), "constructions", 6, {PREFIX_12: "n=6"}),
+    # 1,3,2,4,5,6 counts as an avoider of S_6, outside the prefix-12 class.
+    ("avoider doubling", _tail_off(4, 1, (1, 2, 3, 4), 0, -1), "constructions", 6, {AVOIDER_DOUBLING: "n=6"}),
 ]
 
 
@@ -242,11 +269,11 @@ def fresh_oracle():
     checks._oracle.cache_clear()
 
 
-@pytest.mark.parametrize("plant, n, failing", [row[1:] for row in VERIFY_ROWS],
+@pytest.mark.parametrize("plant, suite, n, failing", [row[1:] for row in VERIFY_ROWS],
                          ids=[row[0] for row in VERIFY_ROWS])
-def test_fault_fails_its_verify_lines(capsys, monkeypatch, fresh_oracle, plant, n, failing):
+def test_fault_fails_its_verify_lines(capsys, monkeypatch, fresh_oracle, plant, suite, n, failing):
     plant(monkeypatch)
-    assert main(["verify", "--suite", "recurrence", "--n", str(n)]) == EXIT_CHECK_FAILED
+    assert main(["verify", "--suite", suite, "--n", str(n)]) == EXIT_CHECK_FAILED
     lines = capsys.readouterr().out.splitlines()
     details = {}
     for line in lines[:-1]:
@@ -256,3 +283,47 @@ def test_fault_fails_its_verify_lines(capsys, monkeypatch, fresh_oracle, plant, 
             details[key] = rest.rsplit("  [", 1)[1][:-1]
     assert details == failing
     assert lines[-1] == f"FAILED: {len(lines) - 1 - len(failing)}/{len(lines) - 1} checks passed"
+
+
+#: The ``verify`` lines that a test in another module drives to FAIL, each
+#: with one such test.
+FAILED_ELSEWHERE = {
+    "three-term recurrence for g_n(1k)": "test_checks.py::test_row_checks_see_a_corrupted_table",
+    "closed initial forms for g_n(13), g_n(14)": "test_checks.py::test_row_checks_see_a_corrupted_table",
+    "g_n(12) = 2 g_(n-1)": "test_checks.py::test_doubling_check_sees_a_corrupted_column",
+    "average occurrences equal": "test_checks.py::test_average_line_fails_on_a_corrupted_g25",
+    "P_r structure": "test_checks.py::test_structure_check_fails_when_c_table_raises",
+    "rational closed form re-expands to G_r": "test_checks.py::test_rational_line_fails_on_a_closed_form_off_by_one",
+    "one-to-two map is a bijection": "test_checks.py::test_doubling_line_fails_on_a_repeated_image",
+    "both routes to H~_r/(1-sv) agree": "test_checks.py::test_disagreeing_htilde_routes_fail_every_time",
+    "boundary data matches enumeration": "test_checks.py::test_boundary_check_fails_on_inner_cell",
+}
+
+#: The ``verify`` lines that no test drives to FAIL yet (ROADMAP item 4).
+#: A line leaves this tuple when it gets a fault row.
+NO_FAULT_ROW_YET = (
+    "G_0 = 4x^3/(1-2x)",
+    "c tables match the reference coefficients",
+    "pre-kernel functional equation holds",
+    "kernel-root identity",
+    "all series coefficients of G_r are even",
+    "interleaved word attains",
+    "minimal length for r occurrences",
+    "witness words have exactly r occurrences",
+)
+
+
+def test_every_verify_line_has_a_fault_row_or_is_listed():
+    """A new ``verify`` line fails this test until a fault row drives it
+    to FAIL, or it is listed in ``NO_FAULT_ROW_YET``."""
+    tests = Path(__file__).parent
+    for test in FAILED_ELSEWHERE.values():
+        module, name = test.split("::")
+        assert f"\ndef {name}(" in (tests / module).read_text(encoding="utf-8"), test
+    covered = {line for row in VERIFY_ROWS for line in row[-1]} | set(FAILED_ELSEWHERE)
+    names = [result.name for result in checks.run_suite("all")]
+    for name in names:
+        rows = [line for line in covered if name.startswith(line)]
+        listed = [line for line in NO_FAULT_ROW_YET if name.startswith(line)]
+        assert len(rows + listed) == 1, (name, rows, listed)
+    assert all(any(name.startswith(line) for name in names) for line in NO_FAULT_ROW_YET)

@@ -218,8 +218,9 @@ def flattened_words(n):
 def test_distribution_matches_word_walk(n):
     """Every prefix of length <= 3, including those no word starts with,
     and every prefix of every length 0 .. n - 1 that a word starts with:
-    lengths n - 4 and n - 3 bracket the four-letter frame, and from
-    n - 2 on the walk meets its last three letters inside the prefix."""
+    from length n - 4 on, the walk's first call after the prefix is the
+    frame that ends its words, reading the table of n - len(prefix)
+    letters."""
     words = list(flattened_words(n))
     letters = range(1, n + 1)
     prefixes = {p for size in range(4) for p in itertools.permutations(letters, size)}
@@ -234,33 +235,57 @@ def test_distribution_matches_word_walk(n):
 
 
 def test_tail_table_matches_naive_scan():
-    """Row ``below`` of ``perms._TAIL`` holds, for each order x, y, z of
-    three letters after a letter that ``below`` of them lie under, the
-    13-2 occurrences of the four-letter word and the right-to-left minima
-    among x, y, z."""
-    for below in range(4):
-        rows = []
-        for tail in itertools.permutations((1, 2, 3)):
-            w = (below + 0.5,) + tail
-            extra = sum(1 for i in range(1, 4) for j in range(i + 1, 4) if w[i - 1] < w[j] < w[i])
-            rows.append((extra, right_to_left_minima(tail)))
-        assert sorted(perms._TAIL[below]) == sorted(rows), below
+    """``perms._TAILS[k][below]`` holds, for each order of k letters after
+    a letter that ``below`` of them lie under, in the order the walk
+    places them, the 13-2 occurrences of the standardized word of k + 1
+    letters and the right-to-left minima among the k; the walk's last
+    frame ends four letters."""
+    assert len(perms._TAILS) == 5
+    for k, table in enumerate(perms._TAILS):
+        assert len(table) == k + 1
+        for below, rows in enumerate(table):
+            want = []
+            for tail in itertools.permutations(range(1, k + 1)):
+                w = (below + 0.5,) + tail
+                extra = sum(1 for i in range(1, k + 1) for j in range(i + 1, k + 1) if w[i - 1] < w[j] < w[i])
+                want.append((extra, right_to_left_minima(tail)))
+            assert rows == tuple(want), (k, below)
+
+
+def _patch_is_seen(monkeypatch, k, below, order, field):
+    """Whether ``distribution(k + 2, (1, below + 2))``, whose one frame
+    reads ``_TAILS[k][below]``, changes once the pair ``order`` of that
+    row has its ``field`` (extra or minima) one too large: the word of
+    that pair moves up one count or doubles its weight, or its count
+    passes max_occurrences(k + 2) and falls out of the list of counts."""
+    n, prefix = k + 2, (1, below + 2)
+    want = distribution(n, prefix).counts
+    tables = [[list(map(list, rows)) for rows in table] for table in perms._TAILS]
+    tables[k][below][order][field] += 1
+    with monkeypatch.context() as mp:
+        mp.setattr(perms, "_TAILS", tuple(tuple(tuple(map(tuple, rows)) for rows in table) for table in tables))
+        try:
+            return distribution(n, prefix).counts != want
+        except IndexError:
+            return field == 0
 
 
 @pytest.mark.parametrize("below, order, field", itertools.product(range(4), range(6), range(2)))
 def test_patched_tail_entry_changes_distribution(monkeypatch, below, order, field):
-    """Every entry of ``_TAIL`` is read at n = 6: one extra or minima one
-    too large moves or doubles the weight of some words, or pushes their
-    count past max_occurrences(6) out of the list of counts."""
-    want = Counter(occ for _, occ in brute_force_words(6))
-    assert distribution(6).counts == want
-    rows = [list(map(list, row)) for row in perms._TAIL]
-    rows[below][order][field] += 1
-    monkeypatch.setattr(perms, "_TAIL", tuple(tuple(map(tuple, row)) for row in rows))
-    try:
-        assert distribution(6).counts != want
-    except IndexError:
-        assert field == 0
+    """Every entry of the three-letter table is read."""
+    assert _patch_is_seen(monkeypatch, 3, below, order, field)
+
+
+def test_patched_entry_of_every_other_tail_table_changes_distribution(monkeypatch):
+    """Every entry of the tables of 0, 1, 2 and 4 letters is read, in one
+    loop; the cases above cover the three-letter table."""
+    for k, table in enumerate(perms._TAILS):
+        if k == 3:
+            continue
+        for below, rows in enumerate(table):
+            for order in range(len(rows)):
+                for field in range(2):
+                    assert _patch_is_seen(monkeypatch, k, below, order, field), (k, below, order, field)
 
 
 def _frames_walked(n, prefix=()):
@@ -280,13 +305,17 @@ def _frames_walked(n, prefix=()):
     return left
 
 
-def test_walk_of_s8_never_reaches_the_three_letter_leaf():
+def test_walk_ends_every_word_in_one_frame_call():
     """With no prefix, the frame with four letters left ends all 24 of
-    their words, so the walk of S_8 makes 1 + 7 + 42 + 210 calls; a
-    prefix that ends three letters from the end still reaches the leaf."""
+    their words, so the walk of S_8 makes 1 + 7 + 42 + 210 calls.  At
+    n <= 4, and after a prefix that ends k <= 4 letters from the end, the
+    walk's first call with the prefix placed is its one frame call."""
     assert _frames_walked(8) == {7: 1, 6: 7, 5: 42, 4: 210}
-    assert _frames_walked(8, (1, 8, 2, 7, 3)) == {7: 1, 6: 1, 5: 1, 4: 1, 3: 1}
-    assert _frames_walked(4) == {3: 1}
+    for n in range(1, 5):
+        assert _frames_walked(n) == {n - 1: 1}
+    word = max_pattern_perm(8)
+    for k in range(5):
+        assert _frames_walked(8, word[: 8 - k]) == {left: 1 for left in range(k, 8)}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
