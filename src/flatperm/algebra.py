@@ -6,8 +6,9 @@ a ``RationalGF`` over s^0 t^0.
 Everything is arbitrary precision (Python ints) and every division is
 checked: dividing by a unit series, by a power of x, by a constant, by a
 polynomial, by 1 - x or 1 - 2x, or by the kernel 1 - (1-x)v either
-succeeds exactly or raises.  ``IntPoly.eval_at`` is also exact at
-``fractions.Fraction`` points.
+succeeds exactly or raises.  Nothing is evaluated at a rational number:
+``Pipeline.c_table`` certifies c_{r,0}(1/2) = 2^(1-r) in integers, both
+sides scaled by a power of two.
 
 The kernel pipeline runs on ``RationalGF`` alone and hands out its
 expansions as plain coefficient lists (``RationalGF.expand_coeffs``).
@@ -223,13 +224,6 @@ class IntPoly(_Dense):
         if not k or not self.coeffs:
             return self
         return IntPoly((0,) * k + self.coeffs)
-
-    def eval_at(self, point):
-        """Evaluate by Horner's rule; exact for int or Fraction points."""
-        acc = point * 0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
     def divexact(self, divisor: IntPoly) -> IntPoly:
         """Exact quotient by integer long division; raises InexactDivisionError
@@ -639,31 +633,27 @@ class RationalGF:
         """The value at v = 1."""
         return RationalGF([sum(self.numerator, P_ZERO)], self.s_power, self.t_power)
 
+    def _s_sweep(self) -> list[IntPoly]:
+        """Q_0 = N_0 and Q_k = N_k + s Q_(k-1) over the numerator N, of
+        v-degree d: Q_d = sum_k N_k s^(d-k) is Horner's rule for N at
+        v = 1/s, times s^d, and Q_0 .. Q_(d-1) are the quotient of N by
+        the kernel 1 - sv, with Q_d its remainder."""
+        return list(accumulate(self.numerator, lambda q, p: p + IntPoly(_times(q.coeffs, 1))))
+
     def at_v_sinv(self) -> RationalGF:
-        """The value at v = 1/s: Horner's rule sum_k N_k s^(d-k) on the
-        numerator N of v-degree d, with d added to the power of s."""
-        cols = self.numerator
-        if not cols:
+        """The value at v = 1/s: the last term Q_d of the s-sweep, with d
+        added to the power of s."""
+        if not self.numerator:
             return self
-        acc = cols[0]
-        for p in cols[1:]:
-            acc = IntPoly(_times(acc.coeffs, 1)) + p
-        return RationalGF([acc], self.s_power + len(cols) - 1, self.t_power)
+        return RationalGF(self._s_sweep()[-1:], self.s_power + self.vdegree, self.t_power)
 
     def div_kernel(self) -> RationalGF:
-        """The exact quotient by the kernel 1 - sv, from the bottom:
-        Q_0 = N_0 and Q_k = N_k + s Q_(k-1).  A nonzero remainder
-        N_d + s Q_(d-1) raises ConsistencyError."""
-        cols = self.numerator
-        quot: list[IntPoly] = []
-        carry = P_ZERO
-        for p in cols:
-            carry = p + IntPoly(_times(carry.coeffs, 1))
-            quot.append(carry)
-        if cols and quot.pop():
-            raise ConsistencyError(
-                f"kernel division left a nonzero remainder at v^{len(cols) - 1}"
-            )
+        """The exact quotient by the kernel 1 - sv, from the bottom: the
+        s-sweep Q_0 .. Q_(d-1).  A nonzero remainder Q_d raises
+        ConsistencyError."""
+        quot = self._s_sweep()
+        if quot and quot.pop():
+            raise ConsistencyError(f"kernel division left a nonzero remainder at v^{self.vdegree}")
         return RationalGF(quot, self.s_power, self.t_power)
 
     def expand_coeffs(self, order: int) -> list[list[int]]:

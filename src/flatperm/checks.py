@@ -244,10 +244,12 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
 
     def base_series():
         g0 = pipeline.g_series(0)
-        ok = len(g0) == 1 and all(
-            c == (2 ** (n - 1) if n >= 3 else 0) for n, c in enumerate(g0[0])
-        )
-        return ok, ""
+        if len(g0) != 1:
+            return False, f"v-degree {len(g0) - 1}"
+        for n, c in enumerate(g0[0]):
+            if c != (2 ** (n - 1) if n >= 3 else 0):
+                return False, f"x^{n}"
+        return True, ""
     _check(out, "G_0 = 4x^3/(1-2x) coefficient by coefficient", base_series)
 
     def reference_tables():

@@ -91,7 +91,7 @@ BOUNDS = {
     "average": (("n", 1, RECURRENCE_NMAX, "recurrence cap"),),
     "ctable": (("r", 1, PIPELINE_RMAX, "pipeline cap"), ("order", None, ORDER_MAX, "order cap")),
     "rational": (("r", 0, PIPELINE_RMAX, "pipeline cap"), ("order", None, ORDER_MAX, "order cap")),
-    "witness": (("n", None, WITNESS_MAX, "witness cap"), ("r", None, WITNESS_MAX, "witness cap")),
+    "witness": (("n", 1, WITNESS_MAX, "witness cap"), ("r", 4, WITNESS_MAX, "witness cap")),
     "avoiders": (("n", 1, AVOIDERS_NMAX, "avoiders cap"),),
     "verify": (("n", 1, DEFAULT_ENUM_LIMIT, "enumeration limit"), ("rmax", 1, VERIFY_RMAX, "verify cap")),
 }
@@ -274,8 +274,6 @@ def _cmd_witness(args) -> int:
     if args.n is not None and args.i is not None:
         raise UsageError("--i goes with --r (witness word), not with --n")
     if args.n is not None:
-        if args.n < 1:
-            raise UsageError("n must be >= 1")
         word = perms.max_pattern_perm(args.n)
         payload = {
             "command": "witness",
@@ -287,8 +285,6 @@ def _cmd_witness(args) -> int:
         }
     else:
         i = args.r if args.i is None else args.i
-        if args.r < 4:
-            raise UsageError("the construction requires r >= 4")
         if not 0 <= i <= args.r:
             raise UsageError(f"i must lie in [0, {args.r}]")
         word = perms.witness_perm(args.r, i)

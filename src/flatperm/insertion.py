@@ -24,15 +24,17 @@ recurrence in a catalytic variable that the kernel method solves
 Cut at q^top, [q^j] f(m, p) is needed only for j <= top - p: the cell
 [q^r] g_n(1k) with r <= top is [q^(r-k+2)] f(n-2, k-2).  That triangle
 closes under the recurrence, since T charges q^(p'-p) for the entry p', so
-a row keeps the entries p <= top, each f(m, p) through q^(top-p).  At
-q = 1, f(m, p) = (m+1)! whatever p is, so in a row m <= n_max - 1 no kept
-coefficient, and no partial sum of them, exceeds n_max!.  Each cut series
-is therefore one nonnegative integer holding its coefficient of q^j in the
-bytes [j W, (j+1) W), W = ceil(bits(n_max!) / 8): a sum is one integer
-addition, a product by q one shift by 8 W bits, and no slot ever carries
-into the next.  A finished row is kept as those bytes, so a cell is read
-by slicing out its W bytes, and the integers of a row live only until
-the next row is built.
+a row keeps the entries p <= top, each f(m, p) through q^(top-p).  The
+count is read only through ``InsertionCount.column``, whose cells for
+n <= n_max lie in the rows m <= n_max - 2, so those are the rows built.
+At q = 1, f(m, p) = (m+1)! whatever p is, so in a row m <= n_max - 2 no
+kept coefficient, and no partial sum of them, exceeds (n_max-1)!.  Each
+cut series is therefore one nonnegative integer holding its coefficient
+of q^j in the bytes [j W, (j+1) W), W = ceil(bits((n_max-1)!) / 8): a sum
+is one integer addition, a product by q one shift by 8 W bits, and no
+slot ever carries into the next.  A finished row is kept as those bytes,
+so a cell is read by slicing out its W bytes, and the integers of a row
+live only until the next row is built.
 
 This route imports nothing from the rest of flatperm.
 """
@@ -43,9 +45,9 @@ import math
 
 
 class InsertionCount:
-    """g_n and g_n(1k) for n <= n_max, cut at q^top, by the insertion
-    recurrence of the module docstring.  Every row is built at
-    construction; the count is then only read."""
+    """g_n(1k) for n <= n_max, cut at q^top, by the insertion recurrence
+    of the module docstring.  The rows m <= n_max - 2 are built at
+    construction; ``column`` is then the count's one reader."""
 
     def __init__(self, top: int, n_max: int):
         if top < 0:
@@ -53,13 +55,13 @@ class InsertionCount:
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         self.top, self.n_max = top, n_max
-        self.width = -(-math.factorial(n_max).bit_length() // 8)  # W, in bytes
+        self.width = -(-math.factorial(n_max - 1).bit_length() // 8)  # W, in bytes
         w = 8 * self.width
         masks = [(1 << w * (top - p + 1)) - 1 for p in range(top + 1)]
         prev = [1]
         # _rows[m][p]: f(m, p) through q^(top-p) as bytes, p <= min(m, top)
         self._rows = [[self._bytes(0, 1)]]
-        for m in range(1, n_max):
+        for m in range(1, n_max - 1):
             last = len(prev) - 1  # min(m - 1, top)
             tails = [0] * (min(m, top) + 1)  # T(p); zero from p = last on
             t = 0
@@ -77,49 +79,30 @@ class InsertionCount:
     def _bytes(self, p: int, packed: int) -> bytes:
         return packed.to_bytes(self.width * (self.top - p + 1), "little")
 
-    def _locate(self, r: int, k: int | None) -> tuple[int, int, int, int] | None:
-        """(n - m, p, j, weight) such that [q^r] g_n(1k), or [q^r] g_n
-        when k is None, is weight * [q^j] f(m, p); None when r < k - 2,
-        where it vanishes for every n."""
+    def column(self, r: int, k: int, n_lo: int) -> list[int]:
+        """[q^r] g_n(1k) for n = n_lo .. n_max (nothing for n_lo =
+        n_max + 1), one byte slice per cell: 2 [q^r] f(n-2, 0) for k = 2,
+        and [q^(r-k+2)] f(n-2, k-2) for k >= 3.  A cell is 0 for k > n,
+        and every cell is when r < k - 2.  Raises IndexError when r lies
+        above the cut q^top, and ValueError on r < 0, k < 2 or n_lo
+        outside [1, n_max + 1]."""
+        n_max = self.n_max
+        if not 1 <= n_lo <= n_max + 1:
+            raise ValueError(f"n must lie in [1, {n_max}]")
         if r < 0:
             raise ValueError("r must be >= 0")
         if r > self.top:
             raise IndexError(f"q^{r} lies above this count's cut q^{self.top}")
-        if k is None:
-            return 1, 0, r, 1
         if k < 2:
             raise ValueError("k must be >= 2")
         if r < k - 2:
-            return None
-        return 2, k - 2, r - k + 2, 2 if k == 2 else 1
-
-    def coeff(self, n: int, r: int, k: int | None = None) -> int:
-        """[q^r] g_n, or [q^r] g_n(1k) when k is given.  Returns 0 for any
-        k beyond n; raises IndexError when r lies above the cut q^top."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n must lie in [1, {self.n_max}]")
-        cell = self._locate(r, k)
-        if cell is None or k is not None and k > n:
-            return 0
-        shift, p, j, weight = cell
-        w = self.width
-        return weight * int.from_bytes(self._rows[n - shift][p][w * j : w * (j + 1)], "little")
-
-    def column(self, r: int, k: int, n_lo: int) -> list[int]:
-        """``coeff(n, r, k)`` for n = n_lo .. n_max, with the arguments
-        checked once and one byte slice per cell."""
-        n_max = self.n_max
-        if not 1 <= n_lo <= n_max + 1:
-            raise ValueError(f"n must lie in [1, {n_max}]")
-        cell = self._locate(r, k)
-        if cell is None:
             return [0] * (n_max + 1 - n_lo)
-        shift, p, j, weight = cell
-        # Row m = n - shift holds f(m, p) only for p <= m: zero for k > n.
-        first = min(max(n_lo, p + shift), n_max + 1)
+        p, weight = k - 2, 2 if k == 2 else 1
+        # Row m = n - 2 holds f(m, p) only for p <= m: zero for k > n.
+        first = min(max(n_lo, k), n_max + 1)
         w, rows = self.width, self._rows
-        a, b = w * j, w * (j + 1)
+        a, b = w * (r - p), w * (r - p + 1)
         return [0] * (first - n_lo) + [
             weight * int.from_bytes(rows[m][p][a:b], "little")
-            for m in range(first - shift, n_max + 1 - shift)
+            for m in range(first - 2, n_max - 1)
         ]

@@ -91,7 +91,7 @@ def test_07_structure_to_r6(pipeline6):
     ok = True
     for r in range(1, 7):
         ct = pipeline6.c_table(r)  # integrality certified during extraction
-        if ct[0].eval_at(Fraction(1, 2)) != Fraction(2) ** (1 - r):
+        if sum(c * Fraction(1, 2) ** k for k, c in enumerate(ct[0].coeffs)) != Fraction(2) ** (1 - r):
             ok = False
         if r >= 4:
             if ct[0].degree != 3 * r - 1:

@@ -111,11 +111,6 @@ class TestIntPoly:
         assert a * k == k * a == want
         assert (a * k).coeffs == want.coeffs
 
-    def test_eval_and_derivative(self):
-        p = IntPoly([1, -3, 2])  # 1 - 3x + 2x^2
-        assert p.eval_at(2) == 3
-        assert p.eval_at(Fraction(1, 2)) == 0
-
     def test_pow(self):
         assert IntPoly([-1, 1]) ** 3 == IntPoly([-1, 3, -3, 1])
         assert IntPoly([2]) ** 0 == IntPoly([1])

@@ -430,7 +430,8 @@ def test_readme_states_every_bound():
 #: Commands whose input the library rejects with a ValueError, each with
 #: the library call that rejects it.  ``rational --r 0`` runs a pipeline
 #: through r = 1, so the CLI words its order bound for --r 0 itself
-#: (``CLI_WORDING``) rather than name an r_max the user never gave.
+#: (``CLI_WORDING``) rather than name an r_max the user never gave, and
+#: ``BOUNDS`` words the fixed lower bounds of ``witness`` by their flags.
 LIBRARY_REJECTIONS = {
     "witness --n 0": lambda: perms.max_pattern_perm(0),
     "witness --r 2": lambda: perms.witness_perm(2, 2),
@@ -440,7 +441,11 @@ LIBRARY_REJECTIONS = {
     "ctable --r 3 --order 12": lambda: Pipeline(3, order=12),
     "rational --r 0 --order 2": lambda: Pipeline(1, order=2),
 }
-CLI_WORDING = {"rational --r 0 --order 2": "--order must be >= 7 for --r 0"}
+CLI_WORDING = {
+    "rational --r 0 --order 2": "--order must be >= 7 for --r 0",
+    "witness --n 0": "--n must be >= 1",
+    "witness --r 2": "--r must be >= 4",
+}
 
 
 @pytest.mark.parametrize("command", list(LIBRARY_REJECTIONS))

@@ -224,6 +224,68 @@ def _tail_off(k: int, below: int, tail, field: int, by: int):
     return plant
 
 
+def _memo_off(method: str, r: int, bump):
+    """Patch the suites' Pipeline so that bump(pipeline) alters its memos
+    just before the first call of ``method`` at r: the lines that ran
+    before read clean values, and the rest read the fault."""
+    class Off(Pipeline):
+        planted = False
+
+    def first(self, *args):
+        if args == (r,) and not self.planted:
+            self.planted = True
+            bump(self)
+        return getattr(Pipeline, method)(self, *args)
+
+    setattr(Off, method, first)
+    return lambda mp: mp.setattr(checks, "Pipeline", Off)
+
+
+def _g_plus(r: int, delta: RationalGF):
+    """The bump that adds delta to the memoised G_r once every G_j is
+    derived, so that no derivation reads the fault."""
+    def bump(pl):
+        pl.g_exact(pl.r_max)
+        pl._g[r] = pl._g[r] + delta
+    return bump
+
+
+def _reference_off(mp):
+    """``REFERENCE_CTABLES`` with the constant term of c(3,1) off by one."""
+    tables = {r: [list(cs) for cs in table] for r, table in checks.REFERENCE_CTABLES.items()}
+    tables[3][1][0] += 1
+    mp.setattr(checks, "REFERENCE_CTABLES", tables)
+
+
+def _last_two_swapped(mp):
+    """The interleaved word with its last two letters swapped."""
+    real = perms.max_pattern_perm
+
+    def swapped(n):
+        w = real(n)
+        return (*w[:-2], w[-1], w[-2]) if n >= 2 else w
+
+    mp.setattr(perms, "max_pattern_perm", swapped)
+
+
+def _min_length_off(mp):
+    """``min_length_for`` one too large."""
+    real = perms.min_length_for
+    mp.setattr(perms, "min_length_for", lambda r: real(r) + 1)
+
+
+def _witness_moved(mp):
+    """The witness word for (r, i) = (5, 2) with its last letter moved to
+    the third place: 1,4,3,7,6,2,5 has 4 occurrences, not 5."""
+    real = perms.witness_perm
+
+    def moved(r, i):
+        w = real(r, i)
+        return (*w[:2], w[-1], *w[2:-1]) if (r, i) == (5, 2) else w
+
+    mp.setattr(perms, "witness_perm", moved)
+
+
 BASE = "base polynomials"
 ENUMERATION = "enumeration agrees with recurrence"
 MASS = "q=1 mass is n!"
@@ -235,6 +297,15 @@ B_CONSTANTS = "b(n,1) = n"
 MAXIMALITY = "exhaustive maximality of the occurrence bound"
 PREFIX_12 = "prefix-12 distribution doubles the shorter one"
 AVOIDER_DOUBLING = "avoider counts double with n"
+G0 = "G_0 = 4x^3/(1-2x)"
+REFERENCE = "c tables match the reference coefficients"
+RATIONAL = "rational closed form re-expands to G_r"
+EQUATION = "pre-kernel functional equation holds"
+KERNEL_ROOT = "kernel-root identity"
+EVEN = "all series coefficients of G_r are even"
+INTERLEAVED = "interleaved word attains"
+MIN_LENGTH = "minimal length for r occurrences"
+WITNESSES = "witness words have exactly r occurrences"
 
 VERIFY_ROWS = [
     # (row id, plant, --suite, --n, {line: detail} of exactly the lines that FAIL)
@@ -257,6 +328,26 @@ VERIFY_ROWS = [
     ("prefix-12 doubling", _tail_off(4, 0, (1, 3, 2, 4), 0, 1), "constructions", 6, {PREFIX_12: "n=6"}),
     # 1,3,2,4,5,6 counts as an avoider of S_6, outside the prefix-12 class.
     ("avoider doubling", _tail_off(4, 1, (1, 2, 3, 4), 0, -1), "constructions", 6, {AVOIDER_DOUBLING: "n=6"}),
+    # G_0 + 2x^5: the closed form 4x^3/t and both identities at r = 0 see
+    # it too.
+    ("G_0", _memo_off("g_series", 0, _g_plus(0, RationalGF([IntPoly.term(2, 5)]))), "genfun", 3,
+     {G0: "x^5", RATIONAL: "the rational closed form of G_0 differs from G_0", EQUATION: "r=0",
+      KERNEL_ROOT: "r=0"}),
+    ("reference c tables", _reference_off, "genfun", 3, {REFERENCE: "r=3"}),
+    # G_1 + 2x^5 (1 - v)(1 - sv), which vanishes at v = 1 and at v = 1/s,
+    # where the kernel-root identity reads G_1.
+    ("functional equation", _memo_off("check_functional_equation", 0,
+                                      _g_plus(1, (genfun.ONE_MINUS_V * genfun.KERNEL).shift(x=5) * 2)),
+     "genfun", 3, {EQUATION: "r=1"}),
+    # G_1 + 2x^5 (1 - v): G_1(x, 1) stays, G_1(x, 1/s), read from r = 2 on,
+    # does not.
+    ("kernel root", _memo_off("check_kernel_root", 0, _g_plus(1, genfun.ONE_MINUS_V.shift(x=5) * 2)),
+     "genfun", 3, {KERNEL_ROOT: "r=2"}),
+    ("odd series coefficient", _memo_off("g_series", 1, _g_plus(1, RationalGF([IntPoly.term(1, 5)]))),
+     "genfun", 3, {EVEN: "r=1, v^0"}),
+    ("interleaved word", _last_two_swapped, "genfun", 3, {INTERLEAVED: "n=3"}),
+    ("minimal length", _min_length_off, "genfun", 3, {MIN_LENGTH: "r=1 not minimal"}),
+    ("witness word", _witness_moved, "constructions", 3, {WITNESSES: "(r,i)=(5,2)"}),
 ]
 
 
@@ -299,18 +390,9 @@ FAILED_ELSEWHERE = {
     "boundary data matches enumeration": "test_checks.py::test_boundary_check_fails_on_inner_cell",
 }
 
-#: The ``verify`` lines that no test drives to FAIL yet (ROADMAP item 4).
-#: A line leaves this tuple when it gets a fault row.
-NO_FAULT_ROW_YET = (
-    "G_0 = 4x^3/(1-2x)",
-    "c tables match the reference coefficients",
-    "pre-kernel functional equation holds",
-    "kernel-root identity",
-    "all series coefficients of G_r are even",
-    "interleaved word attains",
-    "minimal length for r occurrences",
-    "witness words have exactly r occurrences",
-)
+#: The ``verify`` lines that no test drives to FAIL yet.  A new line
+#: that has no fault row must be listed here, and leaves when it gets one.
+NO_FAULT_ROW_YET = ()
 
 
 def test_every_verify_line_has_a_fault_row_or_is_listed():

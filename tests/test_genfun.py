@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from flatperm import perms
 from flatperm._reference import REFERENCE_CTABLES
 from flatperm import algebra, genfun
+from flatperm.cli import PIPELINE_RMAX
 from flatperm.algebra import (
     ConsistencyError,
     InexactDivisionError,
@@ -290,7 +293,8 @@ class TestCTable:
 
     @pytest.mark.parametrize("r", range(1, 6))
     def test_value_at_half(self, pipeline6, r):
-        assert pipeline6.c_table(r)[0].eval_at(Fraction(1, 2)) == Fraction(2) ** (1 - r)
+        c0 = pipeline6.c_table(r)[0].coeffs
+        assert sum(c * Fraction(1, 2) ** k for k, c in enumerate(c0)) == Fraction(2) ** (1 - r)
 
     def test_degree_equalities_at_r4(self, pipeline6):
         ct = pipeline6.c_table(4)
@@ -326,6 +330,52 @@ class TestCTable:
         monkeypatch.setattr(Pipeline, "p_poly", off_by_one)
         with pytest.raises(InexactDivisionError):
             Pipeline(4, table=table).c_table(4)
+
+
+def _c_top(r: int) -> list[int]:
+    """The coefficients of c_{r,r}(x) = sum_{k=0}^{r} (-1)^k C(r+k, k)
+    C(2r+1, r-k) x^k, the closed form of the top column of P_r."""
+    return [(-1) ** k * math.comb(r + k, k) * math.comb(2 * r + 1, r - k) for k in range(r + 1)]
+
+
+def _q0_slice(m_max: int) -> list[list[int]]:
+    """f0(m, p) for m <= m_max and p <= m: the insertion recurrence at
+    q = 0, where T vanishes, f0(0, 0) = 1 and
+    f0(m, p) = 2 f0(m-1, 0) + sum_{p'=1}^{min(p, m-1)} f0(m-1, p')."""
+    rows = [[1]]
+    for m in range(1, m_max + 1):
+        prev, s, row = rows[-1], 0, []
+        for p in range(m + 1):
+            if 1 <= p <= m - 1:
+                s += prev[p]
+            row.append(2 * prev[0] + s)
+        rows.append(row)
+    return rows
+
+
+class TestTopColumn:
+    """[v^r] G_r = 2 x^(r+3) c_{r,r}(x) / ((1-x)^r (1-2x)) counts the
+    flattenings that start 1, r+2 with exactly r occurrences: the ascent
+    1, r+2 makes all r of them, so the column is the q = 0 slice of the
+    insertion count, [x^n] = f0(n-2, r)."""
+
+    def test_closed_form_matches_the_pipeline_to_the_cap(self):
+        pipeline = Pipeline(PIPELINE_RMAX)
+        for r in range(1, PIPELINE_RMAX + 1):
+            assert pipeline.c_table(r)[r] == IntPoly(_c_top(r)), r
+
+    def test_closed_form_expands_to_the_q0_slice(self):
+        """Through n = 60, from n = r + 3: the term at n = r + 2 is
+        boundary data, not part of G_r."""
+        n_max = 60
+        f0 = _q0_slice(n_max - 2)
+        for r in range(1, 13):
+            series = [0] * (r + 3) + [2 * c for c in _c_top(r)]
+            series = series[: n_max + 1] + [0] * (n_max + 1 - len(series))
+            for _ in range(r):  # / (1 - x)
+                series = list(accumulate(series))
+            series = list(accumulate(series, lambda acc, c: 2 * acc + c))  # / (1 - 2x)
+            assert series == [0] * (r + 3) + [f0[n - 2][r] for n in range(r + 3, n_max + 1)], r
 
 
 class TestRationalForm:

@@ -36,33 +36,50 @@ def _plain_rows(top: int, m_max: int) -> list[list[list[int]]]:
     return rows
 
 
+def _plain_cell(plain, n: int, r: int, k: int) -> int:
+    """[q^r] g_n(1k) from the plain-list rows: 2 [q^r] f(n-2, 0) for
+    k = 2, [q^(r-k+2)] f(n-2, k-2) for 3 <= k <= n, and 0 otherwise."""
+    if not 2 <= k <= n or r < k - 2:
+        return 0
+    return (2 if k == 2 else 1) * plain[n - 2][k - 2][r - k + 2]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_matches_brute_force(n):
-    """Every g_n and g_n(1k), n <= 8, in full: no 13-2 count of a length-8
-    flattening exceeds 12."""
+    """Every g_n(1k), n <= 8, in full (no 13-2 count of a length-8
+    flattening exceeds 12), and g_n as their sum for n >= 2; no
+    flattening of length n starts 1, k for k > n."""
     count = InsertionCount(12, 8)
-    cases = [(None, perms.distribution(n))] + [
-        (k, perms.distribution(n, (1, k))) for k in range(2, n + 1)
-    ]
-    for k, dist in cases:
+    total = [0] * 13
+    for k in range(2, 10):
+        cells = [count.column(r, k, n)[0] for r in range(13)]
+        if k > n:
+            assert not any(cells), k
+            continue
+        dist = perms.distribution(n, (1, k))
         assert sum(dist.counts.values()) > 0
-        assert [count.coeff(n, r, k) for r in range(13)] == [dist.count(r) for r in range(13)], k
+        assert cells == [dist.count(r) for r in range(13)], k
+        total = [a + b for a, b in zip(total, cells)]
+    if n >= 2:
+        assert total == [perms.distribution(n).count(r) for r in range(13)]
 
 
 def _read_f(count: InsertionCount, m: int, p: int) -> list[int]:
     """The kept coefficients q^0 .. q^(top-p) of f(m, p), read back
-    through ``coeff``: g_(m+1) = f(m, 0) and g_(m+2)(1, p+2) = q^p f(m, p)."""
-    if p == 0:
-        return [count.coeff(m + 1, j) for j in range(count.top + 1)]
-    return [count.coeff(m + 2, j + p, p + 2) for j in range(count.top - p + 1)]
+    through ``column``: g_(m+2)(12) = 2 f(m, 0) and
+    g_(m+2)(1, p+2) = q^p f(m, p)."""
+    weight = 2 if p == 0 else 1
+    return [count.column(j + p, p + 2, m + 2)[0] // weight for j in range(count.top - p + 1)]
 
 
 @pytest.mark.parametrize("top", [0, 1, 5, 12, 40])
 @pytest.mark.parametrize("n_max", [1, 2, 5, 12, 30])
 def test_packed_rows_match_plain_lists(top, n_max):
+    """Every kept cell of the rows m <= n_max - 2, the rows ``column``
+    reads."""
     count, plain = InsertionCount(top, n_max), _plain_rows(top, n_max - 1)
-    for m in range(n_max):
-        for p in range(min(m, top) + 1 if m <= n_max - 2 else 1):
+    for m in range(n_max - 1):
+        for p in range(min(m, top) + 1):
             assert _read_f(count, m, p) == plain[m][p][: top - p + 1], (m, p)
 
 
@@ -70,33 +87,31 @@ def test_packed_rows_match_plain_lists(top, n_max):
 @pytest.mark.parametrize("n_max", [1, 2, 5, 12, 30])
 def test_column_reads_match_cell_reads(top, n_max):
     """Every column read, from every start (n_max + 1 reads nothing),
-    equals ``coeff`` cell by cell, k beyond n and r below k - 2 included."""
-    count = InsertionCount(top, n_max)
+    equals the plain-list rows read cell by cell, k beyond n and r below
+    k - 2 included."""
+    count, plain = InsertionCount(top, n_max), _plain_rows(top, n_max - 1)
     for r in range(top + 1):
         for k in range(2, n_max + 2):
-            cells = [count.coeff(n, r, k) for n in range(1, n_max + 1)]
+            cells = [_plain_cell(plain, n, r, k) for n in range(1, n_max + 1)]
             for n_lo in range(1, n_max + 2):
                 assert count.column(r, k, n_lo) == cells[n_lo - 1:], (r, k, n_lo)
 
 
 @pytest.mark.parametrize("r, k, n_lo", [(-1, 2, 1), (4, 2, 1), (0, 1, 1), (0, 2, 0), (0, 2, 10)])
 def test_bad_column_reads_raise(r, k, n_lo):
-    with pytest.raises((ValueError, IndexError)):
+    """r above the cut is an IndexError; r < 0, k < 2 and n_lo outside
+    [1, n_max + 1] are ValueErrors."""
+    with pytest.raises(IndexError if r > 3 else ValueError):
         InsertionCount(3, 8).column(r, k, n_lo)
 
 
 def test_reads_follow_the_rule_for_each_prefix():
     count = InsertionCount(5, 9)
-    assert count.coeff(1, 0) == 1
-    assert [count.coeff(9, r, 2) for r in range(6)] == [2 * count.coeff(8, r) for r in range(6)]
-    assert count.coeff(9, 1, 4) == 0  # q^2 divides g_9(14)
-    assert count.coeff(5, 0, 6) == 0  # no flattening of length 5 starts 1, 6
-
-
-@pytest.mark.parametrize("n, r, k", [(0, 0, None), (9, 0, None), (8, -1, None), (8, 0, 1)])
-def test_bad_reads_raise_value_error(n, r, k):
-    with pytest.raises(ValueError):
-        InsertionCount(3, 8).coeff(n, r, k)
+    g8 = [sum(count.column(r, k, 8)[0] for k in range(2, 9)) for r in range(6)]
+    assert [count.column(r, 2, 9)[0] for r in range(6)] == [2 * c for c in g8]
+    assert count.column(1, 4, 9) == [0]  # q^2 divides g_9(14)
+    assert count.column(0, 6, 5) == [0] * 5  # no flattening of length 5 starts 1, 6
+    assert count.column(0, 2, 10) == []  # n_lo = n_max + 1 reads nothing
 
 
 def test_rejects_empty_range():

@@ -194,9 +194,7 @@ class TestShortRules:
         for n in range(3, 31):
             for k in range(3, n + 1):
                 want = a_sum(table, n, a[k])
-                assert [cut.coeff(n, r, k) for r in range(top + 1)] == [
-                    want[r] for r in range(top + 1)
-                ], (n, k)
+                assert _cut_g1k(cut, n, k) == [want[r] for r in range(top + 1)], (n, k)
 
     def test_rows_grow_only_as_far_as_asked(self):
         table = GTable(12)
@@ -223,39 +221,39 @@ class TestCoefficients:
 
 
 class TestTruncatedTable:
-    """Counts cut at q^top: the insertion count, which reads g_n and
-    g_n(1k) only through q^top, and the cut rows of b_poly."""
+    """Counts cut at q^top: the insertion count, which reads g_n(1k) only
+    through q^top, and the cut rows of b_poly."""
 
     @pytest.mark.parametrize("top", [0, 1, 5, 12, 40])
     def test_agrees_with_full_table(self, table, top):
+        """Every g_n(1k), n <= 30, and g_n as their sum."""
         cut = InsertionCount(top, 30)
-        cases = [((n, None), table.g(n)) for n in range(1, 31)] + [
-            ((n, k), table.g1k(n, k)) for n in range(2, 31) for k in range(2, n + 1)
-        ]
-        for (n, k), want in cases:
-            assert [cut.coeff(n, r, k) for r in range(top + 1)] == [
-                want[r] for r in range(top + 1)
-            ], (n, k)
+        for n in range(2, 31):
+            total = [0] * (top + 1)
+            for k in range(2, n + 1):
+                cells, want = _cut_g1k(cut, n, k), table.g1k(n, k)
+                assert cells == [want[r] for r in range(top + 1)], (n, k)
+                total = [a + b for a, b in zip(total, cells)]
+            assert total == [table.g(n)[r] for r in range(top + 1)], n
 
     def test_coeff_above_q_top_raises(self):
         cut = InsertionCount(3, 8)
-        assert cut.coeff(8, 3, 5) == GTable(8).coeff(8, 3, 5)
+        assert cut.column(3, 5, 8) == [GTable(8).coeff(8, 3, 5)]
         with pytest.raises(IndexError):
-            cut.coeff(8, 4)
+            cut.column(4, 2, 8)
         with pytest.raises(IndexError):
-            cut.coeff(8, 4, 5)
+            cut.column(4, 5, 8)
         with pytest.raises(IndexError):
-            cut.coeff(4, 4, 9)
+            cut.column(4, 9, 4)
 
     @pytest.mark.parametrize("top", [0, 1, 2, 5, 12, 40])
     def test_column_matches_b_sum(self, top):
-        """The count's g_n = f(n-1, 0) against the schoolbook b-sum, cut at
-        q^top; q^40 cuts nothing for n <= 13."""
-        cut, want = InsertionCount(top, 60), _b_sum_column(60)
+        """The count's g_n = f(n-1, 0), read as g_(n+1)(12) / 2, against
+        the schoolbook b-sum, cut at q^top; q^40 cuts nothing for n <= 13."""
+        cut, want = InsertionCount(top, 61), _b_sum_column(60)
+        columns = [cut.column(r, 2, 2) for r in range(top + 1)]
         for n in range(1, 61):
-            assert [cut.coeff(n, r) for r in range(top + 1)] == [
-                want[n][r] for r in range(top + 1)
-            ], n
+            assert [col[n - 1] // 2 for col in columns] == [want[n][r] for r in range(top + 1)], n
 
     def test_cut_column_forms_no_b_row(self, monkeypatch):
         def refuse(*args):
@@ -263,7 +261,7 @@ class TestTruncatedTable:
 
         monkeypatch.setattr(recurrence, "b_poly", refuse)
         cut = InsertionCount(12, 60)
-        assert cut.n_max == 60 and cut.coeff(60, 0) == 2**59
+        assert cut.n_max == 60 and cut.column(0, 2, 60) == [2**59]
 
     def test_rejects_negative_q_top(self):
         with pytest.raises(ValueError):
@@ -273,6 +271,11 @@ class TestTruncatedTable:
         for n in range(2, 15):
             for j in range(1, n):
                 assert b_poly(n, j, 2) == IntPoly(b_poly(n, j).coeffs[:3]), (n, j)
+
+
+def _cut_g1k(cut: InsertionCount, n: int, k: int) -> list[int]:
+    """[q^r] g_n(1k) for r <= cut.top, as the count's column reads give it."""
+    return [cut.column(r, k, n)[0] for r in range(cut.top + 1)]
 
 
 @functools.lru_cache(maxsize=None)

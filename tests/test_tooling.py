@@ -11,20 +11,29 @@ as failed, so each one is also run here, in-process.
 
 The truncated-series types ``XSeries`` and ``VPoly`` stay in ``algebra``
 only as the test reference's types and as span targets; no command
-builds one.  Every golden, and one command line of each kind besides,
-runs here with their constructors patched to raise, and no module of the
-package but ``algebra`` names them.
+builds one.  Every golden, and each line of ``COMMANDS`` (one command
+line of each kind), runs here with their constructors patched to raise,
+and no module of the package but ``algebra`` names them.
+
+Only code that a command runs stays in ``src``: one fresh process runs
+every line of ``COMMANDS`` under ``sys.setprofile``, and every ``def`` in
+``src/flatperm`` must have been called or be listed in ``UNCALLED`` with
+its reason.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import importlib
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,17 +92,26 @@ def test_golden_stdout(argv, no_series):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS[argv]
 
 
-@pytest.mark.parametrize("argv", [
+#: One command line of each kind: every command, ``distribution`` by
+#: enumeration and by the recurrence, both ``witness`` forms, ``rational``
+#: at r = 0, and ``verify`` over every suite.
+COMMANDS = (
+    "distribution --n 9 --prefix 1,5",
     "distribution --n 12 --prefix 1,3",
     "gpoly --n 6 --k 3",
     "ctable --r 20",
     "rational --r 20",
+    "rational --r 0",
     "witness --n 7",
     "witness --r 5 --i 2",
     "average --n 10",
     "avoiders --n 20",
+    "verify --suite all --n 9 --rmax 8",
     "verify --suite all --n 10 --rmax 12",
-])
+)
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
 def test_no_command_builds_a_series(argv, no_series):
     assert _run(argv)[0] == EXIT_OK
 
@@ -116,3 +134,95 @@ def test_no_module_names_the_folded_bivariate_type():
     of the package keeps a second (x, v) type or its column accessors."""
     pattern = re.compile(r"\b(XVPoly|vcoeffs|to_vpoly)\b")
     assert sorted(path.name for path in SRC.glob("*.py") if pattern.search(path.read_text())) == []
+
+
+PINNED = "span target in `perfbench/spantrace.py` `TARGETS`; leaves with ROADMAP items 1 and 4"
+
+#: The functions of ``src/flatperm`` that no line of ``COMMANDS`` calls,
+#: by qualified name (module, classes, function), each with the reason it
+#: stays; a class stands for every function defined in it.
+UNCALLED = {
+    "__init__.__dir__": "protocol method: dir(flatperm)",
+    "algebra._Dense.__iter__": "protocol method: iterating over a polynomial's coefficients",
+    "algebra.IntPoly.__hash__": "protocol method: a polynomial as a dict key",
+    "algebra.IntPoly.__repr__": "protocol method",
+    "algebra.RationalGF.__repr__": "protocol method",
+    "cli.entry": "the process entry: main() on sys.argv, then gc.freeze()",
+    "genfun._first_top_cell": "error path: names the bad top boundary cell",
+    "algebra.XSeries": PINNED,
+    "algebra.VPoly": PINNED,
+    "algebra.vpoly_div_kernel": PINNED,
+    "algebra.xvpoly_extract_from_series": PINNED,
+    "algebra.IntPoly.divexact": PINNED,
+    "genfun.t_poly": PINNED,
+}
+
+#: Runs each argv of the JSON list in sys.argv[1] through ``cli.main``,
+#: with every Python call from the package's import on recorded, and
+#: prints the exit codes and the (file, first line, name) of each code
+#: object called.
+_TRACE = """
+import contextlib, io, json, sys
+seen = set()
+def record(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+sys.setprofile(record)
+from flatperm.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+sys.setprofile(None)
+called = [(code.co_filename, code.co_firstlineno, code.co_name) for code in seen]
+json.dump({"codes": codes, "called": called}, sys.stdout)
+"""
+
+
+def _defs() -> dict[tuple[str, int, str], str]:
+    """Every function defined in ``src/flatperm``, keyed as a code object
+    names it (file, first line, name) and mapped to its qualified name.  A
+    code object's first line is that of its first decorator, on every
+    Python version, where ``ast`` gives the ``def`` line."""
+    defs = {}
+
+    def visit(node, qual: str, path: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{qual}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    defs[(path, first, child.name)] = name
+                visit(child, name, path)
+            else:
+                visit(child, qual, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, str(path.resolve()))
+    return defs
+
+
+def _listed(name: str) -> str | None:
+    """The entry of ``UNCALLED`` that covers the qualified name, if any."""
+    return next((entry for entry in UNCALLED if name == entry or name.startswith(f"{entry}.")), None)
+
+
+def test_every_function_in_src_runs_in_a_command(tmp_path):
+    """One fresh process, so that no memo, import or test order run
+    earlier hides a call, runs ``COMMANDS`` and one ``--out``.  Every
+    function must have been called, or be listed in ``UNCALLED``; a
+    listed entry must still exist, and no command may call it."""
+    out = tmp_path / "avoiders.csv"
+    argvs = [line.split() for line in COMMANDS] + [["avoiders", "--n", "5", "--format", "csv", "--out", str(out)]]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", _TRACE, json.dumps(argvs)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    report = json.loads(done.stdout)
+    assert report["codes"] == [EXIT_OK] * len(argvs), done.stderr
+    assert out.read_text().splitlines() == ["n,count", "5,16"]
+    called = {(str(Path(path).resolve()), line, name) for path, line, name in report["called"]}
+    defs = _defs()
+    ran = {name for key, name in defs.items() if key in called}
+    assert sorted(name for name in defs.values() if name not in ran and not _listed(name)) == []
+    assert sorted(name for name in ran if _listed(name)) == []
+    assert [entry for entry in UNCALLED if not any(_listed(name) == entry for name in defs.values())] == []
