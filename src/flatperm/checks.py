@@ -4,7 +4,9 @@ Each suite runs a batch of exact identity checks across the independent
 computation routes (brute-force enumeration, q-polynomial recurrences,
 kernel pipeline) and returns one ``CheckResult`` per claim: a plain
 record of the check's name, whether it passed, and on failure a detail
-naming where.  The CLI's ``verify`` command is a thin wrapper over these.
+naming where.  A check fails only by raising ``ConsistencyError`` (its
+own or a layer's), whose message is the detail; the CLI's ``verify``
+command is a thin wrapper over these.
 """
 
 from __future__ import annotations
@@ -45,11 +47,16 @@ class CheckResult(NamedTuple):
 
 
 def _check(results: list[CheckResult], name: str, fn) -> None:
+    """Record the line ``name``.  It fails only when ``fn()`` raises
+    ``ConsistencyError``, with the message as its detail, and passes when
+    ``fn()`` returns None; any other return is a bug and raises TypeError."""
     try:
-        ok, detail = fn()
+        if fn() is not None:
+            raise TypeError(f"check {name!r} returned a value; a check fails only by raising")
     except ConsistencyError as exc:
-        ok, detail = False, str(exc)
-    results.append(CheckResult(name, ok, detail if not ok else ""))
+        results.append(CheckResult(name, False, str(exc)))
+    else:
+        results.append(CheckResult(name, True))
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,18 +120,16 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
             ("g_3(13)", table.g1k(3, 3), [0, 2]),
         ):
             if poly != IntPoly(want):
-                return False, name
-        return True, ""
+                raise ConsistencyError(name)
     _check(out, "base polynomials g_1, g_2, g_3, g_3(12), g_3(13)", base_values)
 
     def oracle_agreement():
         for n in range(1, oracle_nmax + 1):
             if not _poly_matches_distribution(table, n, None):
-                return False, f"g_{n} disagrees with enumeration"
+                raise ConsistencyError(f"g_{n} disagrees with enumeration")
             for k in range(2, n + 1):
                 if not _poly_matches_distribution(table, n, k):
-                    return False, f"g_{n}(1{k}) disagrees with enumeration"
-        return True, ""
+                    raise ConsistencyError(f"g_{n}(1{k}) disagrees with enumeration")
     _check(out, f"enumeration agrees with recurrence for n <= {oracle_nmax}", oracle_agreement)
 
     # The b-sum column against the sum of the short-rule rows.
@@ -132,14 +137,13 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
         for n in range(1, IDENTITY_NMAX + 1):
             g = table.g(n)
             if sum(g.coeffs) != math.factorial(n) or any(c < 0 for c in g.coeffs):
-                return False, f"n={n}"
+                raise ConsistencyError(f"n={n}")
             if n >= 2:
                 total = IntPoly()
                 for k in range(2, n + 1):
                     total = total + table.g1k(n, k)
                 if total != g:
-                    return False, f"prefix sum at n={n}"
-        return True, ""
+                    raise ConsistencyError(f"prefix sum at n={n}")
     _check(out, f"q=1 mass is n!, coefficients nonnegative, prefixes sum to g_n (n <= {IDENTITY_NMAX})", mass_and_sign)
 
     # The table grows g_n(1k) by its short rules, g_n(12) = 2 g_(n-1)
@@ -159,25 +163,22 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
             for k in range(3, n + 1):
                 rest = rest - a_ref(n, k)
             if rest != table.g(n - 1) * 2:
-                return False, f"n={n}"
-        return True, ""
+                raise ConsistencyError(f"n={n}")
     _check(out, f"g_n(12) = 2 g_(n-1) for n <= {IDENTITY_NMAX}", doubling_identity)
 
     def three_term():
         for n in range(5, IDENTITY_NMAX + 1):
             for k in range(5, n + 1):
                 if table.g1k(n, k) != a_ref(n, k):
-                    return False, f"(n,k)=({n},{k})"
-        return True, ""
+                    raise ConsistencyError(f"(n,k)=({n},{k})")
     _check(out, f"three-term recurrence for g_n(1k), 5 <= k <= n <= {IDENTITY_NMAX}", three_term)
 
     def initial_forms():
         for n in range(3, IDENTITY_NMAX + 1):
             if table.g1k(n, 3) != a_ref(n, 3):
-                return False, f"g_{n}(13)"
+                raise ConsistencyError(f"g_{n}(13)")
             if n >= 4 and table.g1k(n, 4) != a_ref(n, 4):
-                return False, f"g_{n}(14)"
-        return True, ""
+                raise ConsistencyError(f"g_{n}(14)")
     _check(out, f"closed initial forms for g_n(13), g_n(14), n <= {IDENTITY_NMAX}", initial_forms)
 
     def prefix_recurrence():
@@ -188,8 +189,7 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
                     p = table.g1k(n - 1, j)
                     rhs = rhs + p.shift(i - j) - p  # (q^(i-j) - 1) p
                 if table.g1k(n, i) != rhs:
-                    return False, f"(n,i)=({n},{i})"
-        return True, ""
+                    raise ConsistencyError(f"(n,i)=({n},{i})")
     _check(out, f"prefix recurrence g_n(1i) = g_(n-1) + sum (q^(i-j)-1) g_(n-1)(1j), n <= {IDENTITY_NMAX}", prefix_recurrence)
 
     def parity():
@@ -197,38 +197,35 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
             for k in range(2, n + 1):
                 poly = table.g1k(n, k)
                 if any(poly[r] % 2 for r in range(1, poly.degree + 1)):
-                    return False, f"(n,k)=({n},{k})"
-        return True, ""
+                    raise ConsistencyError(f"(n,k)=({n},{k})")
     _check(out, f"g_(n,r)(1k) is even for r >= 1, n <= {IDENTITY_NMAX}", parity)
 
     def avoiders():
         for n, count in enumerate(avoider_counts(AVOIDER_NMAX), 1):
             if count != 2 ** (n - 1):
-                return False, f"n={n}"
+                raise ConsistencyError(f"n={n}")
         for n in range(1, oracle_nmax + 1):
             if _oracle(n).count(0) != 2 ** (n - 1):
-                return False, f"oracle n={n}"
-        return True, ""
+                raise ConsistencyError(f"oracle n={n}")
     _check(out, f"avoider count is 2^(n-1) (recurrence n <= {AVOIDER_NMAX}, oracle n <= {oracle_nmax})", avoiders)
 
     def averages():
         for n in range(1, AVERAGE_NMAX + 1):
             check_average(n, table)  # raises on mismatch, in integers
-        return True, ""
     _check(out, f"average occurrences equal (n^2+3n+8)/12 - H_n for n <= {AVERAGE_NMAX}", averages)
 
     def closed_form():
         mismatches = verify_a_closed_form(A_FORM_KMAX, A_FORM_KMAX)
-        return not mismatches, "; ".join(mismatches[:3])
+        if mismatches:
+            raise ConsistencyError("; ".join(mismatches[:3]))
     _check(out, f"closed form of A(x,y) matches a- and b-tables through {A_FORM_KMAX}", closed_form)
 
     def b_constants():
         for n in range(2, IDENTITY_NMAX + 1):
             if b_poly(n, 1) != IntPoly([n]):
-                return False, f"b({n},1)"
+                raise ConsistencyError(f"b({n},1)")
             if n >= 3 and b_poly(n, n - 1) != IntPoly([2]):
-                return False, f"b({n},{n - 1})"
-        return True, ""
+                raise ConsistencyError(f"b({n},{n - 1})")
     _check(out, f"b(n,1) = n and b(n,n-1) = 2 for n <= {IDENTITY_NMAX}", b_constants)
 
     return out
@@ -245,11 +242,10 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
     def base_series():
         g0 = pipeline.g_series(0)
         if len(g0) != 1:
-            return False, f"v-degree {len(g0) - 1}"
+            raise ConsistencyError(f"v-degree {len(g0) - 1}")
         for n, c in enumerate(g0[0]):
             if c != (2 ** (n - 1) if n >= 3 else 0):
-                return False, f"x^{n}"
-        return True, ""
+                raise ConsistencyError(f"x^{n}")
     _check(out, "G_0 = 4x^3/(1-2x) coefficient by coefficient", base_series)
 
     def reference_tables():
@@ -257,8 +253,7 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
             ct = pipeline.c_table(r)
             want = [IntPoly(cs) for cs in REFERENCE_CTABLES[r]]
             if list(ct) != want:
-                return False, f"r={r}"
-        return True, ""
+                raise ConsistencyError(f"r={r}")
     _check(out, f"c tables match the reference coefficients for r <= {min(r_max, 5)}", reference_tables)
 
     def structure():
@@ -271,60 +266,52 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
                 for i in range(r + 1):
                     w = perms.witness_perm(r, i)
                     if perms.count_13_2(w) != r or w[1] != i + 2:
-                        return False, f"r={r}: witness word for i={i}"
-        return True, ""
+                        raise ConsistencyError(f"r={r}: witness word for i={i}")
     _check(out, f"P_r structure (integrality, value at 1/2, degrees) for r <= {r_max}", structure)
 
     def rationality():
         for r in range(0, identity_rmax + 1):
             pipeline.rational_gf(r)  # raises unless it equals G_r
-        return True, ""
     _check(out, f"rational closed form re-expands to G_r for r <= {identity_rmax}", rationality)
 
     def functional_equation():
         for r in range(0, identity_rmax + 1):
             if not pipeline.check_functional_equation(r):
-                return False, f"r={r}"
-        return True, ""
+                raise ConsistencyError(f"r={r}")
     _check(out, f"pre-kernel functional equation holds for r <= {identity_rmax}", functional_equation)
 
     def kernel_root():
         for r in range(0, identity_rmax + 1):
             if not pipeline.check_kernel_root(r):
-                return False, f"r={r}"
-        return True, ""
+                raise ConsistencyError(f"r={r}")
     _check(out, f"kernel-root identity for G_r(x,1), r <= {identity_rmax}", kernel_root)
 
     def parity_series():
         for r in range(1, identity_rmax + 1):
             for k, coeffs in enumerate(pipeline.g_series(r)):
                 if any(c % 2 for c in coeffs):
-                    return False, f"r={r}, v^{k}"
-        return True, ""
+                    raise ConsistencyError(f"r={r}, v^{k}")
     _check(out, f"all series coefficients of G_r are even for 1 <= r <= {identity_rmax}", parity_series)
 
     def max_formula():
         for n in range(1, 51):
             if perms.count_13_2(perms.max_pattern_perm(n)) != perms.max_occurrences(n):
-                return False, f"n={n}"
-        return True, ""
+                raise ConsistencyError(f"n={n}")
     _check(out, "interleaved word attains n(n-2)/4 resp. (n-1)^2/4 occurrences, n <= 50", max_formula)
 
     def max_exhaustive():
         for n in range(1, maximal_nmax + 1):
             if _oracle(n).max_occurrences() != perms.max_occurrences(n):
-                return False, f"n={n}"
-        return True, ""
+                raise ConsistencyError(f"n={n}")
     _check(out, f"exhaustive maximality of the occurrence bound for n <= {maximal_nmax}", max_exhaustive)
 
     def min_length():
         for r in range(1, 101):
             n = perms.min_length_for(r)
             if (n - 1) ** 2 < 4 * r:  # n >= 1 + 2 sqrt(r)
-                return False, f"r={r}"
+                raise ConsistencyError(f"r={r}")
             if n > 1 and perms.max_occurrences(n - 1) >= r:
-                return False, f"r={r} not minimal"
-        return True, ""
+                raise ConsistencyError(f"r={r} not minimal")
     _check(out, "minimal length for r occurrences is >= 1 + 2 sqrt(r), r <= 100", min_length)
 
     return out
@@ -357,15 +344,14 @@ def constructions_suite(
                 for tau in (pi, pi_prime):
                     word = perms.flatten(tau)
                     if len(word) != n or word[:2] != (1, 2) or perms.count_13_2(word) != occ:
-                        return False, f"n={n}, sigma={sigma}"
+                        raise ConsistencyError(f"n={n}, sigma={sigma}")
                 if pi == pi_prime:
-                    return False, f"n={n}, collision at sigma={sigma}"
+                    raise ConsistencyError(f"n={n}, collision at sigma={sigma}")
                 images.update((pi, pi_prime))
             if len(images) != 2 * math.factorial(n - 1):
-                return False, f"n={n}: images not distinct"
+                raise ConsistencyError(f"n={n}: images not distinct")
             if len(images) != _oracle(n, (1, 2)).total():
-                return False, f"n={n}: images do not cover the prefix-12 class"
-        return True, ""
+                raise ConsistencyError(f"n={n}: images do not cover the prefix-12 class")
     _check(out, f"one-to-two map is a bijection onto the prefix-12 class, n <= {doubling_nmax}", doubling_bijection)
 
     def aggregated_doubling():
@@ -373,15 +359,13 @@ def constructions_suite(
             lhs = _oracle(n, (1, 2)).counts
             rhs = {r: 2 * c for r, c in _oracle(n - 1).counts.items()}
             if lhs != rhs:
-                return False, f"n={n}"
-        return True, ""
+                raise ConsistencyError(f"n={n}")
     _check(out, f"prefix-12 distribution doubles the shorter one, n <= {doubling_nmax}", aggregated_doubling)
 
     def avoider_doubling():
         for n in range(2, doubling_nmax + 1):
             if _oracle(n).count(0) != 2 * _oracle(n - 1).count(0):
-                return False, f"n={n}"
-        return True, ""
+                raise ConsistencyError(f"n={n}")
     _check(out, f"avoider counts double with n (enumeration, n <= {doubling_nmax})", avoider_doubling)
 
     def witnesses():
@@ -389,14 +373,12 @@ def constructions_suite(
             for i in range(r + 1):
                 w = perms.witness_perm(r, i)
                 if len(w) != r + 2 or w[:2] != (1, i + 2) or perms.count_13_2(w) != r:
-                    return False, f"(r,i)=({r},{i})"
-        return True, ""
+                    raise ConsistencyError(f"(r,i)=({r},{i})")
     _check(out, f"witness words have exactly r occurrences, 4 <= r <= {witness_rmax}", witnesses)
 
     def dual_route():
         for r in range(0, pipeline.r_max + 1):
             pipeline.htilde_over_kernel(r)  # raises on mismatch
-        return True, ""
     _check(out, f"both routes to H~_r/(1-sv) agree for r <= {pipeline.r_max}", dual_route)
 
     def boundary_oracle():
@@ -404,7 +386,7 @@ def constructions_suite(
         bd = Pipeline(r_max=r, table=table).boundary(r)
         for i in range(2, r + 3):
             if _oracle(r + 2, (1, i)).count(r) != bd.top(i):
-                return False, f"top row at i={i}"
+                raise ConsistencyError(f"top row at i={i}")
         layers = []  # sum_j v^(r-j) G_{n+3,j}(v), as in H_r, for each n
         for n in range(r - 1):
             layer = IntPoly()
@@ -412,13 +394,12 @@ def constructions_suite(
                 cells = [table.coeff(n + 3, j, k) for k in range(2, j + 3)]
                 for k, v in enumerate(cells, 2):
                     if _oracle(n + 3, (1, k)).count(j) != v:
-                        return False, f"inner cell (n, j, k) = ({n}, {j}, {k})"
+                        raise ConsistencyError(f"inner cell (n, j, k) = ({n}, {j}, {k})")
                 layer = layer + IntPoly(cells).shift(r - j)
             layers.append(layer)
         for h, sums in enumerate(bd.inner):
             if list(sums) != [layer[h] for layer in layers]:
-                return False, f"inner sums at h={h}"
-        return True, ""
+                raise ConsistencyError(f"inner sums at h={h}")
     _check(out, "boundary data matches enumeration (r = 3)", boundary_oracle)
 
     return out

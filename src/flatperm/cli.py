@@ -189,7 +189,7 @@ def _cmd_distribution(args) -> int:
             counts = {}  # every flattened word starts with 1
         elif len(prefix) > 2:
             raise UsageError(
-                f"prefix {list(prefix)} needs enumeration, but n={n} exceeds the limit {args.limit}"
+                f"--prefix {args.prefix} needs enumeration, but --n {n} exceeds the --limit {args.limit}"
             )
         else:
             from .recurrence import GTable
@@ -198,7 +198,7 @@ def _cmd_distribution(args) -> int:
             poly = t.g1k(n, prefix[1]) if len(prefix) == 2 else t.g(n)
             counts = {r: c for r, c in enumerate(poly.coeffs) if c}
     else:
-        raise UsageError(f"n={n} exceeds both the enumeration limit and the recurrence cap {RECURRENCE_NMAX}")
+        raise UsageError(f"--n {n} exceeds both the --limit {args.limit} and the recurrence cap {RECURRENCE_NMAX}")
     payload = {
         "command": "distribution",
         "n": n,
@@ -286,7 +286,7 @@ def _cmd_witness(args) -> int:
     else:
         i = args.r if args.i is None else args.i
         if not 0 <= i <= args.r:
-            raise UsageError(f"i must lie in [0, {args.r}]")
+            raise UsageError(f"--i must lie in [0, {args.r}]")
         word = perms.witness_perm(args.r, i)
         payload = {
             "command": "witness",

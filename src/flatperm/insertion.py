@@ -88,7 +88,7 @@ class InsertionCount:
         outside [1, n_max + 1]."""
         n_max = self.n_max
         if not 1 <= n_lo <= n_max + 1:
-            raise ValueError(f"n must lie in [1, {n_max}]")
+            raise ValueError(f"n_lo must lie in [1, {n_max + 1}]")
         if r < 0:
             raise ValueError("r must be >= 0")
         if r > self.top:

@@ -10,8 +10,8 @@ from collections import Counter
 import pytest
 
 from flatperm import checks, genfun, perms
-from flatperm.algebra import IntPoly, RationalGF
-from flatperm.checks import constructions_suite, genfun_suite
+from flatperm.algebra import ConsistencyError, IntPoly, RationalGF
+from flatperm.checks import CheckResult, constructions_suite, genfun_suite
 from flatperm.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from flatperm.genfun import Pipeline
 from flatperm.recurrence import GTable
@@ -22,6 +22,31 @@ BOUNDARY = "boundary data matches enumeration (r = 3)"
 def _result(results, prefix):
     (res,) = [r for r in results if r.name.startswith(prefix)]
     return res
+
+
+def test_a_raised_consistency_error_is_a_fail_with_its_message():
+    def check():
+        raise ConsistencyError("n=3")
+
+    results = []
+    checks._check(results, "line", check)
+    assert results == [CheckResult("line", False, "n=3")]
+
+
+def test_a_check_that_returns_nothing_passes():
+    results = []
+    checks._check(results, "line", lambda: None)
+    assert results == [CheckResult("line", True, "")]
+
+
+@pytest.mark.parametrize("verdict", [(True, ""), (False, "n=3"), True])
+def test_a_check_that_returns_a_verdict_is_a_bug(verdict):
+    """A line fails only by raising: a returned verdict, even a failing
+    one, would otherwise pass unchecked."""
+    results = []
+    with pytest.raises(TypeError, match="'line' returned a value"):
+        checks._check(results, "line", lambda: verdict)
+    assert results == []
 
 
 class _OffByTwo(GTable):

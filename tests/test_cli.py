@@ -98,13 +98,14 @@ class TestDistribution:
         assert json.loads(out)["source"] == "recurrence"
 
     def test_limit_error(self, capsys):
-        code, _, err = run(capsys, "distribution", "--n", "40")
-        assert code == EXIT_USAGE
-        assert "error" in err
+        assert run(capsys, "distribution", "--n", "40") == (
+            EXIT_USAGE, "", "error: --n 40 exceeds both the --limit 10 and the recurrence cap 30\n"
+        )
 
     def test_long_prefix_needs_oracle(self, capsys):
-        code, _, _ = run(capsys, "distribution", "--n", "12", "--prefix", "1,3,2")
-        assert code == EXIT_USAGE
+        assert run(capsys, "distribution", "--n", "12", "--prefix", "1,3,2", "--limit", "11") == (
+            EXIT_USAGE, "", "error: --prefix 1,3,2 needs enumeration, but --n 12 exceeds the --limit 11\n"
+        )
 
     @pytest.mark.parametrize("n", [9, 12])
     def test_prefix_without_leading_one_is_empty(self, capsys, n):
@@ -413,6 +414,18 @@ def test_input_dependent_bound_checked_before_work(capsys, monkeypatch):
     assert run(capsys, "gpoly", "--n", "1", "--k", "2") == (EXIT_USAGE, "", "error: --k needs --n >= 2\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("witness --r 5 --i 9", "--i must lie in [0, 5]"),
+    ("distribution --n 31", "--n 31 exceeds both the --limit 10 and the recurrence cap 30"),
+    ("distribution --n 12 --prefix 1,3,2", "--prefix 1,3,2 needs enumeration, but --n 12 exceeds the --limit 10"),
+])
+def test_input_dependent_refusals_name_the_flags(capsys, monkeypatch, argv, message):
+    """A refusal that depends on another input names each flag as the
+    user gave it, and comes before any work."""
+    forbid_work(monkeypatch, "work started before the input was checked")
+    assert run(capsys, *argv.split()) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_readme_states_every_bound():
     """README's paragraph on caps gives every row of ``BOUNDS`` in the
     form the table checks it."""
@@ -431,7 +444,8 @@ def test_readme_states_every_bound():
 #: the library call that rejects it.  ``rational --r 0`` runs a pipeline
 #: through r = 1, so the CLI words its order bound for --r 0 itself
 #: (``CLI_WORDING``) rather than name an r_max the user never gave, and
-#: ``BOUNDS`` words the fixed lower bounds of ``witness`` by their flags.
+#: ``BOUNDS`` and ``_cmd_witness`` word the bounds of ``witness`` by their
+#: flags.
 LIBRARY_REJECTIONS = {
     "witness --n 0": lambda: perms.max_pattern_perm(0),
     "witness --r 2": lambda: perms.witness_perm(2, 2),
@@ -445,6 +459,7 @@ CLI_WORDING = {
     "rational --r 0 --order 2": "--order must be >= 7 for --r 0",
     "witness --n 0": "--n must be >= 1",
     "witness --r 2": "--r must be >= 4",
+    "witness --r 5 --i 9": "--i must lie in [0, 5]",
 }
 
 

@@ -4,6 +4,7 @@ a plain-list form of its own recurrence, and for its independence."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,47 @@ def test_bad_column_reads_raise(r, k, n_lo):
     [1, n_max + 1] are ValueErrors."""
     with pytest.raises(IndexError if r > 3 else ValueError):
         InsertionCount(3, 8).column(r, k, n_lo)
+
+
+def test_column_start_range_names_both_edges():
+    """n_lo = n_max + 1 reads nothing, and a refused n_lo is told the
+    range that includes it."""
+    count = InsertionCount(3, 8)
+    assert count.column(0, 2, 9) == []
+    for n_lo in (0, 10):
+        with pytest.raises(ValueError, match=re.escape("n_lo must lie in [1, 9]")):
+            count.column(0, 2, n_lo)
+
+
+def _shift_operator(ones: int, twos: int) -> list[int]:
+    """The coefficients c_0, c_1, ... of (E - 1)^ones (E - 2)^twos."""
+    c = [1]
+    for root in [1] * ones + [2] * twos:
+        c = [a - root * b for a, b in zip([0] + c, c + [0])]
+    return c
+
+
+def _window_sums(count: InsertionCount, r: int, ones: int, twos: int) -> list[int]:
+    """sum_j c_j [q^r] g_(r+3+j)(1k), the c_j those of ``_shift_operator``,
+    for k = 2 .. r+2: the operator applied once to each column of the
+    count's degree-r cells, from row m = r + 1 on (E shifts m = n - 2)."""
+    c = _shift_operator(ones, twos)
+    return [sum(a * cell for a, cell in zip(c, count.column(r, k, r + 3))) for k in range(2, r + 3)]
+
+
+def test_degree_r_cells_have_the_paper_denominator():
+    """G_r lies over (1 - x)^(2r-1) (1 - 2x)^(r+1), (1 - 2x) for r = 0,
+    so (E - 1)^(2r-1) (E - 2)^(r+1) annihilates each column of the
+    degree-r cells, applied once from row m = r + 1 (the rows through
+    4r + 1 for r >= 1), for every r <= 12.  Lowering either exponent by
+    one leaves a nonzero sum at every r, so both powers are sharp."""
+    count = InsertionCount(12, 51)  # rows m <= 49 = 4 * 12 + 1
+    for r in range(13):
+        ones, twos = (2 * r - 1, r + 1) if r else (0, 1)
+        assert _window_sums(count, r, ones, twos) == [0] * (r + 1), r
+        if ones:
+            assert any(_window_sums(count, r, ones - 1, twos)), r
+        assert any(_window_sums(count, r, ones, twos - 1)), r
 
 
 def test_reads_follow_the_rule_for_each_prefix():

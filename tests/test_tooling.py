@@ -19,6 +19,10 @@ Only code that a command runs stays in ``src``: one fresh process runs
 every line of ``COMMANDS`` under ``sys.setprofile``, and every ``def`` in
 ``src/flatperm`` must have been called or be listed in ``UNCALLED`` with
 its reason.
+
+A ``verify`` line fails only by raising ``ConsistencyError``, and its
+detail is the message, so no ``raise ConsistencyError`` in ``checks``
+goes without one.
 """
 
 from __future__ import annotations
@@ -226,3 +230,33 @@ def test_every_function_in_src_runs_in_a_command(tmp_path):
     assert sorted(name for name in defs.values() if name not in ran and not _listed(name)) == []
     assert sorted(name for name in ran if _listed(name)) == []
     assert [entry for entry in UNCALLED if not any(_listed(name) == entry for name in defs.values())] == []
+
+
+def _bare_consistency_raises(source: str) -> tuple[list[int], int]:
+    """The lines of ``source`` that raise ``ConsistencyError`` with no
+    argument, and the number of its raises in all."""
+    bare, total = [], 0
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc
+        call = exc if isinstance(exc, ast.Call) else None
+        target = call.func if call else exc
+        if isinstance(target, ast.Name) and target.id == "ConsistencyError":
+            total += 1
+            if call is None or not (call.args or call.keywords):
+                bare.append(node.lineno)
+    return bare, total
+
+
+def test_every_check_failure_has_a_detail():
+    """A bare ``raise ConsistencyError`` in a check would print a FAIL line
+    with an empty detail."""
+    bare, total = _bare_consistency_raises((SRC / "checks.py").read_text(encoding="utf-8"))
+    assert bare == [] and total > 0
+
+
+@pytest.mark.parametrize("line", ["raise ConsistencyError", "raise ConsistencyError()"])
+def test_bare_raise_guard_refuses(line):
+    source = (SRC / "checks.py").read_text(encoding="utf-8") + f"\n\ndef check():\n    {line}\n"
+    assert _bare_consistency_raises(source)[0] == [len(source.splitlines())]
