@@ -136,16 +136,15 @@ def _check_bounds(args) -> None:
             raise UsageError(f"--{flag} {value} exceeds the {name} {cap}")
 
 
-def _pipeline(r_max: int, order: int | None):
-    """A Pipeline through r_max.  The constructor checks the order against
-    its lower bound before any work, so a ValueError from it is a usage
-    error."""
+def _pipeline(r: int, order: int | None):
+    """The Pipeline that ``ctable`` and ``rational`` read G_r from, built
+    only once --order is checked against its lower bound."""
     from .genfun import Pipeline
 
-    try:
-        return Pipeline(r_max=r_max, order=order)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    r_max = max(r, 1)  # G_0 is read from a pipeline through r = 1
+    if order is not None and order < min_order(r_max):
+        raise UsageError(f"--order must be >= {min_order(r_max)} for --r {r}")
+    return Pipeline(r_max=r_max, order=order)
 
 
 def _emit(payload, args, csv_rows=None) -> None:
@@ -247,10 +246,7 @@ def _cmd_rational(args) -> int:
     from .algebra import numerator_json
 
     r = args.r
-    # --r 0 runs a pipeline through r = 1, so its order needs min_order(1).
-    if r == 0 and args.order is not None and args.order < min_order(1):
-        raise UsageError(f"--order must be >= {min_order(1)} for --r 0")
-    pipeline = _pipeline(max(r, 1), args.order)
+    pipeline = _pipeline(r, args.order)
     gf = pipeline.rational_gf(r)
     payload = {
         "command": "rational",

@@ -124,7 +124,10 @@ class Pipeline:
     through the order is compared with the insertion count
     ``InsertionCount(r_max, order)``, cut at q^r_max.  The count is built
     at the first comparison, so a pipeline that only reads boundary data
-    never builds it.
+    never builds it.  Each failure raises ``ConsistencyError`` naming r;
+    so do the two identities a caller may ask for,
+    ``check_functional_equation`` and ``check_kernel_root``, which return
+    None when they hold.
 
     The boundary data (n <= r_max + 2) come from a ``GTable``: the one
     passed as ``table`` (the ``verify`` suites pass their shared table),
@@ -459,9 +462,9 @@ class Pipeline:
 
     # -- identity checks ------------------------------------------------------
 
-    def check_functional_equation(self, r: int) -> bool:
-        """The pre-kernel functional equation for G_r as an exact identity,
-        both sides over one denominator:
+    def check_functional_equation(self, r: int) -> None:
+        """The pre-kernel functional equation for G_r, compared exactly
+        over one denominator; raises ``ConsistencyError`` unless it holds:
 
             (1 - v + vx) G_r = x(1-v) sum_{j<r} v^{r-j} G_j
                                + x(2-v) G_r(x, 1) + x^3 H_r.
@@ -473,11 +476,12 @@ class Pipeline:
             acc = acc + self.g_exact(j).shift(v=r - j)
         rhs = (acc * ONE_MINUS_V + g.at_v_one() * TWO_MINUS_V).shift(x=1)
         rhs = rhs + self.h_poly(r).shift(x=3)
-        return g * KERNEL == rhs
+        if g * KERNEL != rhs:
+            raise ConsistencyError(f"the pre-kernel functional equation fails for G_{r}")
 
-    def check_kernel_root(self, r: int) -> bool:
-        """The kernel-root consequence of the functional equation, as an
-        exact identity:
+    def check_kernel_root(self, r: int) -> None:
+        """The kernel-root consequence of the functional equation, compared
+        exactly; raises ``ConsistencyError`` unless it holds:
 
             G_r(x, 1) = (x/t) sum_{j<r} s^{j-r} G_j(x, 1/s)
                         - (x^2 s / t) H_r(x, 1/s).
@@ -488,4 +492,5 @@ class Pipeline:
             acc = acc + self.g_exact(j).at_v_sinv().over(r - j)
         h_at = self.h_poly(r).at_v_sinv()
         rhs = acc.over(0, 1).shift(x=1) - h_at.over(-1, 1).shift(x=2)
-        return self.g_exact(r).at_v_one() == rhs
+        if self.g_exact(r).at_v_one() != rhs:
+            raise ConsistencyError(f"the kernel-root identity fails for G_{r}")

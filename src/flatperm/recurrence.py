@@ -242,13 +242,11 @@ class GTable:
             row.append(IntPoly(val))
         return row[k - 2]
 
-    def coeff(self, n: int, r: int, k: int | None = None) -> int:
-        """[q^r] g_n, or [q^r] g_n(1k) when k is given.  Returns 0 for any
-        k beyond n (no flattening of length n starts 1, k then)."""
+    def coeff(self, n: int, r: int, k: int) -> int:
+        """[q^r] g_n(1k).  Returns 0 for any k beyond n (no flattening of
+        length n starts 1, k then)."""
         if r < 0:
             raise ValueError("r must be >= 0")
-        if k is None:
-            return self.g(n)[r]
         if k > n:
             return 0
         return self.g1k(n, k)[r]
@@ -353,7 +351,7 @@ def _a_series(x_top: int, y_top: int) -> list[list[IntPoly]]:
     return A
 
 
-def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> list[str]:
+def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> None:
     """Check the rational closed form
 
         A(x, y) = (1 - qx + xy) / ((1 - x)(1 - qx) - xy)
@@ -361,20 +359,19 @@ def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> list[str]:
     against the recurrence tables: expand it and compare every
     coefficient [x^{k-2} y^{j-1}] A with a_{k,j}, then compare the column
     sums over k <= n with b_{n,j} (and its alternative form) for j >= 2.
-    Returns one line per mismatching index; an empty list means the
-    closed form matches."""
+    Returns None, or raises ``ConsistencyError`` at the first mismatching
+    index, naming it and the values compared."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     top = max(k_max, n_max)
     A = _a_series(top - 2, top - 2)
     rows = a_rows(k_max)
-    mismatches = []
     for k in range(2, k_max + 1):
         for j in range(1, top - 1 + 1):
             want = rows[k][j - 1] if j < k else IntPoly()
             got = A[k - 2][j - 1] if j - 1 <= top - 2 else IntPoly()
             if want != got:
-                mismatches.append(f"a({k},{j}): series {got!r} != recurrence {want!r}")
+                raise ConsistencyError(f"a({k},{j}): series {got!r} != recurrence {want!r}")
     for n in range(3, n_max + 1):
         for j in range(2, n):
             total = IntPoly()
@@ -382,5 +379,6 @@ def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> list[str]:
                 total = total + A[k - 2][j - 1]
             want, alt = b_poly(n, j), b_poly_alt(n, j)
             if not total == want == alt:
-                mismatches.append(f"b({n},{j}): column sum {total!r}, b_poly {want!r}, b_poly_alt {alt!r}")
-    return mismatches
+                raise ConsistencyError(
+                    f"b({n},{j}): column sum {total!r}, b_poly {want!r}, b_poly_alt {alt!r}"
+                )

@@ -62,7 +62,7 @@ class _OffByTwo(GTable):
 
 
 def _constructions(table):
-    return constructions_suite(Pipeline(3, table=table), doubling_nmax=3, witness_rmax=4)
+    return constructions_suite(Pipeline(3, table=table), doubling_nmax=3)
 
 
 def test_boundary_check_passes(table):
@@ -167,9 +167,7 @@ def test_suites_read_their_r_bounds_from_the_pipeline(table):
     """A pipeline through r = 2 is checked for r <= 2, not for a second
     bound that it cannot reach."""
     pipeline = Pipeline(2, table=table)
-    results = genfun_suite(pipeline, maximal_nmax=3) + constructions_suite(
-        pipeline, doubling_nmax=3, witness_rmax=4
-    )
+    results = genfun_suite(pipeline, maximal_nmax=3) + constructions_suite(pipeline, doubling_nmax=3)
     assert all(res.passed for res in results)
     names = {res.name for res in results}
     for name in (
@@ -244,7 +242,7 @@ def test_constructions_build_no_insertion_count(monkeypatch):
         raise AssertionError("insertion count built")
 
     monkeypatch.setattr(genfun, "InsertionCount", refuse)
-    results = constructions_suite(Pipeline(4, table=GTable()), doubling_nmax=3, witness_rmax=4)
+    results = constructions_suite(Pipeline(4, table=GTable()), doubling_nmax=3)
     assert all(res.passed for res in results)
 
 
@@ -359,7 +357,7 @@ def _doubling_line(monkeypatch, pair):
     ``perms.doubling_pair`` replaced by ``pair(real, sigma)``."""
     real = perms.doubling_pair
     monkeypatch.setattr(perms, "doubling_pair", lambda sigma: pair(real, sigma))
-    return _result(constructions_suite(Pipeline(1), doubling_nmax=4, witness_rmax=4), DOUBLING_MAP)
+    return _result(constructions_suite(Pipeline(1), doubling_nmax=4), DOUBLING_MAP)
 
 
 def test_doubling_line_fails_on_a_repeated_image(monkeypatch):

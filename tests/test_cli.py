@@ -441,11 +441,11 @@ def test_readme_states_every_bound():
 
 
 #: Commands whose input the library rejects with a ValueError, each with
-#: the library call that rejects it.  ``rational --r 0`` runs a pipeline
-#: through r = 1, so the CLI words its order bound for --r 0 itself
-#: (``CLI_WORDING``) rather than name an r_max the user never gave, and
-#: ``BOUNDS`` and ``_cmd_witness`` word the bounds of ``witness`` by their
-#: flags.
+#: the library call that rejects it.  The CLI words the order bound of
+#: ``ctable`` and ``rational`` by their flags (``CLI_WORDING``), as
+#: ``BOUNDS`` and ``_cmd_witness`` word the bounds of ``witness``; for
+#: ``rational --r 0``, which runs a pipeline through r = 1, it names no
+#: r_max the user never gave.
 LIBRARY_REJECTIONS = {
     "witness --n 0": lambda: perms.max_pattern_perm(0),
     "witness --r 2": lambda: perms.witness_perm(2, 2),
@@ -454,9 +454,12 @@ LIBRARY_REJECTIONS = {
     "distribution --n 5 --prefix 1,9": lambda: perms.distribution(5, (1, 9)),
     "ctable --r 3 --order 12": lambda: Pipeline(3, order=12),
     "rational --r 0 --order 2": lambda: Pipeline(1, order=2),
+    "rational --r 2 --order 5": lambda: Pipeline(2, order=5),
 }
 CLI_WORDING = {
+    "ctable --r 3 --order 12": "--order must be >= 15 for --r 3",
     "rational --r 0 --order 2": "--order must be >= 7 for --r 0",
+    "rational --r 2 --order 5": "--order must be >= 11 for --r 2",
     "witness --n 0": "--n must be >= 1",
     "witness --r 2": "--r must be >= 4",
     "witness --r 5 --i 9": "--i must lie in [0, 5]",

@@ -331,18 +331,19 @@ VERIFY_ROWS = [
     # G_0 + 2x^5: the closed form 4x^3/t and both identities at r = 0 see
     # it too.
     ("G_0", _memo_off("g_series", 0, _g_plus(0, RationalGF([IntPoly.term(2, 5)]))), "genfun", 3,
-     {G0: "x^5", RATIONAL: "the rational closed form of G_0 differs from G_0", EQUATION: "r=0",
-      KERNEL_ROOT: "r=0"}),
+     {G0: "x^5", RATIONAL: "the rational closed form of G_0 differs from G_0",
+      EQUATION: "the pre-kernel functional equation fails for G_0",
+      KERNEL_ROOT: "the kernel-root identity fails for G_0"}),
     ("reference c tables", _reference_off, "genfun", 3, {REFERENCE: "r=3"}),
     # G_1 + 2x^5 (1 - v)(1 - sv), which vanishes at v = 1 and at v = 1/s,
     # where the kernel-root identity reads G_1.
     ("functional equation", _memo_off("check_functional_equation", 0,
                                       _g_plus(1, (genfun.ONE_MINUS_V * genfun.KERNEL).shift(x=5) * 2)),
-     "genfun", 3, {EQUATION: "r=1"}),
+     "genfun", 3, {EQUATION: "the pre-kernel functional equation fails for G_1"}),
     # G_1 + 2x^5 (1 - v): G_1(x, 1) stays, G_1(x, 1/s), read from r = 2 on,
     # does not.
     ("kernel root", _memo_off("check_kernel_root", 0, _g_plus(1, genfun.ONE_MINUS_V.shift(x=5) * 2)),
-     "genfun", 3, {KERNEL_ROOT: "r=2"}),
+     "genfun", 3, {KERNEL_ROOT: "the kernel-root identity fails for G_2"}),
     ("odd series coefficient", _memo_off("g_series", 1, _g_plus(1, RationalGF([IntPoly.term(1, 5)]))),
      "genfun", 3, {EVEN: "r=1, v^0"}),
     ("interleaved word", _last_two_swapped, "genfun", 3, {INTERLEAVED: "n=3"}),

@@ -411,22 +411,31 @@ class TestRationalForm:
 
 
 class TestIdentities:
+    """Each identity returns None when it holds and raises a message that
+    names G_r when it does not."""
+
     @pytest.mark.parametrize("r", range(0, 4))
     def test_functional_equation(self, pipeline6, r):
-        assert pipeline6.check_functional_equation(r)
+        assert pipeline6.check_functional_equation(r) is None
 
     @pytest.mark.parametrize("r", range(0, 4))
     def test_kernel_root(self, pipeline6, r):
-        assert pipeline6.check_kernel_root(r)
+        assert pipeline6.check_kernel_root(r) is None
 
-    @pytest.mark.parametrize("check", ["check_functional_equation", "check_kernel_root"])
+    IDENTITY = {
+        "check_functional_equation": "the pre-kernel functional equation",
+        "check_kernel_root": "the kernel-root identity",
+    }
+
+    @pytest.mark.parametrize("check", list(IDENTITY))
     def test_corrupted_g_fails_the_identity(self, table, monkeypatch, check):
         pl = Pipeline(r_max=3, table=table)
         real = pl.g_exact
         bump = RationalGF([IntPoly.term(2, 8)], 5, 4)
         monkeypatch.setattr(pl, "g_exact", lambda j: real(j) + bump if j == 3 else real(j))
-        assert getattr(pl, check)(2)
-        assert not getattr(pl, check)(3)
+        assert getattr(pl, check)(2) is None
+        with pytest.raises(ConsistencyError, match=f"^{self.IDENTITY[check]} fails for G_3$"):
+            getattr(pl, check)(3)
 
 
 class TestSeriesReference:

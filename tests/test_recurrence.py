@@ -207,7 +207,7 @@ class TestShortRules:
 class TestCoefficients:
     def test_examples(self, table):
         assert table.coeff(3, 1, 3) == 2
-        assert table.coeff(6, 0) == 32
+        assert table.g(6)[0] == 32
 
     def test_vanishing_for_large_prefix_letter(self, table):
         """q^(k-2) divides g_n(1k), as the insertion count's
@@ -359,8 +359,16 @@ class TestAverage:
 
 class TestClosedForm:
     def test_matches_through_12(self, table):
-        mismatches = verify_a_closed_form(12, 12)
-        assert not mismatches, mismatches[:3]
+        assert verify_a_closed_form(12, 12) is None
+
+    def test_first_mismatch_raises_its_index(self, monkeypatch):
+        """b_poly_alt off by one at (15, 14) is the one mismatch through 15."""
+        real = recurrence.b_poly_alt
+        monkeypatch.setattr(recurrence, "b_poly_alt",
+                            lambda n, j: real(n, j) + IntPoly([int((n, j) == (15, 14))]))
+        message = "b(15,14): column sum IntPoly([2]), b_poly IntPoly([2]), b_poly_alt IntPoly([3])"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            verify_a_closed_form(15, 15)
 
     def test_b_column_sum_example(self):
         # b(7,6) as a column sum over the a-table equals the direct value.

@@ -21,8 +21,10 @@ every line of ``COMMANDS`` under ``sys.setprofile``, and every ``def`` in
 its reason.
 
 A ``verify`` line fails only by raising ``ConsistencyError``, and its
-detail is the message, so no ``raise ConsistencyError`` in ``checks``
-goes without one.
+detail is the message: a check's own or that of the layer it calls.  So
+no ``raise ConsistencyError`` in ``src/flatperm`` goes without one, and
+no function there returns a pass/fail verdict (``-> bool``) beyond the
+protocol methods and the pinned series layer.
 """
 
 from __future__ import annotations
@@ -250,13 +252,56 @@ def _bare_consistency_raises(source: str) -> tuple[list[int], int]:
 
 
 def test_every_check_failure_has_a_detail():
-    """A bare ``raise ConsistencyError`` in a check would print a FAIL line
-    with an empty detail."""
-    bare, total = _bare_consistency_raises((SRC / "checks.py").read_text(encoding="utf-8"))
-    assert bare == [] and total > 0
+    """A bare ``raise ConsistencyError`` in a check, or in a layer that a
+    check calls, would print a FAIL line with an empty detail."""
+    for path in sorted(SRC.glob("*.py")):
+        assert _bare_consistency_raises(path.read_text(encoding="utf-8"))[0] == [], path.name
+    assert _bare_consistency_raises((SRC / "checks.py").read_text(encoding="utf-8"))[1] > 0
 
 
 @pytest.mark.parametrize("line", ["raise ConsistencyError", "raise ConsistencyError()"])
 def test_bare_raise_guard_refuses(line):
     source = (SRC / "checks.py").read_text(encoding="utf-8") + f"\n\ndef check():\n    {line}\n"
     assert _bare_consistency_raises(source)[0] == [len(source.splitlines())]
+
+
+#: The functions of ``src/flatperm`` that may return a ``bool`` besides
+#: protocol methods: the truncated-series layer, kept as it is for
+#: ``perfbench/spantrace.py`` (``PINNED``).
+SERIES_VERDICTS = {"algebra.XSeries.matches", "algebra.VPoly.matches", "algebra.VPoly.is_zero"}
+
+
+def _verdicts(module: str, source: str) -> list[str]:
+    """The qualified names of the functions in ``source`` annotated
+    ``-> bool``, dunder methods left out."""
+    found = []
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                if child.returns and ast.unparse(child.returns).strip("'\"") == "bool" and not dunder:
+                    found.append(name)
+                visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_no_function_returns_a_verdict():
+    """Every identity raises ``ConsistencyError`` in the layer that checks
+    it, so that a failure has one spelling, the raise, and its message."""
+    found = [name for path in sorted(SRC.glob("*.py"))
+             for name in _verdicts(path.stem, path.read_text(encoding="utf-8"))]
+    assert sorted(set(found) - SERIES_VERDICTS) == []
+    assert SERIES_VERDICTS <= set(found)
+
+
+@pytest.mark.parametrize("returns", ["bool", "'bool'"])
+def test_verdict_guard_refuses(returns):
+    source = (f"class Pipeline:\n    def check(self, r) -> {returns}:\n        return r > 0\n"
+              f"    def __eq__(self, other) -> {returns}:\n        return True\n")
+    assert _verdicts("genfun", source) == ["genfun.Pipeline.check"]
