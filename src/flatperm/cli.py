@@ -1,20 +1,15 @@
 """Command-line front end.
 
-Commands
---------
-distribution   occurrence distribution for one n (enumeration or recurrence)
-gpoly          the polynomial g_n, or g_n(1k) with --k
-ctable         the polynomials c_{r,0..r}
-rational       the rational closed form of G_r
-witness        extremal and witness words with their occurrence counts
-average        exact mean number of occurrences
-avoiders       number of pattern-avoiding flattened permutations
-verify         run a named verification suite
+Every command and its options are declared once, in ``COMMANDS``: ``_parse``
+reads ``argv`` against it, ``flatperm --help`` prints its commands, and
+``flatperm COMMAND --help`` each option with its default, range and help.
+No command loads ``argparse``: importing it and the ``gettext`` it pulls
+in, and building its nine parsers, took about 5 ms of every process.
 
 All big integers are emitted as decimal strings.  JSON output is
 deterministic (sorted keys).  Exit status: 0 success, 1 a verification
 failure, 2 usage or limit errors, checked before any work (each integer
-option against its command's rows in ``BOUNDS``, then an unwritable
+option against its range in ``COMMANDS``, then an unwritable
 ``--out``, then the checks that depend on another input, in the
 command); any other exception is a bug and ends with a traceback.
 
@@ -47,10 +42,10 @@ does not freeze, so tests and library callers keep a normal collector.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from ._common import DEFAULT_ENUM_LIMIT, SUITE_NAMES, ConsistencyError, EnumerationLimitError
@@ -82,20 +77,6 @@ WITNESS_MAX = 2000
 #: is capped by the enumeration limit ``DEFAULT_ENUM_LIMIT``.
 VERIFY_RMAX = 12
 
-#: Each command's integer options with a fixed range, as rows (flag,
-#: lowest, cap, cap name), checked by ``main`` before any work; None
-#: leaves that side to the command.
-BOUNDS = {
-    "distribution": (("n", 1, None, None), ("limit", 0, ENUM_LIMIT_MAX, "enumeration cap")),
-    "gpoly": (("n", 1, RECURRENCE_NMAX, "recurrence cap"),),
-    "average": (("n", 1, RECURRENCE_NMAX, "recurrence cap"),),
-    "ctable": (("r", 1, PIPELINE_RMAX, "pipeline cap"), ("order", None, ORDER_MAX, "order cap")),
-    "rational": (("r", 0, PIPELINE_RMAX, "pipeline cap"), ("order", None, ORDER_MAX, "order cap")),
-    "witness": (("n", 1, WITNESS_MAX, "witness cap"), ("r", 4, WITNESS_MAX, "witness cap")),
-    "avoiders": (("n", 1, AVOIDERS_NMAX, "avoiders cap"),),
-    "verify": (("n", 1, DEFAULT_ENUM_LIMIT, "enumeration limit"), ("rmax", 1, VERIFY_RMAX, "verify cap")),
-}
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -122,18 +103,6 @@ def _check_out(path: str) -> None:
         raise UsageError(f"--out {path}: no directory {parent}")
     if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent, os.W_OK):
         raise UsageError(f"--out {path}: not a writable file")
-
-
-def _check_bounds(args) -> None:
-    """Refuse any option of the command outside its ``BOUNDS`` row."""
-    for flag, lowest, cap, name in BOUNDS[args.command]:
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if lowest is not None and value < lowest:
-            raise UsageError(f"--{flag} must be >= {lowest}")
-        if cap is not None and value > cap:
-            raise UsageError(f"--{flag} {value} exceeds the {name} {cap}")
 
 
 def _pipeline(r: int, order: int | None):
@@ -344,82 +313,133 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flatperm",
-        description="Exact distributions of the vincular pattern 13-2 in flattened permutations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: The default of an option that has none and must be given.
+REQUIRED = object()
+_OUT = (str, None, None, "write the output to this path instead of stdout")
+_JSON = {"format": (("json",), "json", None, None), "out": _OUT}
+_CSV = {"format": (("json", "csv"), "json", None, None), "out": _OUT}
+_ORDER_HELP = "x-order through which G_r is compared with the insertion count, default 4r + 10, at least 4r + 3"
 
-    def common(p: argparse.ArgumentParser, with_csv: bool = False) -> None:
-        formats = ("json", "csv") if with_csv else ("json",)
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--out", help="write the output to this path instead of stdout")
+#: Every command: its function, its help line and its options.  An option
+#: row is (kind, default, range, help): kind ``int``, ``str`` or the tuple
+#: of its choices; default REQUIRED if the option must be given; and, for
+#: an integer option with a fixed range, (lowest, cap, cap name), None
+#: leaving that side to the command.  ``_parse`` checks each range.
+COMMANDS = {
+    "distribution": (_cmd_distribution, "occurrence distribution over S_n", {
+        "n": (int, REQUIRED, (1, None, None), "permutation length"),
+        "prefix": (str, "", None, "comma-separated flattened-word prefix, e.g. 1,3"),
+        "limit": (int, DEFAULT_ENUM_LIMIT, (0, ENUM_LIMIT_MAX, "enumeration cap"), "largest n enumerated exhaustively"),
+        **_CSV}),
+    "gpoly": (_cmd_gpoly, "the polynomial g_n or g_n(1k)", {
+        "n": (int, REQUIRED, (1, RECURRENCE_NMAX, "recurrence cap"), None),
+        "k": (int, None, None, "the k of g_n(1k), in [2, n]"), **_JSON}),
+    "ctable": (_cmd_ctable, "the polynomials c_{r,0..r}", {
+        "r": (int, REQUIRED, (1, PIPELINE_RMAX, "pipeline cap"), "1.5-2.0 s at the cap"),
+        "order": (int, None, (None, ORDER_MAX, "order cap"), _ORDER_HELP), **_JSON}),
+    "rational": (_cmd_rational, "rational closed form of G_r", {
+        "r": (int, REQUIRED, (0, PIPELINE_RMAX, "pipeline cap"), "1.5-2.0 s at the cap"),
+        "order": (int, None, (None, ORDER_MAX, "order cap"), f"{_ORDER_HELP} (7 for r = 0)"), **_JSON}),
+    "witness": (_cmd_witness, "extremal word (--n) or prefix witness (--r, --i)", {
+        "n": (int, None, (1, WITNESS_MAX, "witness cap"), "length of the extremal word"),
+        "r": (int, None, (4, WITNESS_MAX, "witness cap"), "occurrences of the witness word"),
+        "i": (int, None, None, "with --r: the witness's index, in [0, r], default r"), **_JSON}),
+    "average": (_cmd_average, "exact mean occurrence count for S_n", {
+        "n": (int, REQUIRED, (1, RECURRENCE_NMAX, "recurrence cap"), "permutation length"), **_JSON}),
+    "avoiders": (_cmd_avoiders, "count of 13-2-avoiding flattened permutations", {
+        "n": (int, REQUIRED, (1, AVOIDERS_NMAX, "avoiders cap"), "permutation length"), **_CSV}),
+    "verify": (_cmd_verify, "run a verification suite", {
+        "suite": (SUITE_NAMES, "all", None, None),
+        "n": (int, 7, (1, DEFAULT_ENUM_LIMIT, "enumeration limit"), "bound for enumeration-backed checks"),
+        "rmax": (int, 4, (1, VERIFY_RMAX, "verify cap"), "bound for pipeline checks"), **_CSV}),
+}
 
-    p = sub.add_parser("distribution", help="occurrence distribution over S_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prefix", default="", help="comma-separated flattened-word prefix, e.g. 1,3")
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT,
-                   help=f"largest n enumerated exhaustively, 0 to {ENUM_LIMIT_MAX}")
-    common(p, with_csv=True)
-    p.set_defaults(fn=_cmd_distribution)
 
-    p = sub.add_parser("gpoly", help="the polynomial g_n or g_n(1k)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    common(p)
-    p.set_defaults(fn=_cmd_gpoly)
+def _option(flag: str, names) -> str | None:
+    """The option of names that flag gives in full or by a unique prefix
+    (``-h`` is ``help``), or None for a word that names none."""
+    key = "help" if flag == "-h" else flag[2:] if flag.startswith("--") else ""
+    found = [key] if key in names else [name for name in names if key and name.startswith(key)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {flag} could match {', '.join('--' + name for name in found)}")
+    return found[0] if found else None
 
-    r_help = f"at most {PIPELINE_RMAX} (1.5-2.0 s at the cap)"
-    p = sub.add_parser("ctable", help="the polynomials c_{r,0..r}")
-    p.add_argument("--r", type=int, required=True, help=r_help)
-    p.add_argument("--order", type=int,
-                   help="x-order through which G_r is compared with the insertion count "
-                        f"(default 4r + 10), at least 4r + 3 and at most {ORDER_MAX}")
-    common(p)
-    p.set_defaults(fn=_cmd_ctable)
 
-    p = sub.add_parser("rational", help="rational closed form of G_r")
-    p.add_argument("--r", type=int, required=True, help=r_help)
-    p.add_argument("--order", type=int,
-                   help="x-order through which G_r is compared with the insertion count "
-                        f"(default 4r + 10), at least 4r + 3 (7 for r = 0) and at most {ORDER_MAX}")
-    common(p)
-    p.set_defaults(fn=_cmd_rational)
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The command's function and its options' values, each in range, read
+    from argv against ``COMMANDS``; for ``-h``/``--help``, the help printer.
+    Takes ``--flag value`` or ``--flag=value`` or a unique prefix of the flag;
+    the last of a repeated flag wins; a value led by ``-`` is a negative int."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    command, *words = argv
+    if _option(command, ("help",)):
+        return SimpleNamespace(fn=_print_help, command=None, out=None)
+    if command not in COMMANDS:
+        raise UsageError(f"invalid command {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    fn, _, options = COMMANDS[command]
+    values = {name: row[1] for name, row in options.items() if row[1] is not REQUIRED}
+    extras = []
+    while words:
+        word = words.pop(0)
+        flag, eq, text = word.partition("=")
+        name = _option(flag, options if eq else (*options, "help"))
+        if name == "help":
+            return SimpleNamespace(fn=_print_help, command=command, out=None)
+        if name is None:
+            extras.append(word)
+            continue
+        if not eq:
+            if not words or words[0].startswith("-") and not words[0][1:].isdigit():
+                raise UsageError(f"argument --{name}: expected one argument")
+            text = words.pop(0)
+        kind = options[name][0]
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                raise UsageError(f"argument --{name}: invalid int value: {text!r}") from None
+        elif kind is not str and text not in kind:
+            raise UsageError(f"argument --{name}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+        values[name] = text
+    missing = [f"--{name}" for name in options if name not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    for name, (_, _, bounds, _) in options.items():
+        lowest, cap, cap_name = bounds or (None, None, None)
+        if None not in (lowest, values[name]) and values[name] < lowest:
+            raise UsageError(f"--{name} must be >= {lowest}")
+        if None not in (cap, values[name]) and values[name] > cap:
+            raise UsageError(f"--{name} {values[name]} exceeds the {cap_name} {cap}")
+    return SimpleNamespace(fn=fn, command=command, **values)
 
-    p = sub.add_parser("witness", help="extremal word (--n) or prefix witness (--r, --i)")
-    p.add_argument("--n", type=int, help=f"length of the extremal word, at most {WITNESS_MAX}")
-    p.add_argument("--r", type=int, help=f"occurrences of the witness word, at most {WITNESS_MAX}")
-    p.add_argument("--i", type=int)
-    common(p)
-    p.set_defaults(fn=_cmd_witness)
 
-    p = sub.add_parser("average", help="exact mean occurrence count for S_n")
-    p.add_argument("--n", type=int, required=True, help=f"permutation length, at most {RECURRENCE_NMAX}")
-    common(p)
-    p.set_defaults(fn=_cmd_average)
-
-    p = sub.add_parser("avoiders", help="count of 13-2-avoiding flattened permutations")
-    p.add_argument("--n", type=int, required=True, help=f"permutation length, at most {AVOIDERS_NMAX}")
-    common(p, with_csv=True)
-    p.set_defaults(fn=_cmd_avoiders)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    p.add_argument("--n", type=int, default=7,
-                   help=f"bound for enumeration-backed checks, 1 to {DEFAULT_ENUM_LIMIT}")
-    p.add_argument("--rmax", type=int, default=4, help=f"bound for pipeline checks, 1 to {VERIFY_RMAX}")
-    common(p, with_csv=True)
-    p.set_defaults(fn=_cmd_verify)
-
-    return parser
+def _print_help(args) -> int:
+    """Print every command with its help line, or each option of
+    args.command with its default or "required", its range and its help."""
+    if args.command is None:
+        print("usage: flatperm [-h] COMMAND [--OPTION VALUE ...]\n\nExact distributions of the vincular "
+              "pattern 13-2 in flattened permutations.\n\ncommands:")
+        print("\n".join(f"  {command:<14}{text}" for command, (_, text, _) in COMMANDS.items()))
+        return EXIT_OK
+    _, text, options = COMMANDS[args.command]
+    print(f"usage: flatperm {args.command} [-h] [--OPTION VALUE ...]\n\n{text}\n\noptions:")
+    for name, (kind, default, bounds, note) in options.items():
+        metavar = "N" if kind is int else "TEXT" if kind is str else "{" + ",".join(kind) + "}"
+        parts = ["required" if default is REQUIRED else "" if default in (None, "") else f"default {default}"]
+        if bounds:
+            lowest, cap, cap_name = bounds
+            parts.append(("" if lowest is None else f"{lowest} <= ") + f"--{name}"
+                         + ("" if cap is None else f" <= {cap} ({cap_name})"))
+        print(f"  {'--' + name + ' ' + metavar:<24}{'; '.join(part for part in (*parts, note) if part)}")
+    return EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_bounds(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.out:
             _check_out(args.out)
         return args.fn(args)

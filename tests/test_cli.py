@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import argparse
 import ast
 import gc
 import hashlib
@@ -16,7 +15,7 @@ import pytest
 from flatperm import checks, cli, genfun, perms, recurrence
 from flatperm.cli import (
     AVOIDERS_NMAX,
-    BOUNDS,
+    COMMANDS,
     ENUM_LIMIT_MAX,
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -146,9 +145,9 @@ class TestGPoly:
 
     def test_csv_rejected_for_polynomials(self, capsys):
         # Only distribution, avoiders and verify offer --format csv.
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "gpoly", "--n", "4", "--format", "csv")
-        assert exc.value.code == EXIT_USAGE
+        assert run(capsys, "gpoly", "--n", "4", "--format", "csv") == (
+            EXIT_USAGE, "", "error: argument --format: invalid choice: 'csv' (choose from 'json')\n"
+        )
 
 
 class TestCTable:
@@ -193,10 +192,9 @@ class TestCTable:
 
     def test_csv_rejected_before_work(self, capsys, monkeypatch):
         forbid_work(monkeypatch, "work started before --format was checked")
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "ctable", "--r", "12", "--format", "csv")
-        assert exc.value.code == EXIT_USAGE
-        assert "invalid choice: 'csv'" in capsys.readouterr().err
+        code, out, err = run(capsys, "ctable", "--r", "12", "--format", "csv")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: argument --format: invalid choice: 'csv' (choose from 'json')\n"
 
 
 class TestRational:
@@ -320,20 +318,28 @@ IN_RANGE = {
 }
 
 
+def ranges():
+    """(command, flag, lowest, cap, cap name) for every option of
+    ``COMMANDS`` with a range."""
+    for command, (_, _, options) in COMMANDS.items():
+        for flag, (_, _, bounds, _) in options.items():
+            if bounds:
+                yield (command, flag, *bounds)
+
+
 def bound_cases(side):
-    """Every row of ``BOUNDS`` one past its lowest value (side "low") or
-    its cap (side "cap"), with the whole message it must give."""
-    for command, rows in BOUNDS.items():
-        for flag, lowest, cap, name in rows:
-            if side == "low" and lowest is not None:
-                value, message = lowest - 1, f"--{flag} must be >= {lowest}"
-            elif side == "cap" and cap is not None:
-                value, message = cap + 1, f"--{flag} {cap + 1} exceeds the {name} {cap}"
-            else:
-                continue
-            required = [] if IN_RANGE[command][:1] == [f"--{flag}"] else IN_RANGE[command]
-            argv = [command, *required, f"--{flag}", str(value)]
-            yield pytest.param(argv, message, id=" ".join(argv))
+    """Every option range of ``COMMANDS`` one past its lowest value (side
+    "low") or its cap (side "cap"), with the whole message it must give."""
+    for command, flag, lowest, cap, name in ranges():
+        if side == "low" and lowest is not None:
+            value, message = lowest - 1, f"--{flag} must be >= {lowest}"
+        elif side == "cap" and cap is not None:
+            value, message = cap + 1, f"--{flag} {cap + 1} exceeds the {name} {cap}"
+        else:
+            continue
+        required = [] if IN_RANGE[command][:1] == [f"--{flag}"] else IN_RANGE[command]
+        argv = [command, *required, f"--{flag}", str(value)]
+        yield pytest.param(argv, message, id=" ".join(argv))
 
 
 @pytest.mark.parametrize("argv, cap", [
@@ -392,17 +398,16 @@ INPUT_DEPENDENT = {("gpoly", "k"), ("witness", "i")}
 
 
 def test_every_integer_option_is_bounded():
-    """Each type=int option of every command is a row of ``BOUNDS`` or
-    one of the input-dependent bounds, and every row names a real option."""
-    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    """Each int option of every command has a range in ``COMMANDS`` or is
+    one of the input-dependent bounds, and only int options have a range."""
     int_options = {
-        (command, action.dest)
-        for command, sub in commands.choices.items()
-        for action in sub._actions
-        if action.type is int
+        (command, flag)
+        for command, (_, _, options) in COMMANDS.items()
+        for flag, (kind, *_) in options.items()
+        if kind is int
     }
-    rows = {(command, row[0]) for command, rows in BOUNDS.items() for row in rows}
-    assert int_options - INPUT_DEPENDENT == rows
+    ranged = {(command, flag) for command, flag, *_ in ranges()}
+    assert int_options - INPUT_DEPENDENT == ranged
     assert INPUT_DEPENDENT <= int_options
 
 
@@ -427,17 +432,16 @@ def test_input_dependent_refusals_name_the_flags(capsys, monkeypatch, argv, mess
 
 
 def test_readme_states_every_bound():
-    """README's paragraph on caps gives every row of ``BOUNDS`` in the
-    form the table checks it."""
+    """README's paragraph on caps gives every option range of ``COMMANDS``
+    in the form the table checks it."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     start = text.index("Every command checks its integer options")
     paragraph = " ".join(text[start: text.index("\n\n", start)].split())
-    for command, rows in BOUNDS.items():
+    for command, flag, lowest, cap, _ in ranges():
         assert f"`{command}`" in paragraph
-        for flag, lowest, cap, _ in rows:
-            low = "" if lowest is None else f"{lowest} <= "
-            high = "" if cap is None else f" <= {cap}"
-            assert f"`{low}--{flag}{high}`" in paragraph, (command, flag)
+        low = "" if lowest is None else f"{lowest} <= "
+        high = "" if cap is None else f" <= {cap}"
+        assert f"`{low}--{flag}{high}`" in paragraph, (command, flag)
 
 
 #: Commands whose input the library rejects with a ValueError, each with
@@ -510,9 +514,93 @@ def test_readme_cli_examples_run(capsys):
         assert code == EXIT_OK, (argv, err)
 
 
+#: SHA-256 of the stdout of ``distribution --n 6 --prefix 1,3``, which
+#: four of the spellings below give.
+DIST_6_13 = "e2dfc19ceac768ff65c62488b6e1e8c1baacd582f389f48b92f842198dbd9f78"
+
+#: Argvs that ``COMMANDS`` accepts, each with the SHA-256 of its stdout as
+#: the argparse parser that the table replaced printed it: both spellings
+#: of a value, unique prefixes (``--pre``, ``--lim``, ``--form``, ``--or``,
+#: not the ambiguous ``--o``), and a repeated flag, of which the last wins.
+ACCEPTED = {
+    "distribution --n 6 --prefix 1,3": DIST_6_13,
+    "distribution --n=6 --prefix=1,3": DIST_6_13,
+    "distribution --n 6 --pre 1,3": DIST_6_13,
+    "distribution --n 4 --n 6 --prefix 1,2 --prefix 1,3": DIST_6_13,
+    "distribution --prefix 1,3 --n 6 --lim 6 --form csv":
+        "937f3b35565dd0c86707137e75d8663ccc12d9446e1c8916fc779b6ce4eedffb",
+    "distribution --n 3 --prefix=": "96e320a9da199726c2e474afed7e597dcb5ef84ee7cd74a5bb8f42d68110ea50",
+    "ctable --r 3 --or 15": "3bbb605ca0cf6ab05b27ed63ce68d7b45cee15099c1f86c0db0a6ce93e29cc27",
+    "rational --r 0": "ace5ebf5017f8f6e34c3ad134367ca20a8c83bf9f7fc0e7f54488d13652fa93c",
+    "gpoly --n 4 --k=3": "44163828dcec603a000da79f4e00c49b183a41fa340562a3e171124f3bd7f9c7",
+    "witness --r 5 --i 2": "b620d1ae26484740625fcdd25bfc3a26410d4d6c7a0ceb30210749a86ffca245",
+    "verify --suite=recurrence --n 4 --rmax 1": "281eb66ea7c33c11e069c6e19d9918bd99a42ec31cb750b6afe599d9255c3044",
+    "avoiders --n 5 --format=csv": "7bb596ab0a83787e2bda6b4316ddf318a5ec5eb392b628c858997db528d07c82",
+}
+
+
+@pytest.mark.parametrize("argv", list(ACCEPTED))
+def test_accepted_argv_keeps_its_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ACCEPTED[argv]
+
+
+#: Each class of argv that the parser refuses, with the one stderr line it
+#: gives.  A value led by ``-`` is taken only as a negative integer, so
+#: ``--n -1`` fails on its range and ``--prefix -x`` has no value.
+REFUSED = {
+    "": "the following arguments are required: command",
+    "bogus": "invalid command 'bogus' (choose from 'distribution', 'gpoly', 'ctable', 'rational', "
+             "'witness', 'average', 'avoiders', 'verify')",
+    "distribution --n 3 --bogus": "unrecognized arguments: --bogus",
+    "distribution --n 3 extra": "unrecognized arguments: extra",
+    "distribution --n": "argument --n: expected one argument",
+    "distribution --n x": "argument --n: invalid int value: 'x'",
+    "distribution --n 3 --prefix -x": "argument --prefix: expected one argument",
+    "distribution --n -1": "--n must be >= 1",
+    "gpoly --n 4 --format csv": "argument --format: invalid choice: 'csv' (choose from 'json')",
+    "verify --suite foo": "argument --suite: invalid choice: 'foo' "
+                          "(choose from 'all', 'recurrence', 'genfun', 'constructions')",
+    "ctable": "the following arguments are required: --r",
+    "ctable --o 5": "ambiguous option: --o could match --order, --out",
+    "ctable --r 3 --order 12": "--order must be >= 15 for --r 3",
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED))
+def test_refused_argv_is_one_usage_error(capsys, monkeypatch, argv):
+    """Every refusal returns EXIT_USAGE from ``main``, before any work, with
+    nothing on stdout and one ``error:`` line on stderr."""
+    forbid_work(monkeypatch, "work started on a refused argv")
+    assert run(capsys, *argv.split()) == (EXIT_USAGE, "", f"error: {REFUSED[argv]}\n")
+
+
+def test_help_lists_every_command(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    for command, (_, text, _) in COMMANDS.items():
+        assert f"  {command} " in out and text in out
+    assert run(capsys, "-h") == run(capsys, "--he") == (EXIT_OK, out, "")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_lists_every_option_with_its_range(capsys, monkeypatch, command):
+    forbid_work(monkeypatch, "work started for --help")
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert all(f"  --{flag} " in out for flag in COMMANDS[command][2])
+    for _, flag, lowest, cap, name in (row for row in ranges() if row[0] == command):
+        low = "" if lowest is None else f"{lowest} <= "
+        high = "" if cap is None else f" <= {cap} ({name})"
+        assert f"{low}--{flag}{high}" in out
+    assert run(capsys, command, "-h") == (EXIT_OK, out, "")
+
+
 #: The modules a command must not load unless it runs them.
 HEAVY = ("flatperm.algebra", "flatperm.recurrence", "flatperm.genfun", "flatperm.checks",
-         "flatperm.insertion", "dataclasses", "inspect", "fractions", "csv")
+         "flatperm.insertion", "dataclasses", "inspect", "fractions", "csv",
+         "argparse", "gettext")
 
 LOADED_BY = """
 import contextlib, io, sys
@@ -531,6 +619,15 @@ def modules_loaded_by(*argv, modules=HEAVY):
                           env=env, capture_output=True, text=True, check=True)
     code, *loaded = done.stdout.split()
     return int(code), loaded
+
+
+def test_cli_import_loads_no_argparse():
+    """The process pays for no argument parser library before a command
+    runs, as ``setup_s`` measures it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, flatperm.cli; print(*sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 def test_enumeration_loads_only_perms():

@@ -100,7 +100,8 @@ def test_golden_stdout(argv, no_series):
 
 #: One command line of each kind: every command, ``distribution`` by
 #: enumeration and by the recurrence, both ``witness`` forms, ``rational``
-#: at r = 0, and ``verify`` over every suite.
+#: at r = 0, ``verify`` over every suite, and the help of the CLI and of
+#: one command.
 COMMANDS = (
     "distribution --n 9 --prefix 1,5",
     "distribution --n 12 --prefix 1,3",
@@ -114,6 +115,8 @@ COMMANDS = (
     "avoiders --n 20",
     "verify --suite all --n 9 --rmax 8",
     "verify --suite all --n 10 --rmax 12",
+    "--help",
+    "ctable --help",
 )
 
 
