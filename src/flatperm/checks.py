@@ -25,7 +25,6 @@ from ._reference import REFERENCE_CTABLES
 from .algebra import ConsistencyError, IntPoly
 from .genfun import Pipeline
 from .recurrence import (
-    Q_MINUS_1,
     GTable,
     a_rows,
     avoider_counts,
@@ -81,25 +80,18 @@ def _oracle(n: int, prefix: tuple[int, ...] = ()) -> perms.OccurrenceTable:
     return perms.OccurrenceTable(n, dict(sorted(counts.items())))
 
 
-def a_factors(k_max: int) -> list[list[IntPoly]]:
-    """The factors a_{k,j} (q-1)^(j-1) of the a-sum, row k for
-    2 <= k <= k_max (rows 0 and 1 are empty), each formed once."""
-    qm1 = [IntPoly([1])]
-    for _ in range(k_max):
-        qm1.append(qm1[-1] * Q_MINUS_1)
-    return [[a * qm1[j] for j, a in enumerate(row)] for row in a_rows(k_max)]
-
-
-def a_sum(table: GTable, n: int, factors: list[IntPoly]):
+def a_sum(table: GTable, n: int, row: list[IntPoly]) -> IntPoly:
     """g_n(1k) for 3 <= k <= n as the a-sum over the table's g column,
 
         sum_{j=1}^{k-1} a_{k,j} (q-1)^{j-1} g_{n-j},
 
-    given factors = ``a_factors(..)[k]``: the reference the table's
-    short-rule rows are compared with."""
+    given row = ``a_rows(..)[k]`` = [a_{k,1}, ..., a_{k,k-1}]: the
+    reference the table's short-rule rows are compared with.  It is
+    formed by Horner's rule in q - 1, as ``GTable.ensure`` forms the
+    b-sum: total <- total (q - 1) + a_{k,j} g_{n-j} for j = k-1, ..., 1."""
     total = IntPoly()
-    for j, f in enumerate(factors, 1):
-        total = total + table.g(n - j) * f
+    for j in range(len(row), 0, -1):
+        total = total.shift(1) - total + row[j - 1] * table.g(n - j)
     return total
 
 
@@ -149,7 +141,7 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
     # doubling line takes g_n(12) as the b-sum column minus the a-sum rows.
     # Each a-sum g_n(1k), 3 <= k <= n <= IDENTITY_NMAX, is formed once and
     # read by every line that compares with it.
-    a = a_factors(IDENTITY_NMAX)
+    a = a_rows(IDENTITY_NMAX)
 
     @functools.cache
     def a_ref(n: int, k: int) -> IntPoly:

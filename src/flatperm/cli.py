@@ -350,7 +350,7 @@ COMMANDS = {
         "n": (int, REQUIRED, (1, AVOIDERS_NMAX, "avoiders cap"), "permutation length"), **_CSV}),
     "verify": (_cmd_verify, "run a verification suite", {
         "suite": (SUITE_NAMES, "all", None, None),
-        "n": (int, 7, (1, DEFAULT_ENUM_LIMIT, "enumeration limit"), "bound for enumeration-backed checks"),
+        "n": (int, 7, (2, DEFAULT_ENUM_LIMIT, "enumeration limit"), "bound for enumeration-backed checks"),
         "rmax": (int, 4, (1, VERIFY_RMAX, "verify cap"), "bound for pipeline checks"), **_CSV}),
 }
 

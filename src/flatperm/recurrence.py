@@ -12,7 +12,10 @@ the paper's short rules
     g_n(14) = g_{n-1} - (1-q)(3+2q) g_{n-2} + 2(1-q)^2 g_{n-3},
     g_n(1k) = (1+q) g_n(1,k-1) - q g_n(1,k-2) - (1-q) g_{n-1}(1,k-1)   (k >= 5),
 
-and the column g_n by the b-sum
+each written as ``IntPoly`` sums, integer multiples and shifts: a factor
+q is ``shift(1)``, so (1-q) p is p - qp, and the last rule is
+a - c + q(a - b + c) for a = g_n(1,k-1), b = g_n(1,k-2) and
+c = g_{n-1}(1,k-1).  The column g_n is the b-sum
 
     g_n = sum_{j=1}^{n-1} b_{n,j} (q-1)^{j-1} g_{n-j},
 
@@ -46,17 +49,12 @@ identities and asserted, never assumed.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import add, sub
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .algebra import ConsistencyError, IntPoly, _pack, _unpack
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-#: q - 1 as a polynomial.
-Q_MINUS_1 = IntPoly([-1, 1])
 
 
 def _binom(m: int, k: int) -> int:
@@ -133,35 +131,14 @@ def b_poly_alt(n: int, j: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _aligned(*polys: IntPoly) -> list[tuple[int, ...]]:
-    """The coefficient tuples of polys, padded with zeros to one length."""
-    m = max(len(p.coeffs) for p in polys)
-    return [p.coeffs + (0,) * (m - len(p.coeffs)) for p in polys]
-
-
-def _plus_q(lo, hi) -> Iterator[int]:
-    """The coefficients of lo + q hi, for coefficient iterables of one
-    length: one fused pass."""
-    return map(add, chain(lo, (0,)), chain((0,), hi))
-
-
 class GTable:
     """Bottom-up tables of g_n and g_n(1k), growable on demand.
 
     The g column is filled eagerly through n_max at construction.  The
-    row g_n(12), g_n(13), ... of one n is grown lazily by the short rules,
-    only through the largest k asked for, and memoized per n:
-
-        g_n(12) = 2 g_{n-1},
-        g_n(13) = g_{n-1} - 2(1-q) g_{n-2},
-        g_n(14) = g_{n-1} - (1-q)(3+2q) g_{n-2} + 2(1-q)^2 g_{n-3},
-        g_n(1k) = (1+q) g_n(1,k-1) - q g_n(1,k-2) - (1-q) g_{n-1}(1,k-1)
-                                                              (k >= 5),
-
-    each formed on the coefficient tuples in one fused pass, the last as
-    a - c + q(a - b + c) for a = g_n(1,k-1), b = g_n(1,k-2) and
-    c = g_{n-1}(1,k-1).  A table grows as it is read, so give each thread
-    its own.
+    row g_n(12), g_n(13), ... of one n is grown lazily by the short rules
+    of the module docstring, only through the largest k asked for, and
+    memoized per n.  A table grows as it is read, so give each thread its
+    own.
 
     Every polynomial is kept in full.  Each g_n is the b-sum over the
     column below it, formed as one packed Horner sum whose slot width
@@ -220,26 +197,19 @@ class GTable:
         while len(row) < k - 1:
             j = len(row) + 2
             if j == 2:
-                a = self.g(n - 1).coeffs
-                val = map(add, a, a)
+                val = self.g(n - 1) * 2
             elif j == 3:
-                # g_{n-1} - 2(1-q) g_{n-2} = (a - 2b) + q 2b
-                a, b = _aligned(self.g(n - 1), self.g(n - 2))
-                b2 = list(map(add, b, b))
-                val = _plus_q(map(sub, a, b2), b2)
+                b = self.g(n - 2)
+                val = self.g(n - 1) - (b - b.shift(1)) * 2
             elif j == 4:
-                # g_{n-1} - (1-q)(3+2q) g_{n-2} + 2(1-q)^2 g_{n-3}
-                #   = (a - 3b + 2c) + q (b - 4c) + q^2 (2b + 2c)
-                a, b, c = _aligned(self.g(n - 1), self.g(n - 2), self.g(n - 3))
-                lo = [x - 3 * y + 2 * z for x, y, z in zip(a, b, c)]
-                mid = [y - 4 * z for y, z in zip(b, c)]
-                hi = [2 * (y + z) for y, z in zip(b, c)]
-                val = _plus_q(chain(lo, (0,)), _plus_q(mid, hi))
+                # g_{n-1} - (1-q) u with u = (3+2q) g_{n-2} - 2(1-q) g_{n-3}
+                b, c = self.g(n - 2), self.g(n - 3)
+                u = b * 3 + b.shift(1) * 2 - (c - c.shift(1)) * 2
+                val = self.g(n - 1) - (u - u.shift(1))
             else:
-                # (1+q)a - qb - (1-q)c = a - c + q(a - b + c)
-                a, b, c = _aligned(row[-1], row[-2], self.g1k(n - 1, j - 1))
-                val = _plus_q(map(sub, a, c), map(sub, map(add, a, c), b))
-            row.append(IntPoly(val))
+                a, b, c = row[-1], row[-2], self.g1k(n - 1, j - 1)
+                val = a - c + (a - b + c).shift(1)
+            row.append(val)
         return row[k - 2]
 
     def coeff(self, n: int, r: int, k: int) -> int:
@@ -321,32 +291,25 @@ def average_occurrences(n: int, table: GTable | None = None) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _a_series(x_top: int, y_top: int) -> list[list[IntPoly]]:
-    """Taylor coefficients of A(x, y) as IntPoly-in-q entries A[i][j]."""
+    """Taylor coefficients of A(x, y) = N/D as IntPoly-in-q entries
+    A[i][j] = [x^i y^j] A, i <= x_top and j <= y_top, read off A D = N
+    for D = 1 - (1+q)x + qx^2 - xy and N = 1 - qx + xy:
+
+        A[i][j] = [x^i y^j] N + (1+q) A[i-1][j] - q A[i-2][j] + A[i-1][j-1],
+
+    with entries of negative index zero.  (1+q) a - q b is a + q(a - b),
+    so each entry is sums and one shift."""
     zero = IntPoly()
-    # Inverse E of the denominator 1 - (1+q)x + qx^2 - xy, then A = numerator * E;
-    # each product by q or 1 + q is a shift and a sum.
-    E = [[zero] * (y_top + 1) for _ in range(x_top + 1)]
-    E[0][0] = IntPoly([1])
-    for i in range(x_top + 1):
-        for j in range(y_top + 1):
-            if i == j == 0:
-                continue
-            val = zero
-            if i >= 1:
-                val = E[i - 1][j] + E[i - 1][j].shift(1)
-            if i >= 2:
-                val = val - E[i - 2][j].shift(1)
-            if i >= 1 and j >= 1:
-                val = val + E[i - 1][j - 1]
-            E[i][j] = val
+    numerator = {(0, 0): IntPoly([1]), (1, 0): IntPoly([0, -1]), (1, 1): IntPoly([1])}
     A = [[zero] * (y_top + 1) for _ in range(x_top + 1)]
     for i in range(x_top + 1):
         for j in range(y_top + 1):
-            val = E[i][j]
+            val = numerator.get((i, j), zero)
             if i >= 1:
-                val = val - E[i - 1][j].shift(1)
-            if i >= 1 and j >= 1:
-                val = val + E[i - 1][j - 1]
+                prev = A[i - 1][j]
+                val = val + prev + (prev - (A[i - 2][j] if i >= 2 else zero)).shift(1)
+                if j >= 1:
+                    val = val + A[i - 1][j - 1]
             A[i][j] = val
     return A
 

@@ -153,9 +153,9 @@ def test_recurrence_suite_forms_each_a_sum_once(monkeypatch):
     g_n(1k) per (n, k), 3 <= k <= n <= 12: 55 in all, not 110."""
     real, calls = checks.a_sum, Counter()
 
-    def counted(table, n, factors):
-        calls[n, len(factors) + 1] += 1  # factors = a_factors(..)[k] holds k - 1 entries
-        return real(table, n, factors)
+    def counted(table, n, row):
+        calls[n, len(row) + 1] += 1  # row = a_rows(..)[k] holds a_{k,1}, ..., a_{k,k-1}
+        return real(table, n, row)
 
     monkeypatch.setattr(checks, "a_sum", counted)
     assert all(res.passed for res in checks.run_suite("recurrence"))

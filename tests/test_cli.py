@@ -381,7 +381,7 @@ def test_out_checked_before_work(capsys, monkeypatch, tmp_path, argv, missing_di
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["verify", "--suite", "recurrence", "--n", "0"], "--n must be >= 1"),
+    (["verify", "--suite", "recurrence", "--n", "1"], "--n must be >= 2"),
     (["verify", "--suite", "genfun", "--rmax", "0"], "--rmax must be >= 1"),
     *bound_cases("low"),
 ])

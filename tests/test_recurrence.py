@@ -9,7 +9,7 @@ import pytest
 
 from flatperm import perms, recurrence
 from flatperm.algebra import ConsistencyError, IntPoly
-from flatperm.checks import a_factors, a_sum
+from flatperm.checks import a_sum
 from flatperm.insertion import InsertionCount
 from flatperm.recurrence import (
     GTable,
@@ -25,6 +25,7 @@ from packed_reference import packed_dot
 
 Q = IntPoly([0, 1])
 ONE_MINUS_Q = IntPoly([1, -1])
+Q_MINUS_1 = IntPoly([-1, 1])
 
 
 class TestBTable:
@@ -183,14 +184,25 @@ class TestShortRules:
     kept in ``checks``."""
 
     def test_rows_match_a_sum_in_full(self, table):
-        a = a_factors(30)
+        a = a_rows(30)
         for n in range(3, 31):
             for k in range(3, n + 1):
                 assert table.g1k(n, k) == a_sum(table, n, a[k]), (n, k)
 
+    def test_a_sum_matches_the_factor_form(self, table):
+        """The a-sum by Horner's rule in q - 1 against the sum of the
+        factors a_{k,j} (q-1)^(j-1) g_{n-j}, each power formed whole."""
+        a = a_rows(14)
+        for n in range(3, 15):
+            for k in range(3, n + 1):
+                want = IntPoly()
+                for j, a_kj in enumerate(a[k], 1):
+                    want = want + a_kj * Q_MINUS_1 ** (j - 1) * table.g(n - j)
+                assert a_sum(table, n, a[k]) == want, (n, k)
+
     @pytest.mark.parametrize("top", [0, 1, 5, 12])
     def test_rows_match_a_sum_when_cut(self, table, top):
-        cut, a = InsertionCount(top, 30), a_factors(30)
+        cut, a = InsertionCount(top, 30), a_rows(30)
         for n in range(3, 31):
             for k in range(3, n + 1):
                 want = a_sum(table, n, a[k])
@@ -200,7 +212,7 @@ class TestShortRules:
         table = GTable(12)
         table.g1k(12, 4)
         assert len(table._rows[12]) == 3
-        assert table.g1k(12, 6) == a_sum(table, 12, a_factors(6)[6])
+        assert table.g1k(12, 6) == a_sum(table, 12, a_rows(6)[6])
         assert len(table._rows[12]) == 5
 
 
@@ -369,6 +381,34 @@ class TestClosedForm:
         message = "b(15,14): column sum IntPoly([2]), b_poly IntPoly([2]), b_poly_alt IntPoly([3])"
         with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
             verify_a_closed_form(15, 15)
+
+    @staticmethod
+    def _times_denominator(A):
+        """The array A multiplied by D = 1 - (1+q)x + qx^2 - xy, entry by
+        entry, through the corner of A."""
+        D = {(0, 0): IntPoly([1]), (1, 0): IntPoly([-1, -1]), (2, 0): Q, (1, 1): IntPoly([-1])}
+        return [
+            [
+                sum((d * A[i - di][j - dj] for (di, dj), d in D.items() if di <= i and dj <= j), IntPoly())
+                for j in range(len(A[i]))
+            ]
+            for i in range(len(A))
+        ]
+
+    @staticmethod
+    def _numerator():
+        """N = 1 - qx + xy as an array through x^13 y^13."""
+        N = {(0, 0): IntPoly([1]), (1, 0): IntPoly([0, -1]), (1, 1): IntPoly([1])}
+        return [[N.get((i, j), IntPoly()) for j in range(14)] for i in range(14)]
+
+    def test_series_times_denominator_is_numerator(self):
+        """A(x, y) D = N through x^13 y^13, read with no a_{k,j}."""
+        assert self._times_denominator(recurrence._a_series(13, 13)) == self._numerator()
+
+    def test_series_off_by_one_does_not_multiply_back(self):
+        A = recurrence._a_series(13, 13)
+        A[7][4] = A[7][4] + IntPoly([1])
+        assert self._times_denominator(A) != self._numerator()
 
     def test_b_column_sum_example(self):
         # b(7,6) as a column sum over the a-table equals the direct value.
