@@ -3,13 +3,16 @@
 Each suite runs a batch of exact identity checks across the independent
 computation routes (brute-force enumeration, q-polynomial recurrences,
 kernel pipeline) and returns one ``CheckResult`` per claim: a plain
-record of the check's name, whether it passed, and on failure a detail
-naming where.  A check fails only by raising ``ConsistencyError``, whose
-message is the detail.  An identity that a layer owns (the pipeline's
-functional equation and kernel root, the closed form of the a/b tables)
-raises there, and its message is the detail as it stands: no function in
-the package returns a pass/fail verdict.  The CLI's ``verify`` command is
-a thin wrapper over these suites.
+record of the line's key and name, whether it passed, and on failure a
+detail naming where.  The key is a short, stable identifier given where
+the line is registered (``"mass"``, ``"dual-route"``), and tests address
+the line by it; the name is the text ``verify`` prints.  A check fails
+only by raising ``ConsistencyError``, whose message is the detail.  An
+identity that a layer owns (the pipeline's functional equation and
+kernel root, the closed form of the a/b tables) raises there, and its
+message is the detail as it stands: no function in the package returns
+a pass/fail verdict.  The CLI's ``verify`` command is a thin wrapper
+over these suites.
 """
 
 from __future__ import annotations
@@ -44,22 +47,23 @@ IDENTITY_RMAX = 4
 
 
 class CheckResult(NamedTuple):
+    key: str
     name: str
     passed: bool
     detail: str = ""
 
 
-def _check(results: list[CheckResult], name: str, fn) -> None:
-    """Record the line ``name``.  It fails only when ``fn()`` raises
-    ``ConsistencyError``, with the message as its detail, and passes when
-    ``fn()`` returns None; any other return is a bug and raises TypeError."""
+def _check(results: list[CheckResult], key: str, name: str, fn) -> None:
+    """Record the line ``key``, printed as ``name``: it fails only when
+    ``fn()`` raises ``ConsistencyError``, with the message as its detail, and
+    passes when ``fn()`` returns None; any other return is a bug (TypeError)."""
     try:
         if fn() is not None:
-            raise TypeError(f"check {name!r} returned a value; a check fails only by raising")
+            raise TypeError(f"check {key!r} returned a value; a check fails only by raising")
     except ConsistencyError as exc:
-        results.append(CheckResult(name, False, str(exc)))
+        results.append(CheckResult(key, name, False, str(exc)))
     else:
-        results.append(CheckResult(name, True))
+        results.append(CheckResult(key, name, True))
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,7 +115,7 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
         ):
             if poly != IntPoly(want):
                 raise ConsistencyError(name)
-    _check(out, "base polynomials g_1, g_2, g_3, g_3(12), g_3(13)", base_values)
+    _check(out, "base", "base polynomials g_1, g_2, g_3, g_3(12), g_3(13)", base_values)
 
     def oracle_agreement():
         for n in range(1, oracle_nmax + 1):
@@ -120,7 +124,7 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
             for k in range(2, n + 1):
                 if _oracle(n, (1, k)).coeff_list() != list(table.g1k(n, k).coeffs):
                     raise ConsistencyError(f"g_{n}(1{k}) disagrees with enumeration")
-    _check(out, f"enumeration agrees with recurrence for n <= {oracle_nmax}", oracle_agreement)
+    _check(out, "enumeration", f"enumeration agrees with recurrence for n <= {oracle_nmax}", oracle_agreement)
 
     # The b-sum column against the sum of the short-rule rows.
     def mass_and_sign():
@@ -134,7 +138,7 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
                     total = total + table.g1k(n, k)
                 if total != g:
                     raise ConsistencyError(f"prefix sum at n={n}")
-    _check(out, f"q=1 mass is n!, coefficients nonnegative, prefixes sum to g_n (n <= {IDENTITY_NMAX})", mass_and_sign)
+    _check(out, "mass", f"q=1 mass is n!, coefficients nonnegative, prefixes sum to g_n (n <= {IDENTITY_NMAX})", mass_and_sign)
 
     # The table grows g_n(1k) by its short rules, g_n(12) = 2 g_(n-1)
     # among them, so the next three lines compare it with the a-sum; the
@@ -154,14 +158,14 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
                 rest = rest - a_ref(n, k)
             if rest != table.g(n - 1) * 2:
                 raise ConsistencyError(f"n={n}")
-    _check(out, f"g_n(12) = 2 g_(n-1) for n <= {IDENTITY_NMAX}", doubling_identity)
+    _check(out, "g12-doubling", f"g_n(12) = 2 g_(n-1) for n <= {IDENTITY_NMAX}", doubling_identity)
 
     def three_term():
         for n in range(5, IDENTITY_NMAX + 1):
             for k in range(5, n + 1):
                 if table.g1k(n, k) != a_ref(n, k):
                     raise ConsistencyError(f"(n,k)=({n},{k})")
-    _check(out, f"three-term recurrence for g_n(1k), 5 <= k <= n <= {IDENTITY_NMAX}", three_term)
+    _check(out, "three-term", f"three-term recurrence for g_n(1k), 5 <= k <= n <= {IDENTITY_NMAX}", three_term)
 
     def initial_forms():
         for n in range(3, IDENTITY_NMAX + 1):
@@ -169,7 +173,7 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
                 raise ConsistencyError(f"g_{n}(13)")
             if n >= 4 and table.g1k(n, 4) != a_ref(n, 4):
                 raise ConsistencyError(f"g_{n}(14)")
-    _check(out, f"closed initial forms for g_n(13), g_n(14), n <= {IDENTITY_NMAX}", initial_forms)
+    _check(out, "initial-forms", f"closed initial forms for g_n(13), g_n(14), n <= {IDENTITY_NMAX}", initial_forms)
 
     def prefix_recurrence():
         for n in range(3, IDENTITY_NMAX + 1):
@@ -180,7 +184,7 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
                     rhs = rhs + p.shift(i - j) - p  # (q^(i-j) - 1) p
                 if table.g1k(n, i) != rhs:
                     raise ConsistencyError(f"(n,i)=({n},{i})")
-    _check(out, f"prefix recurrence g_n(1i) = g_(n-1) + sum (q^(i-j)-1) g_(n-1)(1j), n <= {IDENTITY_NMAX}", prefix_recurrence)
+    _check(out, "prefix-recurrence", f"prefix recurrence g_n(1i) = g_(n-1) + sum (q^(i-j)-1) g_(n-1)(1j), n <= {IDENTITY_NMAX}", prefix_recurrence)
 
     def parity():
         for n in range(2, IDENTITY_NMAX + 1):
@@ -188,7 +192,7 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
                 poly = table.g1k(n, k)
                 if any(poly[r] % 2 for r in range(1, poly.degree + 1)):
                     raise ConsistencyError(f"(n,k)=({n},{k})")
-    _check(out, f"g_(n,r)(1k) is even for r >= 1, n <= {IDENTITY_NMAX}", parity)
+    _check(out, "parity", f"g_(n,r)(1k) is even for r >= 1, n <= {IDENTITY_NMAX}", parity)
 
     def avoiders():
         for n, count in enumerate(avoider_counts(AVOIDER_NMAX), 1):
@@ -197,14 +201,14 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
         for n in range(1, oracle_nmax + 1):
             if _oracle(n).count(0) != 2 ** (n - 1):
                 raise ConsistencyError(f"oracle n={n}")
-    _check(out, f"avoider count is 2^(n-1) (recurrence n <= {AVOIDER_NMAX}, oracle n <= {oracle_nmax})", avoiders)
+    _check(out, "avoiders", f"avoider count is 2^(n-1) (recurrence n <= {AVOIDER_NMAX}, oracle n <= {oracle_nmax})", avoiders)
 
     def averages():
         for n in range(1, AVERAGE_NMAX + 1):
             check_average(n, table)  # raises on mismatch, in integers
-    _check(out, f"average occurrences equal (n^2+3n+8)/12 - H_n for n <= {AVERAGE_NMAX}", averages)
+    _check(out, "average", f"average occurrences equal (n^2+3n+8)/12 - H_n for n <= {AVERAGE_NMAX}", averages)
 
-    _check(out, f"closed form of A(x,y) matches a- and b-tables through {A_FORM_KMAX}",
+    _check(out, "closed-form", f"closed form of A(x,y) matches a- and b-tables through {A_FORM_KMAX}",
            lambda: verify_a_closed_form(A_FORM_KMAX, A_FORM_KMAX))
 
     def b_constants():
@@ -213,7 +217,7 @@ def recurrence_suite(table: GTable, oracle_nmax: int = 7) -> list[CheckResult]:
                 raise ConsistencyError(f"b({n},1)")
             if n >= 3 and b_poly(n, n - 1) != IntPoly([2]):
                 raise ConsistencyError(f"b({n},{n - 1})")
-    _check(out, f"b(n,1) = n and b(n,n-1) = 2 for n <= {IDENTITY_NMAX}", b_constants)
+    _check(out, "b-constants", f"b(n,1) = n and b(n,n-1) = 2 for n <= {IDENTITY_NMAX}", b_constants)
 
     return out
 
@@ -233,7 +237,7 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
         for n, c in enumerate(g0[0]):
             if c != (2 ** (n - 1) if n >= 3 else 0):
                 raise ConsistencyError(f"x^{n}")
-    _check(out, "G_0 = 4x^3/(1-2x) coefficient by coefficient", base_series)
+    _check(out, "g0", "G_0 = 4x^3/(1-2x) coefficient by coefficient", base_series)
 
     def reference_tables():
         for r in range(1, min(r_max, 5) + 1):
@@ -241,7 +245,7 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
             want = [IntPoly(cs) for cs in REFERENCE_CTABLES[r]]
             if list(ct) != want:
                 raise ConsistencyError(f"r={r}")
-    _check(out, f"c tables match the reference coefficients for r <= {min(r_max, 5)}", reference_tables)
+    _check(out, "reference", f"c tables match the reference coefficients for r <= {min(r_max, 5)}", reference_tables)
 
     def structure():
         for r in range(1, r_max + 1):
@@ -254,41 +258,41 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
                     w = perms.witness_perm(r, i)
                     if perms.count_13_2(w) != r or w[1] != i + 2:
                         raise ConsistencyError(f"r={r}: witness word for i={i}")
-    _check(out, f"P_r structure (integrality, value at 1/2, degrees) for r <= {r_max}", structure)
+    _check(out, "structure", f"P_r structure (integrality, value at 1/2, degrees) for r <= {r_max}", structure)
 
     def rationality():
         for r in range(0, identity_rmax + 1):
             pipeline.rational_gf(r)  # raises unless it equals G_r
-    _check(out, f"rational closed form re-expands to G_r for r <= {identity_rmax}", rationality)
+    _check(out, "rational", f"rational closed form re-expands to G_r for r <= {identity_rmax}", rationality)
 
     def functional_equation():
         for r in range(0, identity_rmax + 1):
             pipeline.check_functional_equation(r)
-    _check(out, f"pre-kernel functional equation holds for r <= {identity_rmax}", functional_equation)
+    _check(out, "functional-equation", f"pre-kernel functional equation holds for r <= {identity_rmax}", functional_equation)
 
     def kernel_root():
         for r in range(0, identity_rmax + 1):
             pipeline.check_kernel_root(r)
-    _check(out, f"kernel-root identity for G_r(x,1), r <= {identity_rmax}", kernel_root)
+    _check(out, "kernel-root", f"kernel-root identity for G_r(x,1), r <= {identity_rmax}", kernel_root)
 
     def parity_series():
         for r in range(1, identity_rmax + 1):
             for k, coeffs in enumerate(pipeline.g_series(r)):
                 if any(c % 2 for c in coeffs):
                     raise ConsistencyError(f"r={r}, v^{k}")
-    _check(out, f"all series coefficients of G_r are even for 1 <= r <= {identity_rmax}", parity_series)
+    _check(out, "even-series", f"all series coefficients of G_r are even for 1 <= r <= {identity_rmax}", parity_series)
 
     def max_formula():
         for n in range(1, 51):
             if perms.count_13_2(perms.max_pattern_perm(n)) != perms.max_occurrences(n):
                 raise ConsistencyError(f"n={n}")
-    _check(out, "interleaved word attains n(n-2)/4 resp. (n-1)^2/4 occurrences, n <= 50", max_formula)
+    _check(out, "interleaved", "interleaved word attains n(n-2)/4 resp. (n-1)^2/4 occurrences, n <= 50", max_formula)
 
     def max_exhaustive():
         for n in range(1, maximal_nmax + 1):
             if _oracle(n).max_occurrences() != perms.max_occurrences(n):
                 raise ConsistencyError(f"n={n}")
-    _check(out, f"exhaustive maximality of the occurrence bound for n <= {maximal_nmax}", max_exhaustive)
+    _check(out, "maximality", f"exhaustive maximality of the occurrence bound for n <= {maximal_nmax}", max_exhaustive)
 
     def min_length():
         for r in range(1, 101):
@@ -297,7 +301,7 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
                 raise ConsistencyError(f"r={r}")
             if n > 1 and perms.max_occurrences(n - 1) >= r:
                 raise ConsistencyError(f"r={r} not minimal")
-    _check(out, "minimal length for r occurrences is >= 1 + 2 sqrt(r), r <= 100", min_length)
+    _check(out, "min-length", "minimal length for r occurrences is >= 1 + 2 sqrt(r), r <= 100", min_length)
 
     return out
 
@@ -333,7 +337,7 @@ def constructions_suite(pipeline: Pipeline, doubling_nmax: int = 6) -> list[Chec
                 raise ConsistencyError(f"n={n}: images not distinct")
             if len(images) != _oracle(n, (1, 2)).total():
                 raise ConsistencyError(f"n={n}: images do not cover the prefix-12 class")
-    _check(out, f"one-to-two map is a bijection onto the prefix-12 class, n <= {doubling_nmax}", doubling_bijection)
+    _check(out, "one-to-two", f"one-to-two map is a bijection onto the prefix-12 class, n <= {doubling_nmax}", doubling_bijection)
 
     def aggregated_doubling():
         for n in range(2, doubling_nmax + 1):
@@ -341,13 +345,13 @@ def constructions_suite(pipeline: Pipeline, doubling_nmax: int = 6) -> list[Chec
             rhs = {r: 2 * c for r, c in _oracle(n - 1).counts.items()}
             if lhs != rhs:
                 raise ConsistencyError(f"n={n}")
-    _check(out, f"prefix-12 distribution doubles the shorter one, n <= {doubling_nmax}", aggregated_doubling)
+    _check(out, "prefix-12-doubling", f"prefix-12 distribution doubles the shorter one, n <= {doubling_nmax}", aggregated_doubling)
 
     def avoider_doubling():
         for n in range(2, doubling_nmax + 1):
             if _oracle(n).count(0) != 2 * _oracle(n - 1).count(0):
                 raise ConsistencyError(f"n={n}")
-    _check(out, f"avoider counts double with n (enumeration, n <= {doubling_nmax})", avoider_doubling)
+    _check(out, "avoider-doubling", f"avoider counts double with n (enumeration, n <= {doubling_nmax})", avoider_doubling)
 
     def witnesses():
         for r in range(4, WITNESS_RMAX + 1):
@@ -355,12 +359,12 @@ def constructions_suite(pipeline: Pipeline, doubling_nmax: int = 6) -> list[Chec
                 w = perms.witness_perm(r, i)
                 if len(w) != r + 2 or w[:2] != (1, i + 2) or perms.count_13_2(w) != r:
                     raise ConsistencyError(f"(r,i)=({r},{i})")
-    _check(out, f"witness words have exactly r occurrences, 4 <= r <= {WITNESS_RMAX}", witnesses)
+    _check(out, "witnesses", f"witness words have exactly r occurrences, 4 <= r <= {WITNESS_RMAX}", witnesses)
 
     def dual_route():
         for r in range(0, pipeline.r_max + 1):
             pipeline.htilde_over_kernel(r)  # raises on mismatch
-    _check(out, f"both routes to H~_r/(1-sv) agree for r <= {pipeline.r_max}", dual_route)
+    _check(out, "dual-route", f"both routes to H~_r/(1-sv) agree for r <= {pipeline.r_max}", dual_route)
 
     def boundary_oracle():
         r, table = 3, pipeline.table
@@ -381,7 +385,7 @@ def constructions_suite(pipeline: Pipeline, doubling_nmax: int = 6) -> list[Chec
         for h, sums in enumerate(bd.inner):
             if list(sums) != [layer[h] for layer in layers]:
                 raise ConsistencyError(f"inner sums at h={h}")
-    _check(out, "boundary data matches enumeration (r = 3)", boundary_oracle)
+    _check(out, "boundary", "boundary data matches enumeration (r = 3)", boundary_oracle)
 
     return out
 

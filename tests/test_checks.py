@@ -16,11 +16,8 @@ from flatperm.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from flatperm.genfun import Pipeline
 from flatperm.recurrence import GTable
 
-BOUNDARY = "boundary data matches enumeration (r = 3)"
-
-
-def _result(results, prefix):
-    (res,) = [r for r in results if r.name.startswith(prefix)]
+def _result(results, key):
+    (res,) = [r for r in results if r.key == key]
     return res
 
 
@@ -29,14 +26,14 @@ def test_a_raised_consistency_error_is_a_fail_with_its_message():
         raise ConsistencyError("n=3")
 
     results = []
-    checks._check(results, "line", check)
-    assert results == [CheckResult("line", False, "n=3")]
+    checks._check(results, "line", "the line", check)
+    assert results == [CheckResult("line", "the line", False, "n=3")]
 
 
 def test_a_check_that_returns_nothing_passes():
     results = []
-    checks._check(results, "line", lambda: None)
-    assert results == [CheckResult("line", True, "")]
+    checks._check(results, "line", "the line", lambda: None)
+    assert results == [CheckResult("line", "the line", True, "")]
 
 
 @pytest.mark.parametrize("verdict", [(True, ""), (False, "n=3"), True])
@@ -45,7 +42,7 @@ def test_a_check_that_returns_a_verdict_is_a_bug(verdict):
     one, would otherwise pass unchecked."""
     results = []
     with pytest.raises(TypeError, match="'line' returned a value"):
-        checks._check(results, "line", lambda: verdict)
+        checks._check(results, "line", "the line", lambda: verdict)
     assert results == []
 
 
@@ -66,17 +63,17 @@ def _constructions(table):
 
 
 def test_boundary_check_passes(table):
-    assert _result(_constructions(table), BOUNDARY).passed
+    assert _result(_constructions(table), "boundary").passed
 
 
 def test_boundary_check_fails_on_inner_cell():
-    res = _result(_constructions(_OffByTwo((4, 1, 3))), BOUNDARY)
+    res = _result(_constructions(_OffByTwo((4, 1, 3))), "boundary")
     assert not res.passed
     assert "(1, 1, 3)" in res.detail
 
 
 def test_boundary_check_fails_on_top_row():
-    res = _result(_constructions(_OffByTwo((5, 3, 4))), BOUNDARY)
+    res = _result(_constructions(_OffByTwo((5, 3, 4))), "boundary")
     assert not res.passed
     assert "i=4" in res.detail
 
@@ -91,7 +88,7 @@ def test_boundary_check_fails_on_misbinned_sums(table, monkeypatch):
         return bd._replace(inner=bd.inner[:2] + (bd.inner[3], bd.inner[2])) if r == 3 else bd
 
     monkeypatch.setattr(genfun.Pipeline, "boundary", swapped)
-    res = _result(_constructions(table), BOUNDARY)
+    res = _result(_constructions(table), "boundary")
     assert not res.passed
     assert res.detail == "inner sums at h=2"
 
@@ -100,7 +97,7 @@ def test_structure_check_fails_when_c_table_raises():
     # g_{4,2}(13) is in the top boundary row of G_2, so G_2 disagrees with
     # the insertion count and c_table(2) raises.
     results = genfun_suite(Pipeline(2, table=_OffByTwo((4, 2, 3))), maximal_nmax=3)
-    res = _result(results, "P_r structure")
+    res = _result(results, "structure")
     assert not res.passed
     assert "G_2" in res.detail
 
@@ -111,9 +108,9 @@ def test_structure_check_fails_when_c_table_raises():
 ])
 def test_structure_check_fails_on_witness(table, monkeypatch, bad_word):
     real, pipeline = perms.witness_perm, Pipeline(4, table=table)
-    assert _result(genfun_suite(pipeline), "P_r structure").passed
+    assert _result(genfun_suite(pipeline), "structure").passed
     monkeypatch.setattr(perms, "witness_perm", lambda r, i: bad_word if (r, i) == (4, 2) else real(r, i))
-    res = _result(genfun_suite(pipeline), "P_r structure")
+    res = _result(genfun_suite(pipeline), "structure")
     assert not res.passed
     assert "i=2" in res.detail
 
@@ -128,24 +125,17 @@ def _g1k_off_by_two(cell):
     return OffByTwo
 
 
-THREE_TERM = "three-term recurrence for g_n(1k)"
-INITIAL_FORMS = "closed initial forms for g_n(13), g_n(14)"
-
-
 @pytest.mark.parametrize("cell, failing, detail, passing", [
-    ((7, 5), THREE_TERM, "(n,k)=(7,5)", INITIAL_FORMS),
-    ((6, 3), INITIAL_FORMS, "g_6(13)", THREE_TERM),
-])
-def test_row_checks_see_a_corrupted_table(capsys, monkeypatch, cell, failing, detail, passing):
+    ((7, 5), "three-term", "(n,k)=(7,5)", "initial-forms"),
+    ((6, 3), "initial-forms", "g_6(13)", "three-term"),
+], ids=["three-term", "initial-forms"])
+def test_row_checks_see_a_corrupted_table(verify, monkeypatch, cell, failing, detail, passing):
     """The table grows its rows by the rules these lines name, so they
     compare it with the a-sum instead of with itself."""
     monkeypatch.setattr(checks, "GTable", _g1k_off_by_two(cell))
-    assert main(["verify", "--suite", "recurrence", "--n", "3"]) == EXIT_CHECK_FAILED
-    lines = capsys.readouterr().out.splitlines()
-    (bad,) = [line for line in lines if failing in line]
-    (good,) = [line for line in lines if passing in line]
-    assert bad.startswith("FAIL  ") and bad.endswith(f"[{detail}]")
-    assert good.startswith("PASS  ")
+    code, failed, _ = verify("--suite", "recurrence", "--n", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert failed[failing] == detail and passing not in failed
 
 
 def test_recurrence_suite_forms_each_a_sum_once(monkeypatch):
@@ -163,28 +153,42 @@ def test_recurrence_suite_forms_each_a_sum_once(monkeypatch):
     assert sum(calls.values()) == 55
 
 
+def test_run_suite_reaches_each_suite_through_the_module(capsys, monkeypatch):
+    """``perfbench/spantrace.py`` wraps the suites by setting the module's
+    globals, so ``run_suite`` must call them through those globals: under
+    ``--suite all`` each wrapper counts one call, where a suite reached
+    through a stored reference would count none."""
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(checks, name)
+
+        def suite(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return suite
+
+    for name in ("recurrence_suite", "genfun_suite", "constructions_suite"):
+        monkeypatch.setattr(checks, name, counted(name))
+    assert main(["verify", "--suite", "all", "--n", "3", "--rmax", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("OK: 28/28 checks passed\n")
+    assert calls == {"recurrence_suite": 1, "genfun_suite": 1, "constructions_suite": 1}
+
+
 def test_suites_read_their_r_bounds_from_the_pipeline(table):
     """A pipeline through r = 2 is checked for r <= 2, not for a second
     bound that it cannot reach."""
     pipeline = Pipeline(2, table=table)
     results = genfun_suite(pipeline, maximal_nmax=3) + constructions_suite(pipeline, doubling_nmax=3)
     assert all(res.passed for res in results)
-    names = {res.name for res in results}
-    for name in (
-        "c tables match the reference coefficients for r <= 2",
-        "P_r structure (integrality, value at 1/2, degrees) for r <= 2",
-        "rational closed form re-expands to G_r for r <= 2",
-        "both routes to H~_r/(1-sv) agree for r <= 2",
-    ):
-        assert name in names
-    (dual,) = [res for res in checks.run_suite("constructions", oracle_nmax=3, r_max=0) if "H~" in res.name]
+    names = {res.key: res.name for res in results}
+    for key in ("reference", "structure", "rational", "dual-route"):
+        assert names[key].endswith("r <= 2"), names[key]
+    dual = _result(checks.run_suite("constructions", oracle_nmax=3, r_max=0), "dual-route")
     assert dual.passed and dual.name.endswith("r <= 0")
 
 
-DOUBLING = "g_n(12) = 2 g_(n-1)"
-
-
-def test_doubling_check_sees_a_corrupted_column(capsys, monkeypatch):
+def test_doubling_check_sees_a_corrupted_column(verify, monkeypatch):
     """The table's own rule takes g_n(12) as 2 g_(n-1), so the doubling
     line compares it with the b-sum column minus the a-sum rows."""
 
@@ -193,9 +197,8 @@ def test_doubling_check_sees_a_corrupted_column(capsys, monkeypatch):
             return super().g(n) + (IntPoly([0, 2]) if n == 6 else IntPoly())
 
     monkeypatch.setattr(checks, "GTable", OffByTwo)
-    assert main(["verify", "--suite", "recurrence", "--n", "3"]) == EXIT_CHECK_FAILED
-    (line,) = [line for line in capsys.readouterr().out.splitlines() if DOUBLING in line]
-    assert line.startswith("FAIL  ") and line.endswith("[n=6]")
+    code, failed, _ = verify("--suite", "recurrence", "--n", "3")
+    assert code == EXIT_CHECK_FAILED and failed["g12-doubling"] == "n=6"
 
 
 def test_verify_walks_each_oracle_case_once(capsys, monkeypatch):
@@ -279,10 +282,7 @@ def test_constructions_alone_run_both_routes_for_every_r(capsys, monkeypatch):
     assert calls == {r: 1 for r in range(5)}
 
 
-DUAL_ROUTE = "both routes to H~_r/(1-sv) agree"
-
-
-def test_disagreeing_htilde_routes_fail_every_time(capsys, monkeypatch):
+def test_disagreeing_htilde_routes_fail_every_time(verify, monkeypatch):
     """H~_r is memoised only once its routes agree: with route two of
     H~_2 off by 2x^5 (a change the kernel still divides exactly), the
     genfun lines that derive G_2 and the dual-route line all FAIL."""
@@ -293,18 +293,13 @@ def test_disagreeing_htilde_routes_fail_every_time(capsys, monkeypatch):
         return h + RationalGF([IntPoly.term(2, 5)]) if r == 2 else h
 
     monkeypatch.setattr(genfun.Pipeline, "h_poly", off)
-    assert main(["verify", "--suite", "all", "--n", "5", "--rmax", "4"]) == EXIT_CHECK_FAILED
-    lines = capsys.readouterr().out.splitlines()
-    disagree = "the two routes to H~_2/(1-sv) disagree"
-    for name in ("P_r structure", "rational closed form", DUAL_ROUTE):
-        (line,) = [line for line in lines if name in line]
-        assert line.startswith("FAIL  ") and disagree in line, line
+    code, failed, _ = verify("--suite", "all", "--n", "5", "--rmax", "4")
+    assert code == EXIT_CHECK_FAILED
+    for key in ("structure", "rational", "dual-route"):
+        assert "the two routes to H~_2/(1-sv) disagree" in failed[key], key
 
 
-RATIONAL = "rational closed form re-expands to G_r"
-
-
-def test_rational_line_fails_on_a_closed_form_off_by_one(capsys, monkeypatch):
+def test_rational_line_fails_on_a_closed_form_off_by_one(verify, monkeypatch):
     """[x^0 v^0] P_2 one too large, but only once c_table(2) has certified
     P_2: the c-table and structure lines, which run first, read the true
     P_2, so the closed form's fault reaches the rational line alone, which
@@ -318,18 +313,13 @@ def test_rational_line_fails_on_a_closed_form_off_by_one(capsys, monkeypatch):
         return (p[0] + IntPoly([1]), *p[1:])
 
     monkeypatch.setattr(genfun.Pipeline, "p_poly", off)
-    assert main(["verify", "--suite", "genfun", "--n", "5", "--rmax", "4"]) == EXIT_CHECK_FAILED
-    lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if not line.startswith("PASS  ")] == [
-        f"FAIL  {RATIONAL} for r <= 4  [the rational closed form of G_2 differs from G_2]",
-        "FAILED: 9/10 checks passed",
-    ]
+    code, failed, lines = verify("--suite", "genfun", "--n", "5", "--rmax", "4")
+    assert code == EXIT_CHECK_FAILED
+    assert failed == {"rational": "the rational closed form of G_2 differs from G_2"}
+    assert lines[-1] == "FAILED: 9/10 checks passed"
 
 
-AVERAGE = "average occurrences equal"
-
-
-def test_average_line_fails_on_a_corrupted_g25(capsys, monkeypatch):
+def test_average_line_fails_on_a_corrupted_g25(verify, monkeypatch):
     """The line compares integers, but its detail is the same pair of
     fractions as before."""
     from fractions import Fraction
@@ -339,17 +329,13 @@ def test_average_line_fails_on_a_corrupted_g25(capsys, monkeypatch):
             return super().g(n) + (IntPoly.term(2, 7) if n == 25 else IntPoly())
 
     monkeypatch.setattr(checks, "GTable", OffByTwo)
-    assert main(["verify", "--suite", "recurrence", "--n", "3"]) == EXIT_CHECK_FAILED
+    code, failed, _ = verify("--suite", "recurrence", "--n", "3")
+    assert code == EXIT_CHECK_FAILED
     g = GTable(25).g(25)
     total = sum(r * c for r, c in enumerate(g.coeffs)) + 2 * 7
     mean = Fraction(total, math.factorial(25))
     closed = Fraction(25 * 25 + 3 * 25 + 8, 12) - sum(Fraction(1, k) for k in range(1, 26))
-    (line,) = [line for line in capsys.readouterr().out.splitlines() if AVERAGE in line]
-    assert line.startswith("FAIL  ")
-    assert line.endswith(f"[average for n=25: table gives {mean}, closed form {closed}]")
-
-
-DOUBLING_MAP = "one-to-two map is a bijection onto the prefix-12 class"
+    assert failed == {"average": f"average for n=25: table gives {mean}, closed form {closed}"}
 
 
 def _doubling_line(monkeypatch, pair):
@@ -357,7 +343,7 @@ def _doubling_line(monkeypatch, pair):
     ``perms.doubling_pair`` replaced by ``pair(real, sigma)``."""
     real = perms.doubling_pair
     monkeypatch.setattr(perms, "doubling_pair", lambda sigma: pair(real, sigma))
-    return _result(constructions_suite(Pipeline(1), doubling_nmax=4), DOUBLING_MAP)
+    return _result(constructions_suite(Pipeline(1), doubling_nmax=4), "one-to-two")
 
 
 def test_doubling_line_fails_on_a_repeated_image(monkeypatch):

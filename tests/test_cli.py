@@ -559,6 +559,7 @@ REFUSED = {
     "distribution --n x": "argument --n: invalid int value: 'x'",
     "distribution --n 3 --prefix -x": "argument --prefix: expected one argument",
     "distribution --n -1": "--n must be >= 1",
+    "distribution --n 5 --prefix 1,x": "bad prefix '1,x': expected comma-separated integers",
     "gpoly --n 4 --format csv": "argument --format: invalid choice: 'csv' (choose from 'json')",
     "verify --suite foo": "argument --suite: invalid choice: 'foo' "
                           "(choose from 'all', 'recurrence', 'genfun', 'constructions')",
@@ -730,7 +731,7 @@ import runpy, sys
 from flatperm import checks
 
 def run_suite(name, oracle_nmax, r_max):
-    return [checks.CheckResult(f"check {i}", i < CHECKS - 1, "" if i < CHECKS - 1 else "forced")
+    return [checks.CheckResult(f"check-{i}", f"check {i}", i < CHECKS - 1, "" if i < CHECKS - 1 else "forced")
             for i in range(CHECKS)]
 
 CHECKS = int(sys.argv.pop(1))

@@ -145,7 +145,7 @@ def test_no_module_names_the_folded_bivariate_type():
     assert sorted(path.name for path in SRC.glob("*.py") if pattern.search(path.read_text())) == []
 
 
-PINNED = "span target in `perfbench/spantrace.py` `TARGETS`; leaves with ROADMAP items 1 and 4"
+PINNED = "span target in `perfbench/spantrace.py` `TARGETS`; leaves with ROADMAP items 1 and 2"
 
 #: The functions of ``src/flatperm`` that no line of ``COMMANDS`` calls,
 #: by qualified name (module, classes, function), each with the reason it
