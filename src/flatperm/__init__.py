@@ -2,9 +2,10 @@
 
 Independent routes to one family of numbers:
 
-* :mod:`flatperm.perms` - brute-force enumeration over S_n (the oracle),
-  plus the explicit constructions (cycle form, flattening, extremal and
-  witness words, the one-to-two prefix-12 map);
+* :mod:`flatperm.perms` - brute-force enumeration over S_n (the oracle);
+* :mod:`flatperm.constructions` - the explicit constructions (cycle form,
+  flattening, extremal and witness words, the one-to-two prefix-12 map),
+  which ``verify`` holds against the oracle;
 * :mod:`flatperm.recurrence` - the exact q-polynomial tables g_n and
   g_n(1k), avoider counts and harmonic-number averages;
 * :mod:`flatperm.genfun` - the kernel-method pipeline producing G_r(x, v),
@@ -19,7 +20,8 @@ raises :class:`flatperm.algebra.ConsistencyError` instead of degrading.
 ``import flatperm`` loads none of these layers.  Each public name is
 imported from its home module on first access (PEP 562) and then kept in
 this namespace, so ``flatperm.distribution`` loads only ``perms`` and a
-CLI command loads only the layers it runs.
+CLI command loads only the layers it runs: ``distribution`` by
+enumeration loads ``perms`` alone, and no command loads ``json``.
 """
 
 import importlib
@@ -34,20 +36,20 @@ _HOME = {
     "EnumerationLimitError": "_common",
     "IntPoly": "algebra",
     "RationalGF": "algebra",
+    "count_13_2": "constructions",
+    "cycles_to_permutation": "constructions",
+    "doubling_pair": "constructions",
+    "flatten": "constructions",
+    "max_pattern_perm": "constructions",
+    "min_length_for": "constructions",
+    "standard_cycle_form": "constructions",
+    "witness_perm": "constructions",
     "BoundaryData": "genfun",
     "Pipeline": "genfun",
     "InsertionCount": "insertion",
     "OccurrenceTable": "perms",
-    "count_13_2": "perms",
-    "cycles_to_permutation": "perms",
     "distribution": "perms",
-    "doubling_pair": "perms",
-    "flatten": "perms",
     "max_occurrences": "perms",
-    "max_pattern_perm": "perms",
-    "min_length_for": "perms",
-    "standard_cycle_form": "perms",
-    "witness_perm": "perms",
     "GTable": "recurrence",
     "avoider_count": "recurrence",
     "average_occurrences": "recurrence",
@@ -58,7 +60,7 @@ _HOME = {
 }
 
 #: The submodules that ``flatperm.<name>`` imports on first access.
-_MODULES = ("algebra", "checks", "cli", "genfun", "insertion", "perms", "recurrence")
+_MODULES = ("algebra", "checks", "cli", "constructions", "genfun", "insertion", "perms", "recurrence")
 
 __all__ = sorted(_HOME)
 

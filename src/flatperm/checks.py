@@ -22,7 +22,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from . import perms
+from . import constructions, perms
 from ._common import SUITE_NAMES
 from ._reference import REFERENCE_CTABLES
 from .algebra import ConsistencyError, IntPoly
@@ -255,8 +255,8 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
             pipeline.c_table(r)
             if r >= 4:
                 for i in range(r + 1):
-                    w = perms.witness_perm(r, i)
-                    if perms.count_13_2(w) != r or w[1] != i + 2:
+                    w = constructions.witness_perm(r, i)
+                    if constructions.count_13_2(w) != r or w[1] != i + 2:
                         raise ConsistencyError(f"r={r}: witness word for i={i}")
     _check(out, "structure", f"P_r structure (integrality, value at 1/2, degrees) for r <= {r_max}", structure)
 
@@ -284,7 +284,7 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
 
     def max_formula():
         for n in range(1, 51):
-            if perms.count_13_2(perms.max_pattern_perm(n)) != perms.max_occurrences(n):
+            if constructions.count_13_2(constructions.max_pattern_perm(n)) != perms.max_occurrences(n):
                 raise ConsistencyError(f"n={n}")
     _check(out, "interleaved", "interleaved word attains n(n-2)/4 resp. (n-1)^2/4 occurrences, n <= 50", max_formula)
 
@@ -296,7 +296,7 @@ def genfun_suite(pipeline: Pipeline, maximal_nmax: int = 7) -> list[CheckResult]
 
     def min_length():
         for r in range(1, 101):
-            n = perms.min_length_for(r)
+            n = constructions.min_length_for(r)
             if (n - 1) ** 2 < 4 * r:  # n >= 1 + 2 sqrt(r)
                 raise ConsistencyError(f"r={r}")
             if n > 1 and perms.max_occurrences(n - 1) >= r:
@@ -324,11 +324,11 @@ def constructions_suite(pipeline: Pipeline, doubling_nmax: int = 6) -> list[Chec
         for n in range(2, doubling_nmax + 1):
             images = set()
             for sigma in itertools.permutations(range(1, n)):
-                occ = perms.count_13_2(perms.flatten(sigma))
-                pi, pi_prime = perms.doubling_pair(sigma)
+                occ = constructions.count_13_2(constructions.flatten(sigma))
+                pi, pi_prime = constructions.doubling_pair(sigma)
                 for tau in (pi, pi_prime):
-                    word = perms.flatten(tau)
-                    if len(word) != n or word[:2] != (1, 2) or perms.count_13_2(word) != occ:
+                    word = constructions.flatten(tau)
+                    if len(word) != n or word[:2] != (1, 2) or constructions.count_13_2(word) != occ:
                         raise ConsistencyError(f"n={n}, sigma={sigma}")
                 if pi == pi_prime:
                     raise ConsistencyError(f"n={n}, collision at sigma={sigma}")
@@ -356,8 +356,8 @@ def constructions_suite(pipeline: Pipeline, doubling_nmax: int = 6) -> list[Chec
     def witnesses():
         for r in range(4, WITNESS_RMAX + 1):
             for i in range(r + 1):
-                w = perms.witness_perm(r, i)
-                if len(w) != r + 2 or w[:2] != (1, i + 2) or perms.count_13_2(w) != r:
+                w = constructions.witness_perm(r, i)
+                if len(w) != r + 2 or w[:2] != (1, i + 2) or constructions.count_13_2(w) != r:
                     raise ConsistencyError(f"(r,i)=({r},{i})")
     _check(out, "witnesses", f"witness words have exactly r occurrences, 4 <= r <= {WITNESS_RMAX}", witnesses)
 

@@ -16,12 +16,17 @@ command); any other exception is a bug and ends with a traceback.
 Each command loads only the layers it runs: this module imports only the
 stdlib-only ``_common`` (the error classes, the default enumeration limit,
 the suite names and the order rule), and each ``_cmd_*`` imports ``perms``,
-``recurrence``, ``genfun``, ``checks`` and ``algebra``'s JSON helpers in
-its own body, as ``_emit`` imports ``csv`` for ``--format csv`` alone
-and ``json`` for JSON output alone.  ``verify`` always prints its text
-report to stdout; its ``--format`` chooses only what ``--out`` writes.
-``distribution`` by enumeration thus compiles and imports neither the
-recurrences nor the kernel pipeline, and ``ctable`` no enumeration.
+``constructions``, ``recurrence``, ``genfun``, ``checks`` and ``algebra``'s
+JSON helpers in its own body, as ``_emit`` imports ``csv`` for ``--format
+csv`` alone.  JSON is written by ``_json``, which gives the text of
+``json.dumps(payload, indent=2, sort_keys=True)`` for the few kinds of
+value a payload holds, so no command imports the ``json`` package: about
+2 ms of every JSON-writing process, most of it the decoder and scanner,
+which only parse.  ``verify`` always prints its text report to stdout;
+its ``--format`` chooses only what ``--out`` writes.  ``distribution`` by
+enumeration thus compiles and imports ``perms`` alone: neither the
+explicit constructions nor the recurrences nor the kernel pipeline; and
+``ctable`` no enumeration.
 
 ``python -m flatperm.cli`` and the ``flatperm`` console script run
 ``entry()``: ``main()``, then ``gc.freeze()``, then exit with the code.
@@ -116,6 +121,26 @@ def _pipeline(r: int, order: int | None):
     return Pipeline(r_max=r_max, order=order)
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for what the commands
+    emit: dicts with str keys, lists, ints, bools, None and strings of
+    printable ASCII, in which only ``"`` and ``\\`` need escaping."""
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        if not (value.isascii() and value.isprintable()):
+            raise ValueError(f"cannot write {value!r} as JSON: not printable ASCII")
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json(key)}: {_json(item, inner)}" for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    items = [_json(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+
 def _emit(payload, args, csv_rows=None) -> None:
     """Write the payload as JSON, or csv_rows as CSV for the commands that
     offer ``--format csv``."""
@@ -129,9 +154,7 @@ def _emit(payload, args, csv_rows=None) -> None:
             writer.writerow(row)
         text = buf.getvalue()
     else:
-        import json
-
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -232,34 +255,34 @@ def _cmd_rational(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from . import perms
+    from . import constructions, perms
 
     if (args.n is None) == (args.r is None):
         raise UsageError("give exactly one of --n (extremal word) or --r [--i] (witness word)")
     if args.n is not None and args.i is not None:
         raise UsageError("--i goes with --r (witness word), not with --n")
     if args.n is not None:
-        word = perms.max_pattern_perm(args.n)
+        word = constructions.max_pattern_perm(args.n)
         payload = {
             "command": "witness",
             "kind": "extremal",
             "n": args.n,
             "word": list(word),
-            "occurrences": str(perms.count_13_2(word)),
+            "occurrences": str(constructions.count_13_2(word)),
             "maximum": str(perms.max_occurrences(args.n)),
         }
     else:
         i = args.r if args.i is None else args.i
         if not 0 <= i <= args.r:
             raise UsageError(f"--i must lie in [0, {args.r}]")
-        word = perms.witness_perm(args.r, i)
+        word = constructions.witness_perm(args.r, i)
         payload = {
             "command": "witness",
             "kind": "prefix-witness",
             "r": args.r,
             "i": i,
             "word": list(word),
-            "occurrences": str(perms.count_13_2(word)),
+            "occurrences": str(constructions.count_13_2(word)),
         }
     _emit(payload, args)
     return EXIT_OK

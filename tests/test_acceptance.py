@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from flatperm import perms
+from flatperm import constructions, perms
 from flatperm._reference import REFERENCE_CTABLES
 from flatperm.algebra import IntPoly
 from flatperm.cli import EXIT_OK, main
@@ -132,7 +132,7 @@ def test_09_parity(table):
 
 def test_10_extremal_lengths():
     ok = all(
-        perms.count_13_2(perms.max_pattern_perm(n))
+        constructions.count_13_2(constructions.max_pattern_perm(n))
         == (n * (n - 2) // 4 if n % 2 == 0 else (n - 1) ** 2 // 4)
         for n in range(1, 51)
     )
@@ -141,7 +141,7 @@ def test_10_extremal_lengths():
         for n in range(1, 10)
     )
     ok = ok and all(
-        perms.min_length_for(r) >= 1 + 2 * math.sqrt(r) for r in range(1, 101)
+        constructions.min_length_for(r) >= 1 + 2 * math.sqrt(r) for r in range(1, 101)
     )
     _report(10, "extremal word counts (n <= 50), exhaustive maximality (n <= 9), length bound (r <= 100)", ok)
 
@@ -151,13 +151,13 @@ def test_11_doubling_bijection():
     for n in range(2, 7):
         images: list[tuple[int, ...]] = []
         for sigma in itertools.permutations(range(1, n)):
-            occ = perms.count_13_2(perms.flatten(sigma))
-            pi, pi_prime = perms.doubling_pair(sigma)
+            occ = constructions.count_13_2(constructions.flatten(sigma))
+            pi, pi_prime = constructions.doubling_pair(sigma)
             if pi == pi_prime:
                 ok = False
             for tau in (pi, pi_prime):
-                word = perms.flatten(tau)
-                if word[:2] != (1, 2) or perms.count_13_2(word) != occ:
+                word = constructions.flatten(tau)
+                if word[:2] != (1, 2) or constructions.count_13_2(word) != occ:
                     ok = False
             images.extend([pi, pi_prime])
         if len(set(images)) != len(images):
@@ -165,7 +165,7 @@ def test_11_doubling_bijection():
         targets = {
             p
             for p in itertools.permutations(range(1, n + 1))
-            if perms.flatten(p)[:2] == (1, 2)
+            if constructions.flatten(p)[:2] == (1, 2)
         }
         if set(images) != targets:
             ok = False
@@ -184,8 +184,8 @@ def test_12_dual_route_boundary(table):
 
 def test_13_witness_words():
     ok = all(
-        perms.count_13_2(perms.witness_perm(r, i)) == r
-        and perms.witness_perm(r, i)[:2] == (1, i + 2)
+        constructions.count_13_2(constructions.witness_perm(r, i)) == r
+        and constructions.witness_perm(r, i)[:2] == (1, i + 2)
         for r in range(4, 13)
         for i in range(r + 1)
     )

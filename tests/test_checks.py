@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from flatperm import checks, genfun, perms
+from flatperm import checks, constructions, genfun, perms
 from flatperm.algebra import ConsistencyError, IntPoly, RationalGF
 from flatperm.checks import CheckResult, constructions_suite, genfun_suite
 from flatperm.cli import EXIT_CHECK_FAILED, EXIT_OK, main
@@ -107,9 +107,9 @@ def test_structure_check_fails_when_c_table_raises():
     (1, 4, 6, 2, 3, 5),  # second letter 4, but 3 occurrences
 ])
 def test_structure_check_fails_on_witness(table, monkeypatch, bad_word):
-    real, pipeline = perms.witness_perm, Pipeline(4, table=table)
+    real, pipeline = constructions.witness_perm, Pipeline(4, table=table)
     assert _result(genfun_suite(pipeline), "structure").passed
-    monkeypatch.setattr(perms, "witness_perm", lambda r, i: bad_word if (r, i) == (4, 2) else real(r, i))
+    monkeypatch.setattr(constructions, "witness_perm", lambda r, i: bad_word if (r, i) == (4, 2) else real(r, i))
     res = _result(genfun_suite(pipeline), "structure")
     assert not res.passed
     assert "i=2" in res.detail
@@ -340,9 +340,9 @@ def test_average_line_fails_on_a_corrupted_g25(verify, monkeypatch):
 
 def _doubling_line(monkeypatch, pair):
     """The doubling-map line of the constructions suite (n <= 4), with
-    ``perms.doubling_pair`` replaced by ``pair(real, sigma)``."""
-    real = perms.doubling_pair
-    monkeypatch.setattr(perms, "doubling_pair", lambda sigma: pair(real, sigma))
+    ``constructions.doubling_pair`` replaced by ``pair(real, sigma)``."""
+    real = constructions.doubling_pair
+    monkeypatch.setattr(constructions, "doubling_pair", lambda sigma: pair(real, sigma))
     return _result(constructions_suite(Pipeline(1), doubling_nmax=4), "one-to-two")
 
 
@@ -350,7 +350,7 @@ def test_doubling_line_fails_on_a_repeated_image(monkeypatch):
     """(1, 2, 3) and (1, 3, 2) flatten to words without an occurrence, so
     the image (1, 2, 3, 4) of the first may stand in for one of the
     second's and pass every per-image test."""
-    first = perms.doubling_pair((1, 2, 3))[0]
+    first = constructions.doubling_pair((1, 2, 3))[0]
     res = _doubling_line(
         monkeypatch, lambda real, sigma: (first, real(sigma)[1]) if sigma == (1, 3, 2) else real(sigma)
     )

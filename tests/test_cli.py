@@ -5,14 +5,17 @@ import gc
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from flatperm import checks, cli, genfun, perms, recurrence
+from flatperm import checks, cli, constructions, genfun, perms, recurrence
 from flatperm.cli import (
     AVOIDERS_NMAX,
     COMMANDS,
@@ -44,8 +47,9 @@ def forbid_work(monkeypatch, message):
     monkeypatch.setattr(recurrence, "GTable", no_work)
     monkeypatch.setattr(checks, "run_suite", no_work)
     monkeypatch.setattr(recurrence, "avoider_count", no_work)
-    for name in ("distribution", "max_pattern_perm", "witness_perm"):
-        monkeypatch.setattr(perms, name, no_work)
+    monkeypatch.setattr(perms, "distribution", no_work)
+    for name in ("max_pattern_perm", "witness_perm"):
+        monkeypatch.setattr(constructions, name, no_work)
 
 
 def run(capsys, *argv):
@@ -240,7 +244,7 @@ class TestWitness:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before --i was checked")
 
-        monkeypatch.setattr(perms, "max_pattern_perm", no_work)
+        monkeypatch.setattr(constructions, "max_pattern_perm", no_work)
         code, out, err = run(capsys, "witness", "--n", "5", "--i", "2")
         assert code == EXIT_USAGE and out == ""
         assert "--i" in err
@@ -451,9 +455,9 @@ def test_readme_states_every_bound():
 #: ``rational --r 0``, which runs a pipeline through r = 1, it names no
 #: r_max the user never gave.
 LIBRARY_REJECTIONS = {
-    "witness --n 0": lambda: perms.max_pattern_perm(0),
-    "witness --r 2": lambda: perms.witness_perm(2, 2),
-    "witness --r 5 --i 9": lambda: perms.witness_perm(5, 9),
+    "witness --n 0": lambda: constructions.max_pattern_perm(0),
+    "witness --r 2": lambda: constructions.witness_perm(2, 2),
+    "witness --r 5 --i 9": lambda: constructions.witness_perm(5, 9),
     "distribution --n 5 --prefix 1,1": lambda: perms.distribution(5, (1, 1)),
     "distribution --n 5 --prefix 1,9": lambda: perms.distribution(5, (1, 9)),
     "ctable --r 3 --order 12": lambda: Pipeline(3, order=12),
@@ -483,8 +487,9 @@ def test_library_rejections_are_usage_errors(capsys, monkeypatch, command):
     monkeypatch.setattr(genfun, "GTable", no_work)
     for name in ("c_table", "rational_gf"):
         monkeypatch.setattr(Pipeline, name, no_work)
-    for name in ("distribution", "max_pattern_perm", "witness_perm"):
-        monkeypatch.setattr(perms, name, no_work)
+    monkeypatch.setattr(perms, "distribution", no_work)
+    for name in ("max_pattern_perm", "witness_perm"):
+        monkeypatch.setattr(constructions, name, no_work)
     code, out, err = run(capsys, *command.split())
     assert code == EXIT_USAGE and out == ""
     assert err.endswith(f"error: {CLI_WORDING.get(command, rejected.value)}\n")
@@ -598,10 +603,11 @@ def test_command_help_lists_every_option_with_its_range(capsys, monkeypatch, com
     assert run(capsys, command, "-h") == (EXIT_OK, out, "")
 
 
-#: The modules a command must not load unless it runs them.
+#: The modules a command must not load unless it runs them.  No command
+#: loads ``json``: the CLI writes JSON with its own ``_json``.
 HEAVY = ("flatperm.algebra", "flatperm.recurrence", "flatperm.genfun", "flatperm.checks",
-         "flatperm.insertion", "dataclasses", "inspect", "fractions", "csv",
-         "argparse", "gettext")
+         "flatperm.insertion", "flatperm.constructions", "dataclasses", "inspect", "fractions",
+         "csv", "argparse", "gettext", "json")
 
 LOADED_BY = """
 import contextlib, io, sys
@@ -674,12 +680,67 @@ def test_verify_loads_no_fractions():
                              modules=modules) == (EXIT_OK, [])
 
 
+#: The ``json`` package and its parts, which no command loads.
+JSON_MODULES = ("json", "json.decoder", "json.scanner", "json.encoder", "_json")
+
+#: One command line of each command that writes JSON, ``{out}`` standing
+#: for a path in the test's directory.
+JSON_COMMANDS = (
+    "gpoly --n 6 --k 3",
+    "ctable --r 3",
+    "rational --r 0",
+    "witness --r 5 --i 2",
+    "average --n 6",
+    "avoiders --n 9",
+    "distribution --n 6 --prefix 1,3 --out {out}",
+    "verify --suite constructions --n 4 --rmax 1 --out {out}",
+)
+
+
 def test_verify_loads_no_json():
-    """``verify`` prints text, so only a command that writes JSON imports
-    ``json``."""
+    """``verify`` prints text, and writes no JSON unless given ``--out``."""
     assert modules_loaded_by("verify", "--suite", "all", "--n", "5", "--rmax", "2",
-                             modules=("json",)) == (EXIT_OK, [])
-    assert modules_loaded_by("ctable", "--r", "1", modules=("json",)) == (EXIT_OK, ["json"])
+                             modules=JSON_MODULES) == (EXIT_OK, [])
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS)
+def test_json_commands_load_no_json(tmp_path, argv):
+    argv = argv.format(out=tmp_path / "out.json").split()
+    assert modules_loaded_by(*argv, modules=JSON_MODULES) == (EXIT_OK, [])
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS)
+def test_json_commands_write_what_json_dumps_writes(capsys, tmp_path, argv):
+    target = tmp_path / "out.json"
+    code, out, _ = run(capsys, *argv.format(out=target).split())
+    text = target.read_text(encoding="utf-8") if "{out}" in argv else out
+    assert code == EXIT_OK
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+#: Strings of printable ASCII, ``"`` and ``\\`` among them, as the commands
+#: write them: decimal numbers, names and ``verify`` details.
+_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_PAYLOADS)
+@example({"a\"b": ["\\", "", {}, [], [[]]], "n": -(10**40), "t": True, "f": False, "z": None})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("text", ["line\nbreak", "tab\there", "\x7f", "caf\u00e9", "\U0001d400"])
+def test_json_writer_refuses_what_no_command_emits(text):
+    """No payload holds a control character or non-ASCII text, which
+    ``json.dumps`` would escape, so the writer refuses them."""
+    message = f"cannot write {text!r} as JSON: not printable ASCII"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli._json({"detail": [text]})
 
 
 # The process entry: ``python -m flatperm.cli`` and the ``flatperm`` console

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from flatperm import algebra, checks, genfun, perms, recurrence
+from flatperm import algebra, checks, constructions, genfun, perms, recurrence
 from flatperm.algebra import ConsistencyError, InexactDivisionError, IntPoly, RationalGF
 from flatperm.cli import EXIT_CHECK_FAILED
 from flatperm.genfun import S_POLY, T_POLY, Pipeline
@@ -187,11 +187,11 @@ def test_raise_site_names_its_indices(monkeypatch, call, error, message):
 GUARDS = [
     # (guard id, call, exception, whole message) for each input guard of
     # the library that no command line reaches
-    ("cycles_to_permutation", lambda: perms.cycles_to_permutation([(1, 3)]), ValueError,
+    ("cycles_to_permutation", lambda: constructions.cycles_to_permutation([(1, 3)]), ValueError,
      "cycles do not form a permutation of 1..n"),
     ("distribution n", lambda: perms.distribution(0), ValueError, "n must be >= 1"),
     ("max_occurrences n", lambda: perms.max_occurrences(0), ValueError, "n must be >= 1"),
-    ("min_length_for r", lambda: perms.min_length_for(0), ValueError, "r must be >= 1"),
+    ("min_length_for r", lambda: constructions.min_length_for(0), ValueError, "r must be >= 1"),
     ("b_poly_alt j", lambda: recurrence.b_poly_alt(3, 3), ValueError, "j must lie in [1, 2]"),
     ("GTable.g n", lambda: GTable().g(0), ValueError, "n must be >= 1"),
     ("GTable.g1k k", lambda: GTable().g1k(3, 1), ValueError, "k must lie in [2, 3]"),
@@ -292,25 +292,25 @@ def _reference_off(mp):
 
 def _last_two_swapped(mp):
     """The interleaved word with its last two letters swapped."""
-    real = perms.max_pattern_perm
+    real = constructions.max_pattern_perm
 
     def swapped(n):
         w = real(n)
         return (*w[:-2], w[-1], w[-2]) if n >= 2 else w
 
-    mp.setattr(perms, "max_pattern_perm", swapped)
+    mp.setattr(constructions, "max_pattern_perm", swapped)
 
 
 def _min_length_off(by: int):
     """Patch ``min_length_for`` to be off by ``by``."""
-    real = perms.min_length_for
-    return lambda mp: mp.setattr(perms, "min_length_for", lambda r: real(r) + by)
+    real = constructions.min_length_for
+    return lambda mp: mp.setattr(constructions, "min_length_for", lambda r: real(r) + by)
 
 
 def _collision(mp):
     """The one-to-two map sends (1,) to its first image twice."""
-    real = perms.doubling_pair
-    mp.setattr(perms, "doubling_pair", lambda sigma: (real(sigma)[0],) * 2 if sigma == (1,) else real(sigma))
+    real = constructions.doubling_pair
+    mp.setattr(constructions, "doubling_pair", lambda sigma: (real(sigma)[0],) * 2 if sigma == (1,) else real(sigma))
 
 
 def _a_row_off(mp):
@@ -329,13 +329,13 @@ def _a_row_off(mp):
 def _witness_moved(mp):
     """The witness word for (r, i) = (5, 2) with its last letter moved to
     the third place: 1,4,3,7,6,2,5 has 4 occurrences, not 5."""
-    real = perms.witness_perm
+    real = constructions.witness_perm
 
     def moved(r, i):
         w = real(r, i)
         return (*w[:2], w[-1], *w[2:-1]) if (r, i) == (5, 2) else w
 
-    mp.setattr(perms, "witness_perm", moved)
+    mp.setattr(constructions, "witness_perm", moved)
 
 
 #: The lines besides ``g0`` that see a fault in G_0: the closed form

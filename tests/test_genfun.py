@@ -6,7 +6,7 @@ from itertools import accumulate
 
 import pytest
 
-from flatperm import perms
+from flatperm import constructions, perms
 from flatperm._reference import REFERENCE_CTABLES
 from flatperm import algebra, genfun
 from flatperm.cli import PIPELINE_RMAX
@@ -547,8 +547,8 @@ class TestStructure:
             pipeline6.c_table(r)  # raises on integrality, v-degree, c_{r,0}(1/2), degrees
         assert all(c >= 1 for c in pipeline6.boundary(4).top_row)
         for i in range(5):
-            w = perms.witness_perm(4, i)
-            assert perms.count_13_2(w) == 4 and w[1] == i + 2
+            w = constructions.witness_perm(4, i)
+            assert constructions.count_13_2(w) == 4 and w[1] == i + 2
 
 
 class TestPipelineGuards:

@@ -3,28 +3,30 @@ from __future__ import annotations
 import doctest
 import itertools
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flatperm import perms
-from flatperm.perms import (
-    EnumerationLimitError,
-    OccurrenceTable,
+from flatperm import constructions, perms
+from flatperm.constructions import (
     count_13_2,
     cycles_to_permutation,
-    distribution,
     doubling_pair,
     flatten,
-    max_occurrences,
     max_pattern_perm,
     min_length_for,
     standard_cycle_form,
     witness_perm,
 )
+from flatperm.perms import EnumerationLimitError, OccurrenceTable, distribution, max_occurrences
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 perm_of = lambda n: st.permutations(list(range(1, n + 1)))
 small_perm = st.integers(1, 7).flatmap(perm_of)
@@ -32,6 +34,7 @@ small_perm = st.integers(1, 7).flatmap(perm_of)
 
 def test_docstring_examples():
     assert doctest.testmod(perms).failed == 0
+    assert doctest.testmod(constructions).failed == 0
 
 
 class TestCycleForm:
@@ -415,3 +418,17 @@ class TestWitness:
                 assert len(w) == r + 2
                 assert w[:2] == (1, i + 2)
                 assert count_13_2(w) == r
+
+
+@pytest.mark.parametrize("module, layers", [
+    ("perms", ["_common", "perms"]),
+    ("constructions", ["_common", "constructions", "perms"]),
+])
+def test_dependency_direction(module, layers):
+    """The oracle imports no layer but ``_common``, and the constructions
+    import only the oracle: never the reverse, so that ``distribution``
+    compiles the walk alone."""
+    code = f"import sys, flatperm.{module}; print(*sorted(m for m in sys.modules if m.startswith('flatperm')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["flatperm", *(f"flatperm.{layer}" for layer in layers)]
