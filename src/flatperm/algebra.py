@@ -166,8 +166,6 @@ class IntPoly(_Dense):
     @classmethod
     def term(cls, coeff: int, power: int = 0) -> IntPoly:
         """coeff * x**power."""
-        if coeff == 0:
-            return cls()
         return cls([0] * power + [coeff])
 
     @property

@@ -53,7 +53,7 @@ import sys
 from types import SimpleNamespace
 from typing import Sequence
 
-from ._common import DEFAULT_ENUM_LIMIT, SUITE_NAMES, ConsistencyError, EnumerationLimitError
+from ._common import DEFAULT_ENUM_LIMIT, SUITE_NAMES, ConsistencyError
 from ._common import default_order, min_order
 
 RECURRENCE_NMAX = 30
@@ -466,7 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out:
             _check_out(args.out)
         return args.fn(args)
-    except (UsageError, EnumerationLimitError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:

@@ -136,8 +136,7 @@ def max_pattern_perm(n: int) -> Perm:
     high = list(range(n, (n + 1) // 2, -1))
     out = []
     for a, b in itertools.zip_longest(low, high):
-        if a is not None:
-            out.append(a)
+        out.append(a)
         if b is not None:
             out.append(b)
     return as_permutation(out)

@@ -41,11 +41,11 @@ from typing import NamedTuple
 
 from ._common import default_order, min_order
 from .algebra import (
+    P_ZERO,
     ConsistencyError,
     InexactDivisionError,
     IntPoly,
     RationalGF,
-    _over,
     _times,
 )
 from .insertion import InsertionCount
@@ -69,13 +69,6 @@ def _times_s(p: IntPoly) -> IntPoly:
 def _times_t(p: IntPoly) -> IntPoly:
     """t p, as one shift-and-subtract pass."""
     return IntPoly(_times(p.coeffs, 2))
-
-
-def _first_top_cell(r: int, top: tuple[int, ...], bad) -> str:
-    """The first entry of the top boundary row for which bad holds, as
-    g_{r+2,r}(1i) = V, for a failure message."""
-    i, c = next((i, c) for i, c in enumerate(top, 2) if bad(c))
-    return f"g_{{{r + 2},{r}}}(1{i}) = {c}"
 
 
 def t_poly(h: int) -> RationalGF:
@@ -119,23 +112,25 @@ class Pipeline:
     the routes, finds it compared already), kernel divisions must leave no
     remainder, each G_{r-1}(x, 1/s) must divide down exactly to
     s^(2r-2) t^r, so that G_r lands on the denominator s^(2r-1) t^(r+1),
-    extracted polynomials must be divisible and of
-    bounded degree exactly where claimed, and every coefficient of G_r
-    through the order is compared with the insertion count
-    ``InsertionCount(r_max, order)``, cut at q^r_max.  The count is built
-    at the first comparison, so a pipeline that only reads boundary data
-    never builds it.  Each failure raises ``ConsistencyError`` naming r;
-    so do the two identities a caller may ask for,
-    ``check_functional_equation`` and ``check_kernel_root``, which return
-    None when they hold.
+    extracted polynomials (the c tables by ``RationalGF.with_denominator``)
+    must be divisible and of bounded degree exactly where claimed, and
+    every coefficient of G_r through the order is compared with the
+    insertion count ``InsertionCount(r_max, order)``, cut at q^r_max.  The
+    count is built at the first comparison, so a pipeline that only reads
+    boundary data never builds it.  Each failure raises
+    ``ConsistencyError`` naming r; so do the two identities a caller may
+    ask for, ``check_functional_equation`` and ``check_kernel_root``, which
+    return None when they hold.
 
     The boundary data (n <= r_max + 2) come from a ``GTable``: the one
     passed as ``table`` (the ``verify`` suites pass their shared table),
     or else a full ``GTable(r_max + 2)`` of the pipeline's own (as for the
     ``ctable`` and ``rational`` commands).  So the boundary data and the
     values they are checked against come from different routes.  Each
-    inner cell is read once, as its layer n joins the sums Y_d[n] over
-    k - j = d; an odd cell (j >= 1) raises before its layer is kept.
+    top-row cell is checked once, for oddness (r >= 1) and positivity
+    (r >= 4), before any inner layer is read.  Each inner cell is read
+    once, as its layer n joins the sums Y_d[n] over k - j = d; an odd cell
+    (j >= 1) raises before its layer is kept.
 
     The pipeline never calls the enumeration oracle: comparisons of its
     values with ``perms.distribution`` live in ``flatperm.checks``.
@@ -179,9 +174,10 @@ class Pipeline:
         if r in self._boundary:
             return self._boundary[r]
         top = tuple(self.table.coeff(r + 2, r, i) for i in range(2, r + 3))
-        if r >= 1 and any(c % 2 for c in top):
-            bad = _first_top_cell(r, top, lambda c: c % 2)
-            raise ConsistencyError(f"odd entry in the top boundary row for r={r}: {bad}")
+        for i, c in enumerate(top, 2):
+            if c % 2 and r >= 1 or c < 1 and r >= 4:
+                what = "odd entry in the top boundary row" if c % 2 else "non-positive top boundary entry"
+                raise ConsistencyError(f"{what} for r={r}: g_{{{r + 2},{r}}}(1{i}) = {c}")
         layers = self._layers
         while len(layers) < r - 1:
             n = len(layers)
@@ -195,9 +191,6 @@ class Pipeline:
                         )
                     sums[j - k + 2] += c
             layers.append(sums)
-        if r >= 4 and any(c < 1 for c in top):
-            bad = _first_top_cell(r, top, lambda c: c < 1)
-            raise ConsistencyError(f"non-positive top boundary entry for r={r}: {bad}")
         # h = r - j + k - 2, so inner[h] = Y_(h-r+2), which layer n holds
         # at index r - h once r - h <= n.
         inner = tuple(
@@ -403,30 +396,22 @@ class Pipeline:
     def c_table(self, r: int) -> tuple[IntPoly, ...]:
         """The polynomials c_{r,0}, ..., c_{r,r} of P_r.
 
-        Decompose P_r as 2c_{r,0} + sum_l c_{r,l} s^{l-1} t^l v^l by
-        checked-exact divisions: p_l = [v^l] P_r is divided by s^(l-1) t^l
-        one exact pass per factor (``_over``: prefix sums for s, doubling
-        for t), each raising InexactDivisionError on a remainder.  Then
-        re-verify the decomposition, rebuilt by shift-and-subtract passes
-        (``_times``), so the division and the rebuild run different code;
-        the value c_{r,0}(1/2) = 2^{1-r}; and the degree pattern."""
+        Decompose P_r as 2c_{r,0} + sum_l c_{r,l} s^{l-1} t^l v^l, a change
+        of denominator: p_l = [v^l] P_r over s^(l-1) t^l is lowered to
+        s^0 t^0 by ``RationalGF.with_denominator``, whose exact passes raise
+        InexactDivisionError on a remainder.  Then re-verify the
+        decomposition, each c_{r,l} lifted back (shift-and-subtract passes,
+        so the division and the rebuild run different code); the value
+        c_{r,0}(1/2) = 2^{1-r}; and the degree pattern."""
         self._check_r(r)
         if r in self._c:
             return self._c[r]
         p = self.p_poly(r)
         polys = [p[0].divexact_const(2)]
-        for ell in range(1, r + 1):
-            cs = p[ell].coeffs
-            for k in [1] * (ell - 1) + [2] * ell:
-                cs = _over(cs, k)
-            polys.append(IntPoly(cs))
-
         rebuilt = [polys[0] * 2]
-        for ell in range(1, r + 1):
-            cs = polys[ell].coeffs
-            for k in [1] * (ell - 1) + [2] * ell:
-                cs = _times(cs, k)
-            rebuilt.append(IntPoly(cs))
+        for ell in range(1, r + 1):  # each numerator holds one column, or none for zero
+            polys += RationalGF([p[ell]], ell - 1, ell).with_denominator(0, 0).numerator or [P_ZERO]
+            rebuilt += RationalGF([polys[ell]]).with_denominator(ell - 1, ell).numerator or [P_ZERO]
         for ell, (got, want) in enumerate(zip(rebuilt, p)):
             if got != want:
                 raise ConsistencyError(f"c-decomposition of P_{r} failed to rebuild [v^{ell}] P_{r}")

@@ -62,8 +62,6 @@ def _binom(m: int, k: int) -> int:
     convention under which the j = 1 column of b reduces to the constant n."""
     if k < 0:
         return 1 if (k == -1 and m == -1) else 0
-    if m < 0:
-        return 0
     return math.comb(m, k) if k <= m else 0
 
 
@@ -332,7 +330,7 @@ def verify_a_closed_form(k_max: int = 15, n_max: int = 15) -> None:
     for k in range(2, k_max + 1):
         for j in range(1, top - 1 + 1):
             want = rows[k][j - 1] if j < k else IntPoly()
-            got = A[k - 2][j - 1] if j - 1 <= top - 2 else IntPoly()
+            got = A[k - 2][j - 1]
             if want != got:
                 raise ConsistencyError(f"a({k},{j}): series {got!r} != recurrence {want!r}")
     for n in range(3, n_max + 1):

@@ -4,8 +4,8 @@ line of the ``verify`` suites can fail.
 Each row of ``ROWS`` plants the smallest fault that reaches one
 ``ConsistencyError`` in ``flatperm.genfun`` that no other test reaches: a
 coefficient of a memoised numerator off by 2 (H~_r, G_r or P_r), one pass
-of the c-table rebuild off by 2, or one boundary cell of the table set to
-0.  The message must name r, and the v-power or l where it has one.
+of the c-table rebuild off by 2, or top boundary cells of the table set
+to 0 or 1.  The message must name r, and the v-power or l where it has one.
 ``SITES`` does the same for the raise sites of ``recurrence`` and of
 ``algebra`` outside its series layer, and ``GUARDS`` gives each input
 guard that no command reaches a bad input.  ``VERIFY_ROWS`` drives
@@ -86,7 +86,7 @@ def _rebuild_off(pl, r, monkeypatch):
     """Every product by s in the c-table rebuild off by 2 in its constant
     term; only [v^l] P_r for l >= 2 is rebuilt with such a product."""
     pl.p_poly(r)
-    real = genfun._times
+    real = algebra._times
 
     def off(cs, k):
         out = real(cs, k)
@@ -94,18 +94,19 @@ def _rebuild_off(pl, r, monkeypatch):
             out[0] += 2
         return out
 
-    monkeypatch.setattr(genfun, "_times", off)
+    monkeypatch.setattr(algebra, "_times", off)
     return pl.c_table
 
 
-def _top_cell_zero(cell):
-    """A full table whose coefficient at cell (n, r, k) reads 0."""
-    class Zeroed(GTable):
+def _top_cells_read(cells):
+    """A full table whose coefficient at each cell (n, r, k) of the dict
+    cells reads the value it maps to."""
+    class Planted(GTable):
         def coeff(self, n, r, k=None):
-            return 0 if (n, r, k) == cell else super().coeff(n, r, k)
+            return cells.get((n, r, k), super().coeff(n, r, k))
 
     def plant(pl, r, monkeypatch):
-        return Pipeline(r, table=Zeroed(r + 2)).boundary
+        return Pipeline(r, table=Planted(r + 2)).boundary
     return plant
 
 
@@ -124,7 +125,11 @@ ROWS = [
      r"deg c\(4,2\) = 9, bound 8 \(exact for r >= 4\)"),
     ("c degree below its bound", 4, _p_off(4, _drop_top_of_c(4)),
      r"deg c\(4,4\) = [0-3], bound 4 \(exact for r >= 4\)"),
-    ("non-positive top boundary entry", 4, _top_cell_zero((6, 4, 3)),
+    ("non-positive top boundary entry", 4, _top_cells_read({(6, 4, 3): 0}),
+     r"non-positive top boundary entry for r=4: g_\{6,4\}\(13\) = 0"),
+    # The top row is scanned once, by index: an even non-positive cell
+    # raises before a later odd one.
+    ("non-positive top cell before an odd one", 4, _top_cells_read({(6, 4, 3): 0, (6, 4, 5): 1}),
      r"non-positive top boundary entry for r=4: g_\{6,4\}\(13\) = 0"),
 ]
 

@@ -307,8 +307,9 @@ class TestCTable:
         return Pipeline(12, table=table)
 
     def test_matches_divexact_decomposition(self, pipeline12):
-        """c_table divides by s and t one _over pass at a time; the
-        reference divides by s^(l-1) t^l in one IntPoly.divexact."""
+        """c_table brings each column of P_r from s^(l-1) t^l to s^0 t^0
+        with RationalGF.with_denominator; the reference divides by
+        s^(l-1) t^l in one IntPoly.divexact."""
         for r in range(1, 13):
             p = pipeline12.p_poly(r)
             want = [p[0].divexact_const(2)] + [
@@ -330,6 +331,16 @@ class TestCTable:
         monkeypatch.setattr(Pipeline, "p_poly", off_by_one)
         with pytest.raises(InexactDivisionError):
             Pipeline(4, table=table).c_table(4)
+
+    def test_zero_column_gives_the_zero_polynomial(self, table):
+        """A zero [v^2] P_3 has an empty numerator over s t^2; its c column
+        is the zero polynomial, and the rebuild reads it back as zero.  The
+        degree pattern is exact only from r = 4, so nothing else raises."""
+        pl = Pipeline(3, table=table)
+        p = list(pl.p_poly(3))
+        p[2] = IntPoly()
+        pl._p[3] = tuple(p)
+        assert pl.c_table(3)[2] == IntPoly()
 
 
 def _c_top(r: int) -> list[int]:

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import flatperm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def test_all_names_resolve():
@@ -60,3 +64,27 @@ def test_readme_library_sketch_runs():
     code = text[start:text.index("```", start)]
     # Padded so that a traceback names the README's own line numbers.
     exec(compile("\n" * text.count("\n", 0, start) + code, str(README), "exec"), {})
+
+
+def _loaded_by(access: str) -> list[str]:
+    """The ``flatperm.*`` modules that a fresh interpreter holds after
+    ``import flatperm`` and then the statement access; in this process
+    every submodule is loaded already, so the lazy paths never run."""
+    code = f"import sys, flatperm\n{access}\nprint(*sorted(m for m in sys.modules if m.startswith('flatperm.')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.split()
+
+
+def test_import_loads_no_layer():
+    assert _loaded_by("") == []
+
+
+def test_public_name_loads_its_home_module_alone():
+    assert _loaded_by("flatperm.distribution") == ["flatperm._common", "flatperm.perms"]
+
+
+def test_submodule_attribute_loads_it_and_its_imports():
+    """``flatperm.genfun`` goes through the package's ``__getattr__``."""
+    loaded = _loaded_by("assert flatperm.genfun is sys.modules['flatperm.genfun']")
+    assert loaded == [f"flatperm.{name}" for name in ("_common", "algebra", "genfun", "insertion", "recurrence")]

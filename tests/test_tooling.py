@@ -157,7 +157,6 @@ UNCALLED = {
     "algebra.IntPoly.__repr__": "protocol method",
     "algebra.RationalGF.__repr__": "protocol method",
     "cli.entry": "the process entry: main() on sys.argv, then gc.freeze()",
-    "genfun._first_top_cell": "error path: names the bad top boundary cell",
     "algebra.XSeries": PINNED,
     "algebra.VPoly": PINNED,
     "algebra.vpoly_div_kernel": PINNED,
