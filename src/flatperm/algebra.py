@@ -175,9 +175,6 @@ class IntPoly(_Dense):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
 

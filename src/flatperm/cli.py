@@ -263,28 +263,15 @@ def _cmd_witness(args) -> int:
         raise UsageError("--i goes with --r (witness word), not with --n")
     if args.n is not None:
         word = constructions.max_pattern_perm(args.n)
-        payload = {
-            "command": "witness",
-            "kind": "extremal",
-            "n": args.n,
-            "word": list(word),
-            "occurrences": str(constructions.count_13_2(word)),
-            "maximum": str(perms.max_occurrences(args.n)),
-        }
+        fields = {"kind": "extremal", "n": args.n, "maximum": str(perms.max_occurrences(args.n))}
     else:
         i = args.r if args.i is None else args.i
         if not 0 <= i <= args.r:
             raise UsageError(f"--i must lie in [0, {args.r}]")
         word = constructions.witness_perm(args.r, i)
-        payload = {
-            "command": "witness",
-            "kind": "prefix-witness",
-            "r": args.r,
-            "i": i,
-            "word": list(word),
-            "occurrences": str(constructions.count_13_2(word)),
-        }
-    _emit(payload, args)
+        fields = {"kind": "prefix-witness", "r": args.r, "i": i}
+    occurrences = str(constructions.count_13_2(word))
+    _emit({"command": "witness", "word": list(word), "occurrences": occurrences, **fields}, args)
     return EXIT_OK
 
 

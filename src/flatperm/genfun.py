@@ -112,10 +112,12 @@ class Pipeline:
     the routes, finds it compared already), kernel divisions must leave no
     remainder, each G_{r-1}(x, 1/s) must divide down exactly to
     s^(2r-2) t^r, so that G_r lands on the denominator s^(2r-1) t^(r+1),
-    extracted polynomials (the c tables by ``RationalGF.with_denominator``)
-    must be divisible and of bounded degree exactly where claimed, and
-    every coefficient of G_r through the order is compared with the
-    insertion count ``InsertionCount(r_max, order)``, cut at q^r_max.  The
+    where the derivation certifies that G_r has v-degree r and a numerator
+    divisible by x^(r+3) (P_r adds its x-degree bound), the c tables (by
+    ``RationalGF.with_denominator``) must be divisible and of bounded
+    degree exactly where claimed, and every coefficient of G_r through the
+    order is compared with the insertion count
+    ``InsertionCount(r_max, order)``, cut at q^r_max.  The
     count is built at the first comparison, so a pipeline that only reads
     boundary data never builds it.  Each failure raises
     ``ConsistencyError`` naming r; so do the two identities a caller may
@@ -324,28 +326,25 @@ class Pipeline:
             # lowers only at r = 1, where H~_1 carries s^2.
             g = bracket.div_kernel()
             g = (g + self.htilde_over_kernel(r).shift(x=3)).with_denominator(2 * r - 1, r + 1)
-        if g.vdegree > r:
-            raise ConsistencyError(f"G_{r} has v-degree {g.vdegree} > {r}")
+        if g.vdegree != r:
+            raise ConsistencyError(f"G_{r} has v-degree {g.vdegree}, expected {r}")
+        # s^a t^b has constant term 1: each column's expansion starts where the column does.
+        for k, num in enumerate(g.numerator):
+            for m, c in enumerate(num.coeffs[: r + 3]):
+                if c:
+                    raise ConsistencyError(f"G_{r} has a nonzero coefficient at x^{m} v^{k} below x^{r + 3}")
         self._verify_against_count(r, g)
         self._v_sum, self._k_sum = v_sum, k_sum
         self._g.append(g)
 
     def _verify_against_count(self, r: int, g: RationalGF) -> None:
         """Compare [x^m v^(i-2)] G_r with the count's g_{m,r}(1i) for every
-        m through the order, one column (r, i) at a time; the per-cell
-        loop runs only to name the first wrong cell."""
+        m from r + 3 through the order, one column (r, i) at a time; the
+        per-cell loop runs only to name the first wrong cell."""
         if self._count is None:
             self._count = InsertionCount(self.r_max, self.order)
         low = r + 3
-        series = g.expand_coeffs(self.order)
-        zero = [0] * (self.order + 1)
-        for i in range(2, r + 3):
-            coeffs = series[i - 2] if i - 2 < len(series) else zero
-            for m, c in enumerate(coeffs[:low]):
-                if c:
-                    raise ConsistencyError(
-                        f"G_{r} has a nonzero coefficient at x^{m} v^{i - 2} below x^{r + 3}"
-                    )
+        for i, coeffs in enumerate(g.expand_coeffs(self.order), 2):
             column = self._count.column(r, i, low)
             if coeffs[low:] == column:
                 continue
@@ -365,10 +364,10 @@ class Pipeline:
     # -- extraction ---------------------------------------------------------
 
     def p_poly(self, r: int) -> tuple[IntPoly, ...]:
-        """The certified integer polynomial P_r(x, v), of v-degree exactly
-        r and x-degree at most 3r - 1: the numerator of G_r over
-        s^(2r-1) t^(r+1), divided exactly by 2 x^(r+3).  Like the c table,
-        it is a tuple of polynomials in x: [v^l] P_r for 0 <= l <= r."""
+        """The certified integer polynomial P_r(x, v): the numerator of G_r
+        over s^(2r-1) t^(r+1) (of v-degree r and divisible by x^(r+3), as the
+        derivation certifies) divided exactly by 2 x^(r+3), of x-degree at
+        most 3r - 1: a tuple of polynomials in x, [v^l] P_r for 0 <= l <= r."""
         self._check_r(r)
         if r < 1:
             raise ValueError("P_r is defined for r >= 1 only")
@@ -376,10 +375,6 @@ class Pipeline:
             return self._p[r]
         cols = []
         for k, num in enumerate(self.g_exact(r).numerator):
-            if any(num.coeffs[: r + 3]):
-                raise ConsistencyError(
-                    f"v^{k} coefficient of the numerator of G_{r} is not divisible by x^{r + 3}"
-                )
             col = IntPoly(num.coeffs[r + 3 :]).divexact_const(2)
             if col.degree > 3 * r - 1:
                 raise ConsistencyError(
@@ -387,11 +382,8 @@ class Pipeline:
                     f"beyond the degree bound {3 * r - 1}"
                 )
             cols.append(col)
-        p = tuple(cols)
-        if len(p) != r + 1:
-            raise ConsistencyError(f"P_{r} has v-degree {len(p) - 1}, expected {r}")
-        self._p[r] = p
-        return p
+        self._p[r] = tuple(cols)
+        return self._p[r]
 
     def c_table(self, r: int) -> tuple[IntPoly, ...]:
         """The polynomials c_{r,0}, ..., c_{r,r} of P_r.
@@ -400,20 +392,18 @@ class Pipeline:
         of denominator: p_l = [v^l] P_r over s^(l-1) t^l is lowered to
         s^0 t^0 by ``RationalGF.with_denominator``, whose exact passes raise
         InexactDivisionError on a remainder.  Then re-verify the
-        decomposition, each c_{r,l} lifted back (shift-and-subtract passes,
-        so the division and the rebuild run different code); the value
-        c_{r,0}(1/2) = 2^{1-r}; and the degree pattern."""
+        decomposition, each c_{r,l} with l >= 1 lifted back (shift-and-subtract
+        passes, so the division and the rebuild run different code); the
+        value c_{r,0}(1/2) = 2^{1-r}; and the degree pattern."""
         self._check_r(r)
         if r in self._c:
             return self._c[r]
         p = self.p_poly(r)
         polys = [p[0].divexact_const(2)]
-        rebuilt = [polys[0] * 2]
         for ell in range(1, r + 1):  # each numerator holds one column, or none for zero
             polys += RationalGF([p[ell]], ell - 1, ell).with_denominator(0, 0).numerator or [P_ZERO]
-            rebuilt += RationalGF([polys[ell]]).with_denominator(ell - 1, ell).numerator or [P_ZERO]
-        for ell, (got, want) in enumerate(zip(rebuilt, p)):
-            if got != want:
+            rebuilt = RationalGF([polys[ell]]).with_denominator(ell - 1, ell).numerator or [P_ZERO]
+            if rebuilt[0] != p[ell]:
                 raise ConsistencyError(f"c-decomposition of P_{r} failed to rebuild [v^{ell}] P_{r}")
         # c_{r,0}(1/2) = 2^(1-r), both sides times 2^top: integers for
         # top >= deg c_{r,0} and top >= r - 1.

@@ -603,85 +603,69 @@ def test_command_help_lists_every_option_with_its_range(capsys, monkeypatch, com
     assert run(capsys, command, "-h") == (EXIT_OK, out, "")
 
 
-#: The modules a command must not load unless it runs them.  No command
-#: loads ``json``: the CLI writes JSON with its own ``_json``.
-HEAVY = ("flatperm.algebra", "flatperm.recurrence", "flatperm.genfun", "flatperm.checks",
-         "flatperm.insertion", "flatperm.constructions", "dataclasses", "inspect", "fractions",
-         "csv", "argparse", "gettext", "json")
+#: The standard-library modules that a command loads only where its row
+#: in ``FOOTPRINT`` names them: no command parses its argv with
+#: ``argparse`` (nor loads the ``gettext`` it pulls in) or writes JSON with
+#: ``json`` (the CLI has its own ``_json``), every record is a NamedTuple
+#: (no ``dataclasses``, nor its ``inspect``), the pipeline checks
+#: c_{r,0}(1/2) in integers, and ``verify`` compares the average in
+#: integers.  A dotted module counts under its top-level name.
+WATCHED = ("argparse", "gettext", "json", "_json", "dataclasses", "inspect", "decimal", "fractions", "csv")
 
-LOADED_BY = """
+_ALL_LAYERS = "_reference algebra checks constructions genfun insertion perms recurrence"
+
+#: Each command line, ``{out}`` standing for a path in the test's
+#: directory, and every module it loads beyond ``flatperm.cli`` and
+#: ``flatperm._common``: ``flatperm``'s own by their short names, then the
+#: ``WATCHED`` ones.  An empty argv is a usage error.
+FOOTPRINT = {
+    "": "",
+    "--help": "",
+    "distribution --n 6": "perms",
+    "distribution --n 6 --out {out}": "perms",
+    "distribution --n 6 --format csv": "perms csv",
+    "distribution --n 6 --prefix 1,3 --out {out}": "perms",
+    "distribution --n 12 --prefix 1,3": "algebra perms recurrence",
+    "gpoly --n 5": "algebra recurrence",
+    "gpoly --n 6 --k 3": "algebra recurrence",
+    "average --n 6": "algebra recurrence decimal fractions",
+    "avoiders --n 9": "algebra recurrence",
+    "ctable --r 3": "algebra genfun insertion recurrence",
+    "rational --r 0": "algebra genfun insertion recurrence",
+    "rational --r 3": "algebra genfun insertion recurrence",
+    "witness --n 7": "constructions perms",
+    "witness --r 5 --i 2": "constructions perms",
+    "verify --suite all --n 3 --rmax 1": _ALL_LAYERS,
+    "verify --suite all --n 5 --rmax 2": _ALL_LAYERS,
+    "verify --suite constructions --n 4 --rmax 1 --out {out}": _ALL_LAYERS,
+}
+
+#: Runs ``cli.main`` on sys.argv[2:] and prints the exit code and the
+#: loaded modules: ``flatperm``'s by short name, and those of the
+#: comma-separated names in sys.argv[1] by top-level name.
+FOOTPRINT_PROBE = """
 import contextlib, io, sys
 import flatperm.cli
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = flatperm.cli.main(sys.argv[2:])
-print(code, *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
+watched = set(sys.argv[1].split(","))
+own = {m.removeprefix("flatperm.") for m in sys.modules if m.startswith("flatperm.")}
+print(code, *sorted(own - {"cli", "_common"}), *sorted({m.partition(".")[0] for m in sys.modules} & watched))
 """
 
 
-def modules_loaded_by(*argv, modules=HEAVY):
-    """The exit code of a fresh interpreter running the command, and which
-    of modules (HEAVY by default) it loaded by then."""
+@pytest.mark.parametrize("argv", FOOTPRINT, ids=lambda argv: argv or "no argv")
+def test_command_loads_only_its_footprint(tmp_path, argv):
+    """A fresh interpreter, so that no import made earlier hides one,
+    loads exactly the row's modules by the time ``main`` returns, and so
+    no more at ``import flatperm.cli``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", LOADED_BY, ",".join(modules), *argv],
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, ",".join(WATCHED),
+                           *argv.format(out=tmp_path / "out").split()],
                           env=env, capture_output=True, text=True, check=True)
     code, *loaded = done.stdout.split()
-    return int(code), loaded
+    assert (int(code), loaded) == (EXIT_OK if argv else EXIT_USAGE, FOOTPRINT[argv].split())
 
-
-def test_cli_import_loads_no_argparse():
-    """The process pays for no argument parser library before a command
-    runs, as ``setup_s`` measures it."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = "import sys, flatperm.cli; print(*sorted({'argparse', 'gettext'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == []
-
-
-def test_enumeration_loads_only_perms():
-    assert modules_loaded_by("distribution", "--n", "6") == (EXIT_OK, [])
-
-
-def test_ctable_loads_no_checks():
-    code, loaded = modules_loaded_by("ctable", "--r", "3")
-    assert code == EXIT_OK
-    assert "flatperm.checks" not in loaded and "flatperm.genfun" in loaded
-
-
-@pytest.mark.parametrize("argv", [
-    ("ctable", "--r", "3"),
-    ("rational", "--r", "3"),
-    ("verify", "--suite", "all", "--n", "3", "--rmax", "1"),
-])
-def test_pipeline_commands_load_no_dataclasses(argv):
-    """Every record is a NamedTuple, so no command pays for importing
-    ``dataclasses`` and the ``inspect`` it pulls in."""
-    code, loaded = modules_loaded_by(*argv)
-    assert code == EXIT_OK
-    assert "dataclasses" not in loaded and "inspect" not in loaded
-
-
-@pytest.mark.parametrize("argv", [
-    ("ctable", "--r", "3"),
-    ("rational", "--r", "3"),
-    ("gpoly", "--n", "5"),
-])
-def test_table_commands_load_no_enumeration_fractions_or_csv(argv):
-    """The pipeline checks c_{r,0}(1/2) in integers and the CLI imports
-    ``csv`` and ``perms`` only for the commands that use them."""
-    modules = ("flatperm.perms", "fractions", "csv")
-    assert modules_loaded_by(*argv, modules=modules) == (EXIT_OK, [])
-
-
-def test_verify_loads_no_fractions():
-    """The average line compares integers, and nothing else that
-    ``verify`` runs builds a fraction unless a check fails."""
-    modules = ("fractions", "decimal")
-    assert modules_loaded_by("verify", "--suite", "all", "--n", "5", "--rmax", "2",
-                             modules=modules) == (EXIT_OK, [])
-
-
-#: The ``json`` package and its parts, which no command loads.
-JSON_MODULES = ("json", "json.decoder", "json.scanner", "json.encoder", "_json")
 
 #: One command line of each command that writes JSON, ``{out}`` standing
 #: for a path in the test's directory.
@@ -695,18 +679,6 @@ JSON_COMMANDS = (
     "distribution --n 6 --prefix 1,3 --out {out}",
     "verify --suite constructions --n 4 --rmax 1 --out {out}",
 )
-
-
-def test_verify_loads_no_json():
-    """``verify`` prints text, and writes no JSON unless given ``--out``."""
-    assert modules_loaded_by("verify", "--suite", "all", "--n", "5", "--rmax", "2",
-                             modules=JSON_MODULES) == (EXIT_OK, [])
-
-
-@pytest.mark.parametrize("argv", JSON_COMMANDS)
-def test_json_commands_load_no_json(tmp_path, argv):
-    argv = argv.format(out=tmp_path / "out.json").split()
-    assert modules_loaded_by(*argv, modules=JSON_MODULES) == (EXIT_OK, [])
 
 
 @pytest.mark.parametrize("argv", JSON_COMMANDS)

@@ -153,7 +153,6 @@ PINNED = "span target in `perfbench/spantrace.py` `TARGETS`; leaves with ROADMAP
 UNCALLED = {
     "__init__.__dir__": "protocol method: dir(flatperm)",
     "algebra._Dense.__iter__": "protocol method: iterating over a polynomial's coefficients",
-    "algebra.IntPoly.__hash__": "protocol method: a polynomial as a dict key",
     "algebra.IntPoly.__repr__": "protocol method",
     "algebra.RationalGF.__repr__": "protocol method",
     "cli.entry": "the process entry: main() on sys.argv, then gc.freeze()",
