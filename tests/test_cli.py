@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import gc
 import hashlib
 import json
@@ -654,17 +655,77 @@ print(code, *sorted(own - {"cli", "_common"}), *sorted({m.partition(".")[0] for 
 """
 
 
-@pytest.mark.parametrize("argv", FOOTPRINT, ids=lambda argv: argv or "no argv")
-def test_command_loads_only_its_footprint(tmp_path, argv):
-    """A fresh interpreter, so that no import made earlier hides one,
-    loads exactly the row's modules by the time ``main`` returns, and so
-    no more at ``import flatperm.cli``."""
+@pytest.fixture(scope="module")
+def footprint(tmp_path_factory):
+    """The exit code of a fresh interpreter, so that no import made earlier
+    hides one, running a ``FOOTPRINT`` command line, and the modules it
+    loaded by the time ``main`` returned; each line runs once per module."""
+    out = tmp_path_factory.mktemp("footprint") / "out"
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, ",".join(WATCHED),
-                           *argv.format(out=tmp_path / "out").split()],
-                          env=env, capture_output=True, text=True, check=True)
-    code, *loaded = done.stdout.split()
-    assert (int(code), loaded) == (EXIT_OK if argv else EXIT_USAGE, FOOTPRINT[argv].split())
+
+    @functools.cache
+    def run(argv):
+        done = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, ",".join(WATCHED),
+                               *argv.format(out=out).split()],
+                              env=env, capture_output=True, text=True, check=True)
+        code, *loaded = done.stdout.split()
+        return int(code), loaded
+
+    return run
+
+
+@pytest.mark.parametrize("argv", FOOTPRINT, ids=lambda argv: argv or "no argv")
+def test_command_loads_only_its_footprint(footprint, argv):
+    """Each command line loads exactly the row's modules by the time
+    ``main`` returns, and so no more at ``import flatperm.cli``."""
+    assert footprint(argv) == (EXIT_OK if argv else EXIT_USAGE, FOOTPRINT[argv].split())
+
+
+def test_ctable_loads_no_checks(footprint):
+    code, loaded = footprint("ctable --r 3")
+    assert code == EXIT_OK
+    assert "checks" not in loaded and "genfun" in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("ctable", "--r", "3"),
+    ("rational", "--r", "3"),
+    ("verify", "--suite", "all", "--n", "3", "--rmax", "1"),
+])
+def test_pipeline_commands_load_no_dataclasses(footprint, argv):
+    """Every record is a NamedTuple, so no command pays for importing
+    ``dataclasses`` and the ``inspect`` it pulls in."""
+    code, loaded = footprint(" ".join(argv))
+    assert code == EXIT_OK
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("ctable", "--r", "3"),
+    ("rational", "--r", "3"),
+    ("gpoly", "--n", "5"),
+])
+def test_table_commands_load_no_enumeration_fractions_or_csv(footprint, argv):
+    """The pipeline checks c_{r,0}(1/2) in integers and the CLI imports
+    ``csv`` and ``perms`` only for the commands that use them."""
+    code, loaded = footprint(" ".join(argv))
+    assert code == EXIT_OK
+    assert not {"perms", "fractions", "csv"} & set(loaded)
+
+
+def test_verify_loads_no_fractions(footprint):
+    """The average line compares integers, and nothing else that
+    ``verify`` runs builds a fraction unless a check fails."""
+    code, loaded = footprint("verify --suite all --n 5 --rmax 2")
+    assert code == EXIT_OK
+    assert not {"fractions", "decimal"} & set(loaded)
+
+
+def test_verify_loads_no_json(footprint):
+    """``verify`` prints text, and writes no JSON unless given ``--out``."""
+    code, loaded = footprint("verify --suite all --n 5 --rmax 2")
+    assert code == EXIT_OK
+    assert not {"json", "_json"} & set(loaded)
 
 
 #: One command line of each command that writes JSON, ``{out}`` standing
@@ -679,6 +740,13 @@ JSON_COMMANDS = (
     "distribution --n 6 --prefix 1,3 --out {out}",
     "verify --suite constructions --n 4 --rmax 1 --out {out}",
 )
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS)
+def test_json_commands_load_no_json(footprint, argv):
+    code, loaded = footprint(argv)
+    assert code == EXIT_OK
+    assert not {"json", "_json"} & set(loaded)
 
 
 @pytest.mark.parametrize("argv", JSON_COMMANDS)
